@@ -12,7 +12,7 @@ from .market import (
     gains,
 )
 from .measure import DensityWeights, density, memm_one_period, verify_drift
-from .oce import Utility, closed_form_y, legendre, oce_objective, u_deriv, u_value
+from .oce import Utility, closed_form_y, legendre, u_deriv, u_value
 from .surface import CallGrid, DlvGrid, DlvSurface, dlv_from_prices, prices_from_dlv
 from .trainer import Mlp, Solution, TrainConfig, train
 from .var_model import VarParams, fit_var, simulate
@@ -43,7 +43,6 @@ __all__ = [
     "gains",
     "legendre",
     "memm_one_period",
-    "oce_objective",
     "prices_from_dlv",
     "simulate",
     "train",

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .errors import DriftlessError, SimulationError, TrainingError
 from .frictions import CostSpec
-from .hedging import PayoffSpec, deep_hedge, payoff, robustness_eval, tilt
+from .hedging import PayoffSpec, deep_hedge, payoff, robustness_eval
 from .market import (
     InstrumentSpec,
     build_returns,
@@ -30,8 +30,8 @@ from .market import (
     write_bundle,
     write_weights_csv,
 )
-from .measure import adversarial_test, density, divergence, verify_drift
-from .oce import Utility, oce_sup
+from .measure import density, verify_drift
+from .oce import Utility
 from .trainer import TrainConfig, train
 from .var_model import (
     VarParams,

@@ -5,6 +5,23 @@ class DriftlessError(Exception):
     """Base class for all package errors."""
 
 
+class InputError(DriftlessError, ValueError):
+    """Malformed user input: weights, bundle or weights files, JSON configs."""
+
+
+def check_keys(d, allowed, what, required=()):
+    """Reject a config mapping that is not a dict, lacks a required key or
+    has a key outside ``allowed``."""
+    if not isinstance(d, dict):
+        raise InputError(f"{what} must be a JSON object")
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise InputError(f"{what} lacks required key(s) {missing}")
+    unknown = sorted(set(d) - set(allowed))
+    if unknown:
+        raise InputError(f"unknown {what} key(s) {unknown}; allowed: {sorted(allowed)}")
+
+
 class GridDomainError(DriftlessError, ValueError):
     """A strike or maturity falls outside the surface grid span."""
 

@@ -1,10 +1,10 @@
-"""Trading frictions: generalized costs, marginal rates and marginal cost.
+"""Trading frictions: proportional marginal rates and the marginal cost.
 
-The cost model is proportional-on-mid-notional, gamma * |a| * H per
-instrument, with an optional hard per-step vega cap expressed as infinite
-cost.  Marginal rates gamma+/- are the one-sided derivatives at zero
-trade; both are stored as non-negative magnitudes, so the marginal cost is
-m(a) = a+ . gamma+ + a- . |gamma-| >= 0.
+The near-martingale measure is built from the marginal cost M_T, the
+first-order bid/ask band, so only the proportional-on-mid-notional rates
+gamma * |H| per instrument are modelled.  Marginal rates gamma+/- are the
+one-sided derivatives at zero trade; both are stored as non-negative
+magnitudes, so the marginal cost is m(a) = a+ . gamma+ + a- . |gamma-| >= 0.
 """
 
 from __future__ import annotations
@@ -14,44 +14,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError, check_keys
+
 
 @dataclass(frozen=True)
 class CostSpec:
     """Proportional trading cost description.
 
     ``gamma_prop`` is a scalar rate applied to every instrument (fraction
-    of traded mid notional); ``vega_cap`` is an optional per-step limit on
-    total traded vega; ``mode`` selects the cost term used in objectives:
-    none (frictionless), marginal, or full.
+    of traded mid notional); ``mode`` is marginal (cost band M_T) or none
+    (frictionless, which requires ``gamma_prop`` = 0).
     """
 
     gamma_prop: float = 0.0
-    vega_cap: float | None = None
     mode: str = "marginal"
 
     def __post_init__(self):
         if self.gamma_prop < 0:
-            raise ValueError("gamma_prop must be >= 0")
-        if self.vega_cap is not None and self.vega_cap <= 0:
-            raise ValueError("vega_cap must be positive when present")
-        if self.mode not in ("full", "marginal", "none"):
-            raise ValueError(f"unknown cost mode {self.mode!r}")
+            raise InputError("gamma_prop must be >= 0")
+        if self.mode not in ("marginal", "none"):
+            raise InputError(f"unknown cost mode {self.mode!r}")
+        if self.mode == "none" and self.gamma_prop > 0:
+            raise InputError("cost mode 'none' requires gamma = 0")
 
     def to_json(self, path):
         with open(path, "w") as fh:
-            json.dump(
-                {"gamma": self.gamma_prop, "vega_cap": self.vega_cap, "mode": self.mode},
-                fh,
-                indent=2,
-            )
+            json.dump({"gamma": self.gamma_prop, "mode": self.mode}, fh, indent=2)
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            gamma_prop=d.get("gamma", 0.0),
-            vega_cap=d.get("vega_cap"),
-            mode=d.get("mode", "marginal"),
-        )
+        check_keys(d, ("gamma", "mode"), "cost spec")
+        return cls(gamma_prop=d.get("gamma", 0.0), mode=d.get("mode", "marginal"))
 
     @classmethod
     def from_json(cls, path):
@@ -59,27 +52,10 @@ class CostSpec:
             return cls.from_dict(json.load(fh))
 
 
-def cost(spec, a, mids, vegas=None):
-    """Full cost of trading ``a`` at mid prices ``mids``.
-
-    Returns +inf when the vega cap is breached; c(0) = 0 always.
-    Arrays broadcast, so this also evaluates whole (path, step) batches.
-    """
-    a = np.asarray(a, dtype=float)
-    mids = np.asarray(mids, dtype=float)
-    base = spec.gamma_prop * np.abs(a) * np.abs(mids)
-    total = base.sum(axis=-1)
-    if spec.vega_cap is not None and vegas is not None:
-        traded_vega = (np.abs(a) * np.asarray(vegas, dtype=float)).sum(axis=-1)
-        total = np.where(traded_vega <= spec.vega_cap, total, np.inf)
-    return total
-
-
 def marginal_rates(spec, mids):
     """One-sided marginal rates (gamma+, gamma-) at zero trade.
 
-    The cap is inactive at a = 0, so both sides equal gamma * H, returned
-    as non-negative magnitudes.
+    Both sides equal gamma * |H|, returned as non-negative magnitudes.
     """
     rate = spec.gamma_prop * np.abs(np.asarray(mids, dtype=float))
     return rate, rate.copy()

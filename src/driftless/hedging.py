@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridDomainError, TiltError
+from .errors import GridDomainError, TiltError, check_keys
 from .oce import oce_sup
 from .trainer import evaluate_policy, forward, train
 
@@ -38,6 +38,8 @@ class PayoffSpec:
 
     @classmethod
     def from_dict(cls, d):
+        check_keys(d, ("kind", "rel_strike", "maturity_steps", "side", "table"), "payoff",
+                   required=("kind",))
         return cls(
             kind=d["kind"],
             rel_strike=d.get("rel_strike", 1.0),

@@ -11,14 +11,30 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridDomainError, InvalidSurfaceError
-from .surface import DlvGrid, DlvSurface, intrinsic_row, prices_from_dlv_batch
+from .errors import GridDomainError, InputError, InvalidSurfaceError, check_keys
+from .surface import DlvGrid, DlvSurface, prices_from_dlv_batch
 
 SIGMA_FLOOR = 1e-6  # floor before log features; keeps sigma = 0 nodes finite
+
+
+def check_weights(weights, n_paths):
+    """Per-path weights as a float array: one per path, finite, positive,
+    with mean 1 within 1e-9.  Raises InputError otherwise."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (n_paths,):
+        raise InputError(f"weights must be one per path: got shape {w.shape}, "
+                         f"expected ({n_paths},)")
+    if not np.all(np.isfinite(w)):
+        raise InputError("weights must be finite")
+    if np.any(w <= 0):
+        raise InputError("weights must be positive")
+    if not abs(w.mean() - 1.0) <= 1e-9:
+        raise InputError(f"weights must have mean 1, got {w.mean():.17g}")
+    return w
 
 
 @dataclass(frozen=True)
@@ -89,13 +105,7 @@ class PathBundle:
         if self.prices.shape != (p, t1, m + 1, n + 2):
             raise ValueError("prices shape inconsistent with spots/grid")
         if self.weights is not None:
-            self.weights = np.asarray(self.weights, dtype=float)
-            if self.weights.shape != (p,):
-                raise ValueError("weights must be one per path")
-            if np.any(self.weights <= 0):
-                raise ValueError("weights must be positive")
-            if abs(self.weights.mean() - 1.0) > 1e-9:
-                raise ValueError("weights must have mean 1")
+            self.weights = check_weights(self.weights, p)
 
     @property
     def n_paths(self):
@@ -125,7 +135,7 @@ class PathBundle:
             spots=self.spots,
             sigmas=self.sigmas,
             prices=self.prices,
-            weights=np.asarray(weights, dtype=float),
+            weights=weights,
             seed=self.seed,
             provenance=self.provenance,
         )
@@ -134,12 +144,11 @@ class PathBundle:
 @dataclass
 class InstrumentReturn:
     """Per (path, step, instrument) hold-to-horizon returns DH and the
-    trade-time mid prices and vegas used for cost accounting."""
+    trade-time mid prices used for cost accounting."""
 
     instruments: tuple
     dh: np.ndarray  # (P, T, I)
     mids: np.ndarray  # (P, T, I)
-    vegas: np.ndarray  # (P, T, I)
 
 
 def bundle_from_sigmas(grid, spots, sigmas, weights=None, seed=0, provenance=""):
@@ -190,21 +199,6 @@ def _interp_price(grid, prices, x, tau):
     return (1 - wt) * ((1 - wx) * p00 + wx * p01) + wt * ((1 - wx) * p10 + wx * p11)
 
 
-def _atm_vol(grid, sigmas, tau):
-    """DLV at the strike column nearest 1.0 and maturity nearest ``tau``."""
-    i = int(np.argmin(np.abs(np.asarray(grid.strikes) - 1.0)))
-    j = int(np.argmin(np.abs(np.asarray(grid.maturities) - tau)))
-    return sigmas[..., j, i]
-
-
-def _bs_vega(spot, rel_strike, vol, tau):
-    """Black-Scholes vega at zero rates, per unit spot notional."""
-    vol = np.maximum(vol, SIGMA_FLOOR)
-    st = vol * np.sqrt(tau)
-    d1 = (np.log(1.0 / rel_strike) + 0.5 * vol**2 * tau) / st
-    return spot * np.sqrt(tau) * np.exp(-0.5 * d1**2) / np.sqrt(2.0 * np.pi)
-
-
 def build_returns(bundle, instruments):
     """Hold-to-horizon returns DH = H_T - H_t for each instrument.
 
@@ -219,7 +213,6 @@ def build_returns(bundle, instruments):
     n_inst = len(instruments)
     dh = np.empty((P, T, n_inst))
     mids = np.empty((P, T, n_inst))
-    vegas = np.zeros((P, T, n_inst))
 
     spots = bundle.spots
     s_T = spots[:, T]
@@ -249,8 +242,6 @@ def build_returns(bundle, instruments):
             else:
                 mid_rel = c_rel - (1.0 - inst.rel_strike)
             mids[:, t, k] = s_t * mid_rel
-            vol = _atm_vol(grid, bundle.sigmas[:, t], tau_years)
-            vegas[:, t, k] = _bs_vega(s_t, inst.rel_strike, vol, tau_years)
 
             expiry = t + inst.ttm_days
             if expiry <= T:
@@ -270,7 +261,7 @@ def build_returns(bundle, instruments):
                     terminal = s_T * (c_T - (1.0 - x_T))
             dh[:, t, k] = terminal - mids[:, t, k]
 
-    return InstrumentReturn(instruments=instruments, dh=dh, mids=mids, vegas=vegas)
+    return InstrumentReturn(instruments=instruments, dh=dh, mids=mids)
 
 
 def gains(returns, actions):
@@ -345,30 +336,44 @@ def write_bundle(bundle, directory):
 
 
 def read_bundle(directory):
+    """Read a bundle directory.  Raises InputError when meta.json lacks a
+    required key or has an unknown one, or when paths.csv does not hold
+    each (path, step) row of the declared sizes exactly once, with one spot
+    and m*n DLVs per row."""
     with open(os.path.join(directory, "meta.json")) as fh:
         meta = json.load(fh)
+    check_keys(meta, ("grid", "n_paths", "n_steps", "seed", "provenance", "has_weights"),
+               "bundle meta", required=("grid", "n_paths", "n_steps"))
     grid = DlvGrid.from_dict(meta["grid"])
     P, T = meta["n_paths"], meta["n_steps"]
     m, n = grid.n_maturities, grid.n_strikes
 
     spots = np.empty((P, T + 1))
     sigmas = np.empty((P, T + 1, m, n))
+    seen = np.zeros((P, T + 1), dtype=bool)
+    width = 3 + m * n
     with open(os.path.join(directory, "paths.csv"), newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
+        next(reader, None)
         for row in reader:
+            if len(row) != width:
+                raise InputError(f"paths.csv line {reader.line_num}: "
+                                 f"{len(row)} fields, expected {width}")
             p, t = int(row[0]), int(row[1])
+            if not (0 <= p < P and 0 <= t <= T) or seen[p, t]:
+                raise InputError(f"paths.csv line {reader.line_num}: row (path {p}, "
+                                 f"step {t}) out of range or repeated")
+            seen[p, t] = True
             spots[p, t] = float(row[2])
             sigmas[p, t] = np.array([float(v) for v in row[3:]]).reshape(m, n)
+    if not seen.all():
+        p, t = np.argwhere(~seen)[0]
+        raise InputError(f"paths.csv lacks {int((~seen).sum())} row(s), "
+                         f"first (path {p}, step {t})")
 
     weights = None
     if meta.get("has_weights"):
-        weights = np.empty(P)
-        with open(os.path.join(directory, "weights.csv"), newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            for row in reader:
-                weights[int(row[0])] = float(row[1])
+        weights = read_weights_csv(os.path.join(directory, "weights.csv"))
 
     return bundle_from_sigmas(
         grid,
@@ -381,13 +386,24 @@ def read_bundle(directory):
 
 
 def read_weights_csv(path):
+    """Weights indexed by the path column, which must hold each of
+    0..n-1 exactly once for n data rows.  Raises InputError otherwise."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
-        pairs = [(int(r[0]), float(r[1])) for r in reader]
-    out = np.empty(len(pairs))
-    for p, w in pairs:
-        out[p] = w
+        next(reader, None)
+        rows = list(reader)
+    n = len(rows)
+    out = np.empty(n)
+    seen = np.zeros(n, dtype=bool)
+    for line, row in enumerate(rows, start=2):
+        if len(row) != 2:
+            raise InputError(f"{path} line {line}: {len(row)} fields, expected 2")
+        p = int(row[0])
+        if not 0 <= p < n or seen[p]:
+            raise InputError(f"{path} line {line}: path {p} out of range or repeated; "
+                             f"the {n} rows must index paths 0..{n - 1}")
+        seen[p] = True
+        out[p] = float(row[1])
     return out
 
 

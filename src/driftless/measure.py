@@ -17,8 +17,9 @@ import numpy as np
 
 from .errors import ClassicArbitrageError, UtilityDomainError
 from .frictions import marginal_rates
-from .oce import Utility, legendre, u_deriv
-from .trainer import TrainConfig, evaluate_policy, train
+from .market import check_weights
+from .oce import legendre, u_deriv
+from .trainer import evaluate_policy, train
 
 
 @dataclass
@@ -35,11 +36,7 @@ class DensityWeights:
     mode: str = "martingale"
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        if np.any(self.weights <= 0):
-            raise ValueError("density weights must be positive")
-        if abs(self.weights.mean() - 1.0) > 1e-9:
-            raise ValueError("density weights must have mean 1")
+        self.weights = check_weights(self.weights, np.size(self.weights))
 
 
 @dataclass
@@ -179,7 +176,7 @@ def verify_drift(bundle, returns, weights, spec, z_score=3.0):
     mid price; buckets condition on the sign of the last spot return and
     the ATM-vol tercile to approximate the conditional statement.
     """
-    w = np.asarray(weights, dtype=float)
+    w = check_weights(weights, bundle.n_paths)
     P, T, n_inst = returns.dh.shape
     rows = []
     bucket_rows = []

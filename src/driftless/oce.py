@@ -20,9 +20,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import logsumexp
 
-from .errors import UtilityDomainError
-from .frictions import cost as full_cost
-from .frictions import marginal_cost
+from .errors import UtilityDomainError, check_keys
 
 _EXP_CLIP = 700.0  # exp argument clip; keeps float64 finite
 
@@ -51,6 +49,7 @@ class Utility:
 
     @classmethod
     def from_dict(cls, d):
+        check_keys(d, ("family", "lambda"), "utility", required=("family",))
         return cls(family=d["family"], lam=d.get("lambda", 1.0))
 
     @classmethod
@@ -144,30 +143,3 @@ def oce_sup(x, weights, u):
         options={"xatol": 1e-12},
     )
     return -float(res.fun), float(res.x)
-
-
-def oce_objective(bundle, returns, actions, y, spec, u):
-    """Monte Carlo OCE objective F(y, a) for a whole action plan.
-
-    ``spec.mode`` selects the cost term: none, marginal (M_T) or full
-    (C_T, with -inf reported when any path has infinite cost).
-    """
-    from .market import gains
-
-    actions = np.asarray(actions, dtype=float)
-    g = gains(returns, actions)
-    c = _cost_term(returns, actions, spec)
-    if np.any(np.isinf(c)):
-        return float("-inf")
-    return oce_value(g - c, bundle.path_weights(), u, y)
-
-
-def _cost_term(returns, actions, spec):
-    """Per-path total cost, per the spec's mode."""
-    if spec.mode == "none":
-        return np.zeros(actions.shape[0])
-    if spec.mode == "marginal":
-        per_step = marginal_cost(spec, actions, returns.mids)
-    else:
-        per_step = full_cost(spec, actions, returns.mids, returns.vegas)
-    return per_step.sum(axis=-1)

@@ -10,7 +10,6 @@ same discrete operators, so round trips are exact up to solver tolerance.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,50 +134,31 @@ class CallGrid:
 
 
 def solve_tridiagonal(lower, diag, upper, rhs):
-    """Solve a tridiagonal system by the Thomas forward/backward sweep.
+    """Solve tridiagonal systems by the Thomas forward/backward sweep.
 
-    ``lower`` and ``upper`` have length n - 1 for a system of size n.
-    Raises SingularSystemError on a zero pivot.
+    Inputs are batches (..., n) for ``diag``/``rhs`` and (..., n - 1) for
+    ``lower``/``upper``; a 1-D input is a batch of one.  Raises
+    SingularSystemError on a zero pivot in any system of the batch.
     """
     lower = np.asarray(lower, dtype=float)
     diag = np.asarray(diag, dtype=float)
     upper = np.asarray(upper, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    n = diag.shape[0]
-    if lower.shape[0] != n - 1 or upper.shape[0] != n - 1 or rhs.shape[0] != n:
+    n = diag.shape[-1]
+    if lower.shape[-1] != n - 1 or upper.shape[-1] != n - 1 or rhs.shape[-1] != n:
         raise ValueError("inconsistent tridiagonal dimensions")
 
-    c = np.empty(n)
-    d = np.empty(n)
-    if diag[0] == 0.0:
-        raise SingularSystemError("zero pivot at row 0")
-    c[0] = diag[0]
-    d[0] = rhs[0]
-    for i in range(1, n):
-        w = lower[i - 1] / c[i - 1]
-        c[i] = diag[i] - w * upper[i - 1]
-        if c[i] == 0.0:
-            raise SingularSystemError(f"zero pivot at row {i}")
-        d[i] = rhs[i] - w * d[i - 1]
-
-    x = np.empty(n)
-    x[-1] = d[-1] / c[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = (d[i] - upper[i] * x[i + 1]) / c[i]
-    return x
-
-
-def _thomas_batch(lower, diag, upper, rhs):
-    """Thomas sweep over a batch: all inputs (..., n) / (..., n-1)."""
-    n = diag.shape[-1]
     c = np.empty_like(diag)
     d = np.empty_like(rhs)
     c[..., 0] = diag[..., 0]
     d[..., 0] = rhs[..., 0]
-    for i in range(1, n):
-        w = lower[..., i - 1] / c[..., i - 1]
-        c[..., i] = diag[..., i] - w * upper[..., i - 1]
-        d[..., i] = rhs[..., i] - w * d[..., i - 1]
+    for i in range(n):
+        if i > 0:
+            w = lower[..., i - 1] / c[..., i - 1]
+            c[..., i] = diag[..., i] - w * upper[..., i - 1]
+            d[..., i] = rhs[..., i] - w * d[..., i - 1]
+        if not np.all(c[..., i]):
+            raise SingularSystemError(f"zero pivot at row {i}")
     x = np.empty_like(rhs)
     x[..., -1] = d[..., -1] / c[..., -1]
     for i in range(n - 2, -1, -1):
@@ -233,7 +213,7 @@ def prices_from_dlv_batch(grid, sigma):
         # high-strike boundary is pinned at zero: no rhs contribution
         prices[..., j, 0] = lo_pin
         prices[..., j, -1] = 0.0
-        prices[..., j, 1:-1] = _thomas_batch(lower, diag, upper, rhs)
+        prices[..., j, 1:-1] = solve_tridiagonal(lower, diag, upper, rhs)
     return prices
 
 
@@ -280,28 +260,3 @@ def dlv_from_prices(cg):
             val = 2.0 * max(th, 0.0) / (xs[i + 1] ** 2 * g)
             sigma[j - 1, i] = np.sqrt(val)
     return DlvSurface(grid=grid, sigma=sigma)
-
-
-def write_surface_csv(path, taus_days, strikes, values):
-    """Write a (tau, strike) grid as `tau_days,strike,value` rows."""
-    values = np.asarray(values)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["tau_days", "strike", "value"])
-        for j, tau in enumerate(taus_days):
-            for i, x in enumerate(strikes):
-                w.writerow([repr(float(tau)), repr(float(x)), repr(float(values[j, i]))])
-
-
-def read_surface_csv(path):
-    """Read a surface CSV back into (taus_days, strikes, values)."""
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    taus = sorted({float(r["tau_days"]) for r in rows})
-    strikes = sorted({float(r["strike"]) for r in rows})
-    values = np.full((len(taus), len(strikes)), np.nan)
-    t_idx = {t: j for j, t in enumerate(taus)}
-    x_idx = {x: i for i, x in enumerate(strikes)}
-    for r in rows:
-        values[t_idx[float(r["tau_days"])], x_idx[float(r["strike"])]] = float(r["value"])
-    return np.array(taus), np.array(strikes), values

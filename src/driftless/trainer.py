@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autograd import Tensor
-from .errors import TrainingError
-from .market import feature_matrix
+from .errors import TrainingError, check_keys
+from .frictions import marginal_rates
+from .market import check_weights, feature_matrix
 from .oce import Utility, oce_sup, u_value
 
 
@@ -96,6 +97,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d):
+        check_keys(d, cls.__dataclass_fields__, "train config")
         d = dict(d)
         if "hidden" in d:
             d["hidden"] = tuple(d["hidden"])
@@ -154,9 +156,9 @@ class _Problem:
 def _make_problem(bundle, returns, spec, utility, payoff=None, inv_scale=None,
                   weights=None):
     rates = None
-    if spec.mode != "none" and spec.gamma_prop > 0:
-        rates = spec.gamma_prop * np.abs(returns.mids)
-    w = bundle.path_weights() if weights is None else np.asarray(weights, dtype=float)
+    if spec.gamma_prop > 0:
+        rates, _ = marginal_rates(spec, returns.mids)  # gamma+ = gamma-
+    w = bundle.path_weights() if weights is None else check_weights(weights, bundle.n_paths)
     return _Problem(
         feats=feature_matrix(bundle),
         dh=returns.dh,

@@ -41,7 +41,7 @@ def write_cost(d, gamma=0.001):
 
 def write_utility(d):
     f = d / "utility.json"
-    f.write_text(json.dumps({"family": "exponential", "lam": 1.0}))
+    f.write_text(json.dumps({"family": "exponential", "lambda": 1.0}))
     return f
 
 
@@ -117,6 +117,48 @@ def test_verify_missing_weights_is_validation_error(tmp_path, bundle_dir, capsys
     ])
     assert rc == 1
     assert str(missing) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [f"{p},-1.0" for p in range(200)],  # all negative
+        [f"{p},1.0" for p in range(199)] + ["0,1.0"],  # duplicate index
+        [f"{p},1.0" for p in range(199)] + ["200,1.0"],  # out-of-range index
+    ],
+    ids=["negative", "duplicate", "out_of_range"],
+)
+def test_verify_bad_weights_exit_1(tmp_path, bundle_dir, capsys, rows):
+    cost = write_cost(tmp_path)
+    wfile = tmp_path / "w.csv"
+    wfile.write_text("\n".join(["path,weight"] + rows) + "\n")
+    rc = main([
+        "verify", "--bundle", str(bundle_dir), "--weights", str(wfile),
+        "--cost", str(cost), "--report", str(tmp_path / "r"),
+    ])
+    assert rc == 1
+    assert "error in verify" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, doc",
+    [
+        ("utility.json", {"family": "exponential", "lam": 5.0}),
+        ("cost.json", {"gamma": 0.001, "vega_cap": 1.0}),
+        ("train.json", {"epochs": 5, "learning_rate": 0.01}),
+    ],
+)
+def test_make_q_unknown_config_key_exit_1(tmp_path, bundle_dir, capsys, name, doc):
+    files = {"cost.json": write_cost(tmp_path), "utility.json": write_utility(tmp_path),
+             "train.json": write_train(tmp_path)}
+    files[name].write_text(json.dumps(doc))
+    rc = main([
+        "make-q", "--bundle", str(bundle_dir), "--cost", str(files["cost.json"]),
+        "--utility", str(files["utility.json"]), "--train", str(files["train.json"]),
+        "--out", str(tmp_path / "w.csv"),
+    ])
+    assert rc == 1
+    assert "unknown" in capsys.readouterr().err
 
 
 def test_hedge_and_robustness(tmp_path, bundle_dir):

@@ -1,23 +1,19 @@
 import numpy as np
 import pytest
 
-from driftless.frictions import CostSpec, cost, marginal_cost, marginal_rates
+from driftless.errors import InputError
+from driftless.frictions import CostSpec, marginal_cost, marginal_rates
 
 
 def test_zero_action_costs_nothing():
     spec = CostSpec(gamma_prop=0.001)
-    assert cost(spec, np.zeros(3), np.full(3, 0.05)) == 0.0
+    assert marginal_cost(spec, np.zeros(3), np.full(3, 0.05)) == 0.0
 
 
 def test_proportional_arithmetic():
     spec = CostSpec(gamma_prop=0.001)
-    assert cost(spec, np.array([10.0]), np.array([0.05])) == pytest.approx(0.0005)
-
-
-def test_vega_cap_infinite():
-    spec = CostSpec(gamma_prop=0.001, vega_cap=1.0)
-    c = cost(spec, np.array([3.0]), np.array([0.05]), vegas=np.array([0.5]))
-    assert np.isinf(c)
+    assert marginal_cost(spec, np.array([10.0]), np.array([0.05])) == pytest.approx(0.0005)
+    assert marginal_cost(spec, np.array([-10.0]), np.array([0.05])) == pytest.approx(0.0005)
 
 
 def test_marginal_rates_zero_spec():
@@ -39,7 +35,7 @@ def test_one_sided_difference_matches_rate():
         for eps in (1e-3, 1e-6):
             e = np.zeros(2)
             e[i] = eps
-            assert (cost(spec, e, mids) - 0.0) / eps == pytest.approx(gp[i])
+            assert (marginal_cost(spec, e, mids) - 0.0) / eps == pytest.approx(gp[i])
 
 
 def test_marginal_cost_zero():
@@ -55,15 +51,6 @@ def test_marginal_cost_signed_legs():
     assert marginal_cost(spec, a, mids) == pytest.approx(0.02 + 0.06)
 
 
-def test_marginal_below_full_cost():
-    rng = np.random.default_rng(5)
-    spec = CostSpec(gamma_prop=0.002)
-    for _ in range(1000):
-        a = rng.normal(size=3) * 10
-        mids = np.abs(rng.normal(size=3)) + 0.01
-        assert marginal_cost(spec, a, mids) <= cost(spec, a, mids) + 1e-15
-
-
 def test_positive_homogeneity():
     rng = np.random.default_rng(6)
     spec = CostSpec(gamma_prop=0.003)
@@ -77,19 +64,18 @@ def test_positive_homogeneity():
 
 def test_cost_convex_midpoint():
     rng = np.random.default_rng(7)
-    spec = CostSpec(gamma_prop=0.001, vega_cap=5.0)
+    spec = CostSpec(gamma_prop=0.001)
     mids = np.abs(rng.normal(size=3)) + 0.02
-    vegas = np.abs(rng.normal(size=3))
     for _ in range(200):
         a, b = rng.normal(size=(2, 3)) * 3
-        ca = cost(spec, a, mids, vegas)
-        cb = cost(spec, b, mids, vegas)
-        cm = cost(spec, 0.5 * (a + b), mids, vegas)
+        ca = marginal_cost(spec, a, mids)
+        cb = marginal_cost(spec, b, mids)
+        cm = marginal_cost(spec, 0.5 * (a + b), mids)
         assert cm <= 0.5 * (ca + cb) + 1e-12
 
 
 def test_json_round_trip(tmp_path):
-    spec = CostSpec(gamma_prop=0.001, vega_cap=None, mode="marginal")
+    spec = CostSpec(gamma_prop=0.001, mode="marginal")
     p = tmp_path / "cost.json"
     spec.to_json(p)
     back = CostSpec.from_json(p)
@@ -100,3 +86,18 @@ def test_json_round_trip(tmp_path):
 def test_negative_rate_rejected():
     with pytest.raises(ValueError):
         CostSpec(gamma_prop=-0.1)
+
+
+def test_only_marginal_and_none_modes():
+    with pytest.raises(InputError):
+        CostSpec(gamma_prop=0.001, mode="full")
+    with pytest.raises(InputError):
+        CostSpec(gamma_prop=0.001, mode="none")
+    assert CostSpec(gamma_prop=0.0, mode="none").mode == "none"
+
+
+def test_from_dict_rejects_unknown_keys():
+    with pytest.raises(InputError, match="vega_cap"):
+        CostSpec.from_dict({"gamma": 0.001, "vega_cap": 1.0})
+    with pytest.raises(InputError):
+        CostSpec.from_dict([0.001])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from driftless.errors import GridDomainError, TiltError
+from driftless.errors import GridDomainError, InputError, TiltError
 from driftless.frictions import CostSpec
 from driftless.hedging import (
     PayoffSpec,
@@ -81,6 +81,12 @@ class TestPayoff:
             "maturity_steps": 5, "side": -1,
         }))
         assert PayoffSpec.from_json(f) == spec
+
+    def test_from_dict_rejects_bad_keys(self):
+        with pytest.raises(InputError, match="strike"):
+            PayoffSpec.from_dict({"kind": "digital_call", "strike": 1.02})
+        with pytest.raises(InputError, match="kind"):
+            PayoffSpec.from_dict({"rel_strike": 1.02})
 
 
 class TestTilt:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from driftless.errors import GridDomainError
+from driftless.errors import GridDomainError, InputError
 from driftless.market import (
     InstrumentSpec,
     PathBundle,
@@ -211,6 +211,62 @@ class TestBundleIo:
         write_weights_csv(f, w)
         assert np.array_equal(read_weights_csv(f), w)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["0,0.5", "1,1.5", "1,1.0"],  # duplicate
+            ["0,0.5", "2,1.5"],  # missing path 1
+            ["0,0.5", "1,1.5", "7,1.0"],  # out of range
+            ["0,0.5", "-1,1.5"],  # negative
+            ["0,0.5", "1"],  # short row
+        ],
+    )
+    def test_weights_csv_bad_path_index_rejected(self, tmp_path, rows):
+        f = tmp_path / "w.csv"
+        f.write_text("\n".join(["path,weight"] + rows) + "\n")
+        with pytest.raises(InputError):
+            read_weights_csv(f)
+
+    @staticmethod
+    def _bundle_dir(tmp_path):
+        grid = desk_grid()
+        p = desk_params(grid)
+        bundle = simulate(p, stationary_init(p), 8, 3, seed=4, grid=grid)
+        d = tmp_path / "b"
+        write_bundle(bundle.with_weights(np.ones(8)), d)
+        return d
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda lines: lines[:-20],  # truncated
+            lambda lines: lines[:-1] + [lines[-2]],  # duplicated row
+            lambda lines: lines + ["8" + lines[-1][1:]],  # path out of range
+            lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0]],  # short row
+        ],
+    )
+    def test_bad_paths_csv_rejected(self, tmp_path, edit):
+        d = self._bundle_dir(tmp_path)
+        f = d / "paths.csv"
+        f.write_text("\n".join(edit(f.read_text().splitlines())) + "\n")
+        with pytest.raises(InputError):
+            read_bundle(d)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda lines: lines[:-1],  # missing path
+            lambda lines: lines[:-1] + [lines[-2]],  # duplicated path
+            lambda lines: lines + ["8,1.0"],  # path out of range
+        ],
+    )
+    def test_bad_bundle_weights_rejected(self, tmp_path, edit):
+        d = self._bundle_dir(tmp_path)
+        f = d / "weights.csv"
+        f.write_text("\n".join(edit(f.read_text().splitlines())) + "\n")
+        with pytest.raises(InputError):
+            read_bundle(d)
+
 
 class TestBundleInvariants:
     def test_bad_weights_rejected(self):
@@ -219,3 +275,5 @@ class TestBundleInvariants:
             b.with_weights(np.array([2.0, 2.0, 2.0, 2.0]))
         with pytest.raises(ValueError):
             b.with_weights(np.array([0.0, 2.0, 1.0, 1.0]))
+        with pytest.raises(ValueError):
+            b.with_weights(np.array([np.nan, 1.0, 1.0, 1.0]))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from driftless.errors import ClassicArbitrageError, UtilityDomainError
+from driftless.errors import ClassicArbitrageError, InputError, UtilityDomainError
 from driftless.frictions import CostSpec
 from driftless.measure import (
     DensityWeights,
@@ -86,6 +86,8 @@ class TestDensity:
             DensityWeights(weights=np.array([0.0, 2.0]), mean_error=0.0)
         with pytest.raises(ValueError):
             DensityWeights(weights=np.array([0.5, 1.0]), mean_error=0.0)
+        with pytest.raises(ValueError):
+            DensityWeights(weights=np.array([np.nan, 1.0]), mean_error=0.0)
 
 
 class TestVerifyDrift:
@@ -118,6 +120,16 @@ class TestVerifyDrift:
         w /= w.mean()
         rep = verify_drift(bundle, rets, w, spec)
         assert rep.all_pass
+
+    @pytest.mark.parametrize(
+        "weights",
+        [np.ones(3), -np.ones(4), np.array([1.0, np.nan, 1.0, 1.0])],
+        ids=["wrong_length", "negative", "nan"],
+    )
+    def test_bad_weights_rejected(self, weights):
+        bundle, rets = one_period_bundle(np.array([0.1, -0.1, 0.2, -0.2]))
+        with pytest.raises(InputError):
+            verify_drift(bundle, rets, weights, CostSpec(0.001))
 
     def test_report_csv_format(self, tmp_path):
         bundle, rets = one_period_bundle(np.array([0.1, -0.1]))

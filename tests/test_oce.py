@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from driftless.errors import UtilityDomainError
+from driftless.errors import InputError, UtilityDomainError
 from driftless.oce import (
     Utility,
     closed_form_y,
@@ -192,3 +192,11 @@ def test_utility_json_round_trip(tmp_path):
     u.to_json(p)
     assert Utility.from_json(p) == u
     assert '"lambda"' in p.read_text()
+
+
+def test_utility_from_dict_rejects_bad_keys():
+    with pytest.raises(InputError, match="lam"):
+        Utility.from_dict({"family": "exponential", "lam": 5.0})
+    with pytest.raises(InputError, match="family"):
+        Utility.from_dict({"lambda": 5.0})
+    assert Utility.from_dict({"family": "exponential", "lambda": 5.0}).lam == 5.0

@@ -9,9 +9,7 @@ from driftless.surface import (
     dlv_from_prices,
     intrinsic_row,
     prices_from_dlv,
-    read_surface_csv,
     solve_tridiagonal,
-    write_surface_csv,
 )
 
 
@@ -88,6 +86,25 @@ class TestSolveTridiagonal:
             x = solve_tridiagonal(lower, diag, upper, rhs)
             ref = dense_solve(lower, diag, upper, rhs)
             assert np.allclose(x, ref, rtol=1e-12, atol=1e-12)
+
+    def test_batch_matches_single_systems(self):
+        rng = np.random.default_rng(11)
+        lower, upper = rng.normal(size=(2, 4, 3, 5))
+        diag = 1.0 + np.abs(rng.normal(size=(4, 3, 6)))
+        diag[..., 1:] += np.abs(lower)
+        diag[..., :-1] += np.abs(upper)
+        rhs = rng.normal(size=(4, 3, 6))
+        x = solve_tridiagonal(lower, diag, upper, rhs)
+        for idx in np.ndindex(4, 3):
+            assert np.array_equal(
+                x[idx], solve_tridiagonal(lower[idx], diag[idx], upper[idx], rhs[idx])
+            )
+
+    def test_zero_pivot_in_batch_raises(self):
+        diag = np.ones((3, 2))
+        diag[1, 0] = 0.0
+        with pytest.raises(SingularSystemError):
+            solve_tridiagonal(np.zeros((3, 1)), diag, np.zeros((3, 1)), np.ones((3, 2)))
 
     def test_zero_pivot_raises(self):
         with pytest.raises(SingularSystemError):
@@ -204,19 +221,3 @@ class TestDlvFromPrices:
             dlv_from_prices(CallGrid(g, prices))
         assert err.value.node is not None
         assert err.value.node[0] == 2
-
-
-class TestSurfaceCsv:
-    def test_round_trip(self, tmp_path):
-        g = small_grid()
-        rng = np.random.default_rng(31)
-        sigma = rng.uniform(0.1, 0.5, size=(3, 3))
-        path = tmp_path / "sigma.csv"
-        taus_days = [t * 252 for t in g.maturities]
-        write_surface_csv(path, taus_days, g.strikes, sigma)
-        taus2, strikes2, vals = read_surface_csv(path)
-        assert np.allclose(taus2, taus_days)
-        assert np.allclose(strikes2, g.strikes)
-        assert np.array_equal(vals, sigma)
-        header = path.read_text().splitlines()[0]
-        assert header == "tau_days,strike,value"

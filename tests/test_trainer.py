@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from driftless.frictions import CostSpec
-from driftless.market import InstrumentReturn, InstrumentSpec, bundle_from_sigmas
+from driftless.errors import InputError
+from driftless.frictions import CostSpec, marginal_cost
+from driftless.market import (
+    InstrumentReturn,
+    InstrumentSpec,
+    build_returns,
+    bundle_from_sigmas,
+)
 from driftless.oce import Utility, closed_form_y, u_value
 from driftless.surface import DlvGrid
 from driftless.trainer import (
@@ -33,7 +39,6 @@ def one_period_bundle(outcomes, seed=0):
         instruments=(InstrumentSpec("spot"),),
         dh=outcomes.reshape(P, 1, 1),
         mids=np.ones((P, 1, 1)),
-        vegas=np.zeros((P, 1, 1)),
     )
     return bundle, rets
 
@@ -118,6 +123,22 @@ class TestGradient:
         _, grads, _ = objective_and_grad(bundle, rets, spec, u, mlp, 0.0)
         assert np.all(grads[2][2, :] == 0.0)  # second-layer row fed by dead unit
         assert grads[1][2] == 0.0  # its bias
+
+
+def test_costs_match_marginal_cost():
+    from driftless.cli import default_instruments
+    from driftless.var_model import desk_grid, desk_params, simulate, stationary_init
+
+    grid = desk_grid()
+    params = desk_params(grid)
+    bundle = simulate(params, stationary_init(params), 40, 3, seed=1, grid=grid)
+    rets = build_returns(bundle, default_instruments())
+    spec = CostSpec(gamma_prop=0.002, mode="marginal")
+    mlp = init_mlp([2 + 9, 8, 4], np.random.default_rng(0))
+    res = evaluate_policy(bundle, rets, spec, Utility("exponential", 1.0), mlp, 0.0)
+    ref = marginal_cost(spec, res["actions"], rets.mids).sum(-1)
+    assert np.all(ref > 0)
+    assert np.max(np.abs(res["costs"] - ref)) <= 1e-12
 
 
 class TestTrain:
@@ -217,3 +238,9 @@ class TestTrain:
         assert back.objective_value == sol.objective_value
         for w1, w2 in zip(back.policy.weights, sol.policy.weights):
             assert np.array_equal(w1, w2)
+
+
+def test_config_rejects_unknown_key():
+    with pytest.raises(InputError, match="epoch"):
+        TrainConfig.from_dict({"epoch": 10})
+    assert TrainConfig.from_dict({"epochs": 10, "hidden": [4]}).hidden == (4,)
