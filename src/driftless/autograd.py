@@ -1,9 +1,13 @@
 """Minimal reverse-mode gradient engine over numpy arrays.
 
-Supports exactly the operations the training objective needs: affine
-layers, ReLU, elementwise products with constants, smooth/exact absolute
-value, axis reductions, reshape and a generic elementwise utility node.
-Subgradient conventions: ReLU picks 0 at the kink, |.| picks 0 at 0.
+``Tensor.backward`` runs the reverse pass for the trainer, whose objective
+is a single fused node (``trainer._objective``) with its own analytic
+backward closure.  The per-op operations below (affine layers, ReLU,
+elementwise products with constants, smooth/exact absolute value, axis
+reductions, reshape and a generic elementwise utility node) build the
+same objective node by node; the trainer tests keep that graph as the
+bit-for-bit reference for the fused node.  Subgradient conventions: ReLU
+picks 0 at the kink, |.| picks 0 at 0.
 """
 
 from __future__ import annotations

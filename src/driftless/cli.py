@@ -19,7 +19,14 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .errors import DriftlessError, SimulationError, TrainingError
+from .errors import (
+    DriftlessError,
+    InputError,
+    SimulationError,
+    TrainingError,
+    check_keys,
+    check_number,
+)
 from .frictions import CostSpec
 from .hedging import PayoffSpec, deep_hedge, payoff, robustness_eval
 from .market import (
@@ -108,14 +115,17 @@ def _load_instruments(path_or_none):
         return default_instruments()
     with open(path_or_none) as fh:
         doc = json.load(fh)
-    return [
-        InstrumentSpec(
+    if not isinstance(doc, list):
+        raise InputError("instruments JSON must be a list of instrument objects")
+    out = []
+    for d in doc:
+        check_keys(d, ("kind", "rel_strike", "ttm_days"), "instrument", required=("kind",))
+        out.append(InstrumentSpec(
             kind=d["kind"],
-            rel_strike=d.get("rel_strike", 0.0),
-            ttm_days=d.get("ttm_days", 0),
-        )
-        for d in doc
-    ]
+            rel_strike=check_number(d.get("rel_strike", 0.0), "instrument rel_strike"),
+            ttm_days=check_number(d.get("ttm_days", 0), "instrument ttm_days", integer=True),
+        ))
+    return out
 
 
 def default_instruments():

@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+import math
+import numbers
+
 
 class DriftlessError(Exception):
     """Base class for all package errors."""
@@ -20,6 +23,27 @@ def check_keys(d, allowed, what, required=()):
     unknown = sorted(set(d) - set(allowed))
     if unknown:
         raise InputError(f"unknown {what} key(s) {unknown}; allowed: {sorted(allowed)}")
+
+
+def check_number(value, what, integer=False):
+    """Reject a config value that is not a finite number, or not an integer
+    when ``integer``; a bool is neither.  Returns ``value``."""
+    kind = numbers.Integral if integer else numbers.Real
+    if (isinstance(value, bool) or not isinstance(value, kind)
+            or not (integer or math.isfinite(value))):
+        expected = "an integer" if integer else "a finite number"
+        raise InputError(f"{what} must be {expected}, got {value!r}")
+    return value
+
+
+def check_numbers(values, what):
+    """Reject a config value that is not a non-empty list of finite numbers.
+    Returns ``values``."""
+    if not isinstance(values, (list, tuple)) or not values:
+        raise InputError(f"{what} must be a non-empty list, got {values!r}")
+    for v in values:
+        check_number(v, what)
+    return values
 
 
 class GridDomainError(DriftlessError, ValueError):

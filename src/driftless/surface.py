@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArbitrageError, InvalidSurfaceError, SingularSystemError
+from .errors import (
+    ArbitrageError,
+    InvalidSurfaceError,
+    SingularSystemError,
+    check_keys,
+    check_number,
+    check_numbers,
+)
 
 DAYS_PER_YEAR = 252.0
 
@@ -85,11 +92,15 @@ class DlvGrid:
 
     @classmethod
     def from_dict(cls, d):
+        check_keys(d, ("strikes", "maturities_days", "boundary_lo", "boundary_hi"),
+                   "grid", required=("strikes", "maturities_days"))
+        strikes = check_numbers(d["strikes"], "grid strikes")
+        days = check_numbers(d["maturities_days"], "grid maturities_days")
         return cls(
-            strikes=tuple(d["strikes"]),
-            maturities=tuple(t / DAYS_PER_YEAR for t in d["maturities_days"]),
-            boundary_lo=d.get("boundary_lo", 0.5),
-            boundary_hi=d.get("boundary_hi", 0.0),
+            strikes=tuple(strikes),
+            maturities=tuple(t / DAYS_PER_YEAR for t in days),
+            boundary_lo=check_number(d.get("boundary_lo", 0.5), "grid boundary_lo"),
+            boundary_hi=check_number(d.get("boundary_hi", 0.0), "grid boundary_hi"),
         )
 
 

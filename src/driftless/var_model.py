@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, SimulationError
+from .errors import FitError, InputError, SimulationError
 from .market import bundle_from_sigmas
 
 SIGMA_MAX = 5.0  # vol ceiling; paths breaching it are resampled
@@ -366,8 +366,24 @@ def write_history_csv(path, history, grid):
 
 
 def read_history_csv(path):
+    """Read a Y history written by ``write_history_csv``: a header, then one
+    row per observation (an index column, then the Y components)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
-        rows = [[float(v) for v in row[1:]] for row in reader]
+        header = next(reader, None)
+        if not header:
+            raise InputError(f"history CSV {path} is empty")
+        rows = []
+        for line, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise InputError(
+                    f"history CSV {path} line {line}: {len(row)} fields, "
+                    f"header has {len(header)}"
+                )
+            try:
+                rows.append([float(v) for v in row[1:]])
+            except ValueError:
+                raise InputError(f"history CSV {path} line {line}: non-numeric field") from None
+    if not rows:
+        raise InputError(f"history CSV {path} has a header but no rows")
     return np.asarray(rows)

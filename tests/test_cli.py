@@ -219,3 +219,66 @@ def test_demo_small(tmp_path):
     for name in ("params.json", "weights.csv", "drift_uniform.csv",
                  "drift_q.csv", "run.json"):
         assert (tmp_path / "demo" / name).exists()
+
+
+@pytest.mark.parametrize("text", ["", "r,dlogS\n", "r,dlogS\n0,0.1\n1\n"],
+                         ids=["empty", "header_only", "ragged"])
+def test_fit_var_bad_history_exit_1(tmp_path, capsys, text):
+    hfile = tmp_path / "history.csv"
+    hfile.write_text(text)
+    rc = main(["fit-var", "--history", str(hfile), "--out", str(tmp_path / "p.json")])
+    assert rc == 1
+    assert "history CSV" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change", [
+    {"maturities_days": None},
+    {"bogus": 1},
+    {"strikes": 1.0},
+], ids=["missing_key", "unknown_key", "not_a_list"])
+def test_simulate_bad_grid_exit_1(tmp_path, params_file, capsys, change):
+    doc = {k: v for k, v in {**desk_grid().to_dict(), **change}.items() if v is not None}
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(doc))
+    rc = main([
+        "simulate", "--params", str(params_file), "--grid", str(grid),
+        "--paths", "5", "--steps", "2", "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 1
+    assert "grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    [{"kind": "spot", "strike": 1.0}],
+    {"kind": "spot"},
+    [{"kind": "call", "rel_strike": "1.0", "ttm_days": 20}],
+], ids=["unknown_key", "not_a_list", "string_strike"])
+def test_verify_bad_instruments_exit_1(tmp_path, bundle_dir, capsys, doc):
+    cost = write_cost(tmp_path)
+    weights = tmp_path / "w.csv"
+    from driftless.market import write_weights_csv
+
+    write_weights_csv(weights, np.ones(200))
+    inst = tmp_path / "instruments.json"
+    inst.write_text(json.dumps(doc))
+    rc = main([
+        "verify", "--bundle", str(bundle_dir), "--weights", str(weights),
+        "--cost", str(cost), "--instruments", str(inst),
+        "--report", str(tmp_path / "r"),
+    ])
+    assert rc == 1
+    assert "instrument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [{"epochs": "5"}, {"seed": True}, {"lr": float("nan")},
+                                 {"hidden": [8.5]}])
+def test_make_q_bad_config_value_exit_1(tmp_path, bundle_dir, capsys, doc):
+    train_cfg = tmp_path / "train.json"
+    train_cfg.write_text(json.dumps(doc))
+    rc = main([
+        "make-q", "--bundle", str(bundle_dir), "--cost", str(write_cost(tmp_path)),
+        "--utility", str(write_utility(tmp_path)), "--train", str(train_cfg),
+        "--out", str(tmp_path / "w.csv"),
+    ])
+    assert rc == 1
+    assert "train config" in capsys.readouterr().err

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from driftless.autograd import Tensor
 from driftless.errors import InputError
 from driftless.frictions import CostSpec, marginal_cost
 from driftless.market import (
@@ -13,14 +14,43 @@ from driftless.market import (
 from driftless.oce import Utility, closed_form_y, u_value
 from driftless.surface import DlvGrid
 from driftless.trainer import (
+    _BLOCK_ROWS,
     Mlp,
     TrainConfig,
+    _objective,
+    _Problem,
     evaluate_policy,
     forward,
     init_mlp,
     objective_and_grad,
     train,
 )
+
+
+def graph_objective(prob, param_tensors, y_tensor, idx, smooth_eps):
+    """Per-op reference for ``trainer._objective``: the same minibatch
+    objective built node by node with the generic ``Tensor`` ops."""
+    feats = prob.feats[idx]
+    B, T, F = feats.shape
+    h = Tensor(feats.reshape(B * T, F))
+    n_layers = len(param_tensors) // 2
+    for l in range(n_layers):
+        h = h @ param_tensors[2 * l] + param_tensors[2 * l + 1]
+        if l < n_layers - 1:
+            h = h.relu()
+    a = h.reshape(B, T, -1)
+
+    gain = (a * Tensor(prob.dh[idx])).sum(axis=(1, 2))
+    x = gain + y_tensor
+    if prob.rates is not None:
+        a_abs = a.smooth_abs(smooth_eps) if smooth_eps > 0 else a.abs()
+        x = x - (a_abs * Tensor(prob.rates[idx])).sum(axis=(1, 2))
+    if prob.payoff is not None:
+        x = x + Tensor(prob.payoff[idx])
+    if prob.inv_scale is not None:
+        x = x * Tensor(prob.inv_scale[idx])
+    util = x.apply_utility(prob.utility)
+    return (util * Tensor(prob.weights[idx])).mean() - y_tensor
 
 
 def one_period_bundle(outcomes, seed=0):
@@ -57,6 +87,20 @@ class TestForward:
         x = np.array([0.3, -1.2, 4.0])
         assert np.array_equal(forward(mlp, x), x)
 
+    def test_blocks_match_unblocked_chain(self):
+        rng = np.random.default_rng(8)
+        mlp = init_mlp([5, 16, 16, 3], rng)
+        rows = 2 * _BLOCK_ROWS + 123  # two full blocks and a ragged one
+        feats = rng.normal(size=(rows, 5))
+        h = feats
+        for l, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+            h = h @ w + b
+            if l < len(mlp.weights) - 1:
+                h = np.maximum(h, 0.0)
+        out = forward(mlp, feats.reshape(rows, 1, 5))
+        assert out.shape == (rows, 1, 3)
+        assert np.max(np.abs(out[:, 0] - h)) <= 1e-12
+
     def test_batch_matches_per_sample(self):
         rng = np.random.default_rng(4)
         mlp = init_mlp([5, 8, 2], rng)
@@ -66,6 +110,49 @@ class TestForward:
             for t in range(3):
                 single = forward(mlp, feats[p, t])
                 assert np.allclose(batch[p, t], single, atol=0)
+
+
+class TestFusedObjective:
+    """``_objective`` against the per-op reference, bit for bit."""
+
+    @staticmethod
+    def run(builder, prob, mlp, y, idx, eps):
+        params = []
+        for w, b in zip(mlp.weights, mlp.biases):
+            params.extend([Tensor(w.copy()), Tensor(b.copy())])
+        y_t = Tensor(y)
+        obj = builder(prob, params, y_t, idx, eps)
+        obj.backward()
+        return [obj.data] + [p.grad for p in params] + [y_t.grad]
+
+    @pytest.mark.parametrize("family", ["exponential", "adjusted_mean_vol"])
+    @pytest.mark.parametrize("costs", [False, True])
+    @pytest.mark.parametrize("eps", [0.0, 1e-8])
+    @pytest.mark.parametrize("extras", [False, True], ids=["plain", "payoff_scale"])
+    def test_matches_per_op_graph(self, family, costs, eps, extras):
+        rng = np.random.default_rng(21)
+        P, T, F, I = 240, 4, 6, 3
+        w = rng.uniform(0.2, 3.0, size=P)
+        prob = _Problem(
+            feats=rng.normal(size=(P, T, F)),
+            dh=0.1 * rng.normal(size=(P, T, I)),
+            rates=0.01 * rng.uniform(size=(P, T, I)) if costs else None,
+            weights=w / w.mean(),
+            payoff=rng.normal(size=P) if extras else None,
+            inv_scale=rng.uniform(0.5, 2.0, size=P) if extras else None,
+            utility=Utility(family, 1.3),
+        )
+        mlp = init_mlp([F, 16, 16, I], rng)
+        # action 0 is exactly 0 on every row, so |a| sits at its kink
+        mlp.weights[-1][:, 0] = 0.0
+        mlp.biases[-1][0] = 0.0
+        idx = rng.choice(P, size=96, replace=False)
+        fused = self.run(_objective, prob, mlp, 0.37, idx, eps)
+        ref = self.run(graph_objective, prob, mlp, 0.37, idx, eps)
+        assert len(fused) == len(ref)
+        for got, want in zip(fused, ref):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
 
 
 class TestGradient:
