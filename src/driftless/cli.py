@@ -1,10 +1,12 @@
 """Command-line pipeline: fit -> simulate -> make-q -> verify -> hedge ->
 robustness, plus an end-to-end demo.
 
-Every subcommand is deterministic given its inputs and seed; artifacts are
-written atomically (temp file + rename) and a run.json manifest records
-input hashes, the seed and versions.  Exit codes: 0 success, 1 validation
-error, 2 numerical failure.
+Every subcommand is deterministic given its inputs and seed.  Every file
+it writes goes through ``market.write_text``, so each artifact, run.json
+included, is replaced atomically (temp file + rename); a bundle's meta.json
+is written after its CSVs.  A run.json manifest records input hashes, the
+seed and versions.  Exit codes: 0 success, 1 validation error or unreadable
+file, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -33,8 +34,11 @@ from .market import (
     InstrumentSpec,
     build_returns,
     read_bundle,
+    read_json,
     read_weights_csv,
     write_bundle,
+    write_csv,
+    write_text,
     write_weights_csv,
 )
 from .measure import density, verify_drift
@@ -60,34 +64,6 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _atomic_write_json(path, doc):
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_write_text(path, text):
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _manifest(out_dir, stage, inputs, outputs, seed=None):
     doc = {
         "stage": stage,
@@ -97,24 +73,17 @@ def _manifest(out_dir, stage, inputs, outputs, seed=None):
         "inputs": {p: _sha256(p) for p in inputs if os.path.isfile(p)},
         "outputs": sorted(outputs),
     }
-    _atomic_write_json(os.path.join(out_dir, "run.json"), doc)
-
-
-def _require(path, what):
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"{what} not found: {path}")
+    write_text(os.path.join(out_dir, "run.json"), json.dumps(doc, indent=2, sort_keys=True))
 
 
 def _load_grid(path):
-    with open(path) as fh:
-        return DlvGrid.from_dict(json.load(fh))
+    return DlvGrid.from_dict(read_json(path))
 
 
 def _load_instruments(path_or_none):
     if path_or_none is None:
         return default_instruments()
-    with open(path_or_none) as fh:
-        doc = json.load(fh)
+    doc = read_json(path_or_none)
     if not isinstance(doc, list):
         raise InputError("instruments JSON must be a list of instrument objects")
     out = []
@@ -141,7 +110,6 @@ def default_instruments():
 
 def _train_config(args):
     if getattr(args, "train", None):
-        _require(args.train, "train config")
         return TrainConfig.from_json(args.train)
     return TrainConfig(epochs=300, lr=0.01, lr_decay=0.995, seed=args.seed)
 
@@ -149,7 +117,6 @@ def _train_config(args):
 # -- subcommands -----------------------------------------------------------
 
 def cmd_fit_var(args):
-    _require(args.history, "history CSV")
     history = read_history_csv(args.history)
     params = fit_var(history, dt=1.0 / 252.0)
     params.to_json(args.out)
@@ -158,7 +125,6 @@ def cmd_fit_var(args):
 
 
 def cmd_simulate(args):
-    _require(args.params, "params JSON")
     params = VarParams.from_json(args.params)
     grid = _load_grid(args.grid) if args.grid else desk_grid()
     init = stationary_init(params)
@@ -175,9 +141,6 @@ def cmd_simulate(args):
 
 
 def cmd_make_q(args):
-    _require(os.path.join(args.bundle, "meta.json"), "bundle")
-    _require(args.cost, "cost spec")
-    _require(args.utility, "utility spec")
     bundle = read_bundle(args.bundle)
     spec = CostSpec.from_json(args.cost)
     util = Utility.from_json(args.utility)
@@ -204,9 +167,6 @@ def cmd_make_q(args):
 
 
 def cmd_verify(args):
-    _require(os.path.join(args.bundle, "meta.json"), "bundle")
-    _require(args.weights, "weights CSV")
-    _require(args.cost, "cost spec")
     bundle = read_bundle(args.bundle)
     weights = read_weights_csv(args.weights)
     spec = CostSpec.from_json(args.cost)
@@ -226,10 +186,6 @@ def cmd_verify(args):
 
 
 def cmd_hedge(args):
-    _require(os.path.join(args.bundle, "meta.json"), "bundle")
-    _require(args.payoff, "payoff spec")
-    _require(args.cost, "cost spec")
-    _require(args.utility, "utility spec")
     bundle = read_bundle(args.bundle)
     spec = CostSpec.from_json(args.cost)
     util = Utility.from_json(args.utility)
@@ -242,11 +198,8 @@ def cmd_hedge(args):
     result = deep_hedge(bundle, rets, weights, z, spec, util, cfg)
     result.to_json(args.out)
     counts, edges = np.histogram(result.pnl, bins=60)
-    hist_lines = ["bin_lo,bin_hi,count"] + [
-        f"{repr(float(edges[i]))},{repr(float(edges[i + 1]))},{int(c)}"
-        for i, c in enumerate(counts)
-    ]
-    _atomic_write_text(args.out + ".pnl_hist.csv", "\n".join(hist_lines) + "\n")
+    write_csv(args.out + ".pnl_hist.csv", ["bin_lo", "bin_hi", "count"],
+              [edges[:-1], edges[1:], counts])
     _manifest(
         os.path.dirname(args.out) or ".",
         "hedge",
@@ -259,11 +212,6 @@ def cmd_hedge(args):
 
 
 def cmd_robustness(args):
-    _require(os.path.join(args.bundle, "meta.json"), "bundle")
-    _require(args.payoff, "payoff spec")
-    _require(args.cost, "cost spec")
-    _require(args.utility, "utility spec")
-    _require(args.weights, "weights CSV")
     bundle = read_bundle(args.bundle)
     spec = CostSpec.from_json(args.cost)
     util = Utility.from_json(args.utility)
@@ -279,7 +227,7 @@ def cmd_robustness(args):
     report = robustness_eval(
         bundle, rets, hedge_p, hedge_q, z, spec, util, c_list
     )
-    _atomic_write_json(args.out, report_to_plain(report))
+    write_text(args.out, json.dumps(report_to_plain(report), indent=2, sort_keys=True))
     _manifest(
         os.path.dirname(args.out) or ".",
         "robustness",
@@ -310,7 +258,6 @@ def report_to_plain(obj):
 def cmd_demo(args):
     """End-to-end pipeline on the synthetic desk-scale market."""
     out = args.out
-    os.makedirs(out, exist_ok=True)
     grid = desk_grid()
     params = desk_params(grid)
     params.to_json(os.path.join(out, "params.json"))
@@ -435,7 +382,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError, DriftlessError) as exc:
+    except (OSError, ValueError, DriftlessError) as exc:
         if isinstance(exc, (SimulationError, TrainingError)):
             print(f"numerical failure in {args.command}: {exc}", file=sys.stderr)
             return 2

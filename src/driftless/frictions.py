@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, check_keys
+from .errors import InputError, check_keys, check_number
+from .market import read_json, write_text
 
 
 @dataclass(frozen=True)
@@ -30,7 +31,7 @@ class CostSpec:
     mode: str = "marginal"
 
     def __post_init__(self):
-        if self.gamma_prop < 0:
+        if check_number(self.gamma_prop, "cost gamma") < 0:
             raise InputError("gamma_prop must be >= 0")
         if self.mode not in ("marginal", "none"):
             raise InputError(f"unknown cost mode {self.mode!r}")
@@ -38,8 +39,7 @@ class CostSpec:
             raise InputError("cost mode 'none' requires gamma = 0")
 
     def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump({"gamma": self.gamma_prop, "mode": self.mode}, fh, indent=2)
+        write_text(path, json.dumps({"gamma": self.gamma_prop, "mode": self.mode}, indent=2))
 
     @classmethod
     def from_dict(cls, d):
@@ -48,8 +48,7 @@ class CostSpec:
 
     @classmethod
     def from_json(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path))
 
 
 def marginal_rates(spec, mids):

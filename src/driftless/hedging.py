@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridDomainError, TiltError, check_keys
+from .errors import GridDomainError, TiltError, check_keys, check_number, check_numbers
+from .market import read_json, write_text
 from .oce import oce_sup
 from .trainer import evaluate_policy, forward, train
 
@@ -42,16 +43,16 @@ class PayoffSpec:
                    required=("kind",))
         return cls(
             kind=d["kind"],
-            rel_strike=d.get("rel_strike", 1.0),
-            maturity_steps=d.get("maturity_steps", 0),
-            side=d.get("side", -1),
-            table=tuple(d.get("table", ())),
+            rel_strike=check_number(d.get("rel_strike", 1.0), "payoff rel_strike"),
+            maturity_steps=check_number(d.get("maturity_steps", 0), "payoff maturity_steps",
+                                        integer=True),
+            side=check_number(d.get("side", -1), "payoff side", integer=True),
+            table=tuple(check_numbers(d["table"], "payoff table")) if "table" in d else (),
         )
 
     @classmethod
     def from_json(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path))
 
 
 def payoff(spec, bundle):
@@ -94,8 +95,7 @@ class HedgeResult:
             "certainty_equivalent": self.certainty_equivalent,
             "stats": self.stats,
         }
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
+        write_text(path, json.dumps(doc))
 
 
 def _pnl_stats(pnl):

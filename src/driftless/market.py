@@ -8,14 +8,15 @@ units of S_0.  Rates, dividends and repo are zero throughout.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridDomainError, InputError, InvalidSurfaceError, check_keys
+from .errors import GridDomainError, InputError, InvalidSurfaceError, check_keys, check_number
 from .surface import DlvGrid, DlvSurface, prices_from_dlv_batch
 
 SIGMA_FLOOR = 1e-6  # floor before log features; keeps sigma = 0 nodes finite
@@ -297,13 +298,134 @@ def feature_matrix(bundle):
 
 
 # ---------------------------------------------------------------------------
-# Bundle file format: a directory with meta.json, paths.csv and optionally
-# weights.csv.  All floats are written as shortest round-trip decimals.
+# File IO.  Every file the package writes goes through write_text, every JSON
+# file it reads through read_json, every CSV through write_csv / read_csv.
+# CSV layout: a header row, then rows of ","-joined fields with no quoting or
+# comments, "\r\n" line ends, floats as shortest round-trip decimals (repr),
+# so a read returns the written floats bit for bit.  Rows move in blocks of
+# _BLOCK_ROWS: no whole-file text is held, and a bundle read fills its arrays
+# block by block.
 # ---------------------------------------------------------------------------
 
+_BLOCK_ROWS = 10_000
+
+
+def write_text(path, text):
+    """Write ``text`` (a str or an iterable of str chunks) to ``path``
+    atomically: into a temp file in the target directory, renamed over the
+    target with os.replace; the temp file is removed on failure."""
+    d = os.path.dirname(os.path.abspath(path))
+    os.makedirs(d, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", newline="") as fh:
+            fh.writelines([text] if isinstance(text, str) else text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def read_json(path):
+    """The JSON document in ``path``; InputError naming the file when it
+    does not parse."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise InputError(f"{path}: {exc}") from None
+
+
+def write_csv(path, header, columns):
+    """Write equal-length columns under ``header``: floats as repr, ints and
+    strings as str."""
+    columns = [np.asarray(c) for c in columns]
+    formats = [repr if c.dtype.kind == "f" else str for c in columns]
+
+    def chunks():
+        yield ",".join(header) + "\r\n"
+        for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+            fields = [list(map(f, c[lo:lo + _BLOCK_ROWS].tolist()))
+                      for f, c in zip(formats, columns)]
+            yield "\r\n".join(map(",".join, zip(*fields, strict=True))) + "\r\n"
+
+    write_text(path, chunks())
+
+
+def read_csv(path, what, width=None):
+    """Yield the float row blocks, of at most _BLOCK_ROWS rows each, of a
+    CSV in the layout above.  Raises InputError naming ``what`` and the file
+    on an empty file, a header with no rows, a blank or ragged row, a
+    non-numeric field, or a column count other than ``width`` when given."""
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        if header == [""]:
+            raise InputError(f"{what} {path} is empty")
+        if width is not None and len(header) != width:
+            raise InputError(f"{what} {path}: {len(header)} columns, expected {width}")
+        line = 2
+        while lines := list(itertools.islice(fh, _BLOCK_ROWS)):
+            if "\n" in lines:
+                blank = line + lines.index("\n")
+                raise InputError(f"{what} {path} line {blank}: blank line")
+            try:
+                block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            except ValueError as exc:
+                raise InputError(f"{what} {path}, block from line {line}: {exc}") from None
+            if block.shape[1] != len(header):
+                raise InputError(f"{what} {path} line {line}: {block.shape[1]} fields, "
+                                 f"header has {len(header)}")
+            yield block
+            line += len(lines)
+    if line == 2:
+        raise InputError(f"{what} {path} has a header but no rows")
+
+
+def place_rows(path, blocks, keys):
+    """Yield ``(index, block)`` for each row block of ``path``, where
+    ``index`` is the flat C-order position of each row's key: its leading
+    columns, named and sized by the dict ``keys``.  The rows must hold each
+    key exactly once: raises InputError on a key that is not an integer in
+    range, on a repeated key and, after the last block, on a missing one."""
+    names, shape = list(keys), tuple(keys.values())
+    count = np.zeros(shape, dtype=int)
+    line = 2
+    for block in blocks:
+        key = block[:, :len(shape)]
+        bad = ~((key == np.floor(key)) & (key >= 0) & (key < shape)).all(axis=1)
+        if bad.any():
+            r = int(np.argmax(bad))
+            raise InputError(f"{path} line {line + r}: {names} {key[r].tolist()} are not "
+                             f"integers in range {list(shape)}")
+        index = np.ravel_multi_index(tuple(key.T.astype(np.intp)), shape)
+        np.add.at(count.reshape(-1), index, 1)
+        repeated = count.flat[index] > 1
+        if repeated.any():
+            r = int(np.argmax(repeated))
+            raise InputError(f"{path} line {line + r}: row {names} "
+                             f"{[int(k) for k in key[r]]} repeated")
+        yield index, block
+        line += len(block)
+    if not count.all():
+        first = [int(k) for k in np.argwhere(count == 0)[0]]
+        raise InputError(f"{path} lacks {int((count == 0).sum())} row(s), first {names} {first}")
+
+
+# Bundle file format: a directory with paths.csv, optionally weights.csv, and
+# meta.json, which is written last.
+
 def write_bundle(bundle, directory):
-    os.makedirs(directory, exist_ok=True)
     m, n = bundle.grid.n_maturities, bundle.grid.n_strikes
+    P, T1 = bundle.spots.shape
+    header = ["path", "step", "spot"] + [
+        f"dlv_{j + 1}_{i + 1}" for j in range(m) for i in range(n)
+    ]
+    write_csv(os.path.join(directory, "paths.csv"), header,
+              [np.repeat(np.arange(P), T1), np.tile(np.arange(T1), P),
+               bundle.spots.ravel(), *bundle.sigmas.reshape(P * T1, m * n).T])
+    if bundle.weights is not None:
+        write_weights_csv(os.path.join(directory, "weights.csv"), bundle.weights)
     meta = {
         "grid": bundle.grid.to_dict(),
         "n_paths": bundle.n_paths,
@@ -312,67 +434,38 @@ def write_bundle(bundle, directory):
         "provenance": bundle.provenance,
         "has_weights": bundle.weights is not None,
     }
-    with open(os.path.join(directory, "meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-
-    header = ["path", "step", "spot"] + [
-        f"dlv_{j + 1}_{i + 1}" for j in range(m) for i in range(n)
-    ]
-    with open(os.path.join(directory, "paths.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for p in range(bundle.n_paths):
-            for t in range(bundle.n_steps + 1):
-                row = [p, t, repr(float(bundle.spots[p, t]))]
-                row.extend(repr(float(v)) for v in bundle.sigmas[p, t].ravel())
-                w.writerow(row)
-
-    if bundle.weights is not None:
-        with open(os.path.join(directory, "weights.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["path", "weight"])
-            for p in range(bundle.n_paths):
-                w.writerow([p, repr(float(bundle.weights[p]))])
+    write_text(os.path.join(directory, "meta.json"), json.dumps(meta, indent=2, sort_keys=True))
 
 
 def read_bundle(directory):
     """Read a bundle directory.  Raises InputError when meta.json lacks a
-    required key or has an unknown one, or when paths.csv does not hold
-    each (path, step) row of the declared sizes exactly once, with one spot
-    and m*n DLVs per row."""
-    with open(os.path.join(directory, "meta.json")) as fh:
-        meta = json.load(fh)
+    required key, has an unknown one or a size that is not a positive
+    integer, or when paths.csv does not hold each (path, step) row of the
+    declared sizes exactly once, with one spot and m*n DLVs per row."""
+    meta = read_json(os.path.join(directory, "meta.json"))
     check_keys(meta, ("grid", "n_paths", "n_steps", "seed", "provenance", "has_weights"),
                "bundle meta", required=("grid", "n_paths", "n_steps"))
     grid = DlvGrid.from_dict(meta["grid"])
-    P, T = meta["n_paths"], meta["n_steps"]
-    m, n = grid.n_maturities, grid.n_strikes
+    P, T = (check_number(meta[k], f"bundle meta {k!r}", integer=True)
+            for k in ("n_paths", "n_steps"))
+    if P < 1 or T < 1:
+        raise InputError(f"bundle meta sizes must be positive, got n_paths {P}, n_steps {T}")
+    seed = check_number(meta.get("seed", 0), "bundle meta 'seed'", integer=True)
+    has_weights = meta.get("has_weights", False)
+    if not isinstance(has_weights, bool):
+        raise InputError(f"bundle meta 'has_weights' must be true or false, got {has_weights!r}")
 
+    m, n = grid.n_maturities, grid.n_strikes
     spots = np.empty((P, T + 1))
     sigmas = np.empty((P, T + 1, m, n))
-    seen = np.zeros((P, T + 1), dtype=bool)
-    width = 3 + m * n
-    with open(os.path.join(directory, "paths.csv"), newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        for row in reader:
-            if len(row) != width:
-                raise InputError(f"paths.csv line {reader.line_num}: "
-                                 f"{len(row)} fields, expected {width}")
-            p, t = int(row[0]), int(row[1])
-            if not (0 <= p < P and 0 <= t <= T) or seen[p, t]:
-                raise InputError(f"paths.csv line {reader.line_num}: row (path {p}, "
-                                 f"step {t}) out of range or repeated")
-            seen[p, t] = True
-            spots[p, t] = float(row[2])
-            sigmas[p, t] = np.array([float(v) for v in row[3:]]).reshape(m, n)
-    if not seen.all():
-        p, t = np.argwhere(~seen)[0]
-        raise InputError(f"paths.csv lacks {int((~seen).sum())} row(s), "
-                         f"first (path {p}, step {t})")
+    path = os.path.join(directory, "paths.csv")
+    rows = read_csv(path, "bundle paths CSV", width=3 + m * n)
+    for index, block in place_rows(path, rows, {"path": P, "step": T + 1}):
+        spots.flat[index] = block[:, 2]
+        sigmas.reshape(P * (T + 1), m * n)[index] = block[:, 3:]
 
     weights = None
-    if meta.get("has_weights"):
+    if has_weights:
         weights = read_weights_csv(os.path.join(directory, "weights.csv"))
 
     return bundle_from_sigmas(
@@ -380,7 +473,7 @@ def read_bundle(directory):
         spots,
         sigmas,
         weights=weights,
-        seed=meta.get("seed", 0),
+        seed=seed,
         provenance=meta.get("provenance", ""),
     )
 
@@ -388,28 +481,12 @@ def read_bundle(directory):
 def read_weights_csv(path):
     """Weights indexed by the path column, which must hold each of
     0..n-1 exactly once for n data rows.  Raises InputError otherwise."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        rows = list(reader)
-    n = len(rows)
-    out = np.empty(n)
-    seen = np.zeros(n, dtype=bool)
-    for line, row in enumerate(rows, start=2):
-        if len(row) != 2:
-            raise InputError(f"{path} line {line}: {len(row)} fields, expected 2")
-        p = int(row[0])
-        if not 0 <= p < n or seen[p]:
-            raise InputError(f"{path} line {line}: path {p} out of range or repeated; "
-                             f"the {n} rows must index paths 0..{n - 1}")
-        seen[p] = True
-        out[p] = float(row[1])
-    return out
+    blocks = list(read_csv(path, "weights CSV", width=2))
+    weights = np.empty(sum(len(b) for b in blocks))
+    for index, block in place_rows(path, blocks, {"path": len(weights)}):
+        weights[index] = block[:, 1]
+    return weights
 
 
 def write_weights_csv(path, weights):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["path", "weight"])
-        for p, val in enumerate(weights):
-            w.writerow([p, repr(float(val))])
+    write_csv(path, ["path", "weight"], [np.arange(len(weights)), weights])

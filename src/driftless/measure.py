@@ -9,7 +9,6 @@ adversarial retraining test.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .errors import ClassicArbitrageError, UtilityDomainError
 from .frictions import marginal_rates
-from .market import check_weights
+from .market import check_weights, write_csv, write_text
 from .oce import legendre, u_deriv
 from .trainer import evaluate_policy, train
 
@@ -64,21 +63,12 @@ class DriftReport:
         return sum(not r.passed for r in self.rows)
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "instrument", "mean_dh", "se", "band_lo", "band_hi", "pass"])
-            for r in self.rows:
-                w.writerow(
-                    [
-                        r.t,
-                        r.instrument,
-                        repr(r.mean_dh),
-                        repr(r.se),
-                        repr(r.band_lo),
-                        repr(r.band_hi),
-                        int(r.passed),
-                    ]
-                )
+        rows = self.rows
+        write_csv(path, ["t", "instrument", "mean_dh", "se", "band_lo", "band_hi", "pass"], [
+            [r.t for r in rows], [r.instrument for r in rows], [r.mean_dh for r in rows],
+            [r.se for r in rows], [r.band_lo for r in rows], [r.band_hi for r in rows],
+            [int(r.passed) for r in rows],
+        ])
 
     def to_json(self, path):
         def row_dict(r):
@@ -99,8 +89,7 @@ class DriftReport:
                 dict(row_dict(r), bucket=b) for b, r in self.bucket_rows
             ],
         }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2)
+        write_text(path, json.dumps(doc, indent=2))
 
 
 def density(solution, bundle, returns, spec, utility):

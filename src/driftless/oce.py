@@ -20,7 +20,8 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import logsumexp
 
-from .errors import UtilityDomainError, check_keys
+from .errors import UtilityDomainError, check_keys, check_number
+from .market import read_json, write_text
 
 _EXP_CLIP = 700.0  # exp argument clip; keeps float64 finite
 
@@ -37,15 +38,14 @@ class Utility:
     def __post_init__(self):
         if self.family not in ("exponential", "adjusted_mean_vol"):
             raise ValueError(f"unknown utility family {self.family!r}")
-        if self.lam <= 0:
+        if check_number(self.lam, "utility lambda") <= 0:
             raise ValueError("risk aversion lambda must be positive")
         # normalization check: u(0) = 0, u'(0) = 1
         if abs(u_value(self, 0.0)) > 1e-12 or abs(u_deriv(self, 0.0) - 1.0) > 1e-12:
             raise ValueError("utility normalization violated")
 
     def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump({"family": self.family, "lambda": self.lam}, fh, indent=2)
+        write_text(path, json.dumps({"family": self.family, "lambda": self.lam}, indent=2))
 
     @classmethod
     def from_dict(cls, d):
@@ -54,8 +54,7 @@ class Utility:
 
     @classmethod
     def from_json(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path))
 
 
 def u_value(u, x):

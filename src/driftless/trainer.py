@@ -27,7 +27,7 @@ import numpy as np
 from .autograd import Tensor
 from .errors import InputError, TrainingError, check_keys, check_number
 from .frictions import marginal_rates
-from .market import check_weights, feature_matrix
+from .market import check_weights, feature_matrix, read_json, write_text
 from .oce import Utility, oce_sup, u_deriv, u_value
 
 
@@ -139,8 +139,7 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path))
 
 
 @dataclass
@@ -158,13 +157,11 @@ class Solution:
             "objective_value": self.objective_value,
             "config": self.config.to_dict() if self.config else None,
         }
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
+        write_text(path, json.dumps(doc))
 
     @classmethod
     def from_json(cls, path):
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = read_json(path)
         cfg = TrainConfig.from_dict(doc["config"]) if doc.get("config") else None
         return cls(
             policy=Mlp.from_dict(doc["policy"]),

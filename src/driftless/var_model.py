@@ -11,14 +11,13 @@ keyed per (seed, path, step) so results are independent of scheduling.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, InputError, SimulationError
-from .market import bundle_from_sigmas
+from .errors import FitError, SimulationError, check_keys, check_number
+from .market import bundle_from_sigmas, read_csv, read_json, write_csv, write_text
 
 SIGMA_MAX = 5.0  # vol ceiling; paths breaching it are resampled
 MAX_RETRIES = 100
@@ -67,20 +66,20 @@ class VarParams:
             "b": self.b.tolist(),
             "chol": self.chol.tolist(),
         }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+        write_text(path, json.dumps(doc, indent=2, sort_keys=True))
 
     @classmethod
     def from_json(cls, path):
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = read_json(path)
+        keys = ("dim", "dt", "a1", "a2", "b", "chol")
+        check_keys(doc, keys, "VAR params", required=keys)
         return cls(
-            dim=doc["dim"],
+            dim=check_number(doc["dim"], "VAR params 'dim'", integer=True),
             a1=doc["a1"],
             a2=doc["a2"],
             b=doc["b"],
             chol=doc["chol"],
-            dt=doc["dt"],
+            dt=check_number(doc["dt"], "VAR params 'dt'"),
         )
 
 
@@ -358,32 +357,10 @@ def write_history_csv(path, history, grid):
     header = ["r", "dlogS"] + [
         f"logdlv_{j + 1}_{i + 1}" for j in range(m) for i in range(n)
     ]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for r, row in enumerate(history):
-            w.writerow([r] + [repr(float(v)) for v in row])
+    write_csv(path, header, [np.arange(len(history)), *np.asarray(history, dtype=float).T])
 
 
 def read_history_csv(path):
     """Read a Y history written by ``write_history_csv``: a header, then one
     row per observation (an index column, then the Y components)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header:
-            raise InputError(f"history CSV {path} is empty")
-        rows = []
-        for line, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise InputError(
-                    f"history CSV {path} line {line}: {len(row)} fields, "
-                    f"header has {len(header)}"
-                )
-            try:
-                rows.append([float(v) for v in row[1:]])
-            except ValueError:
-                raise InputError(f"history CSV {path} line {line}: non-numeric field") from None
-    if not rows:
-        raise InputError(f"history CSV {path} has a header but no rows")
-    return np.asarray(rows)
+    return np.concatenate(list(read_csv(path, "history CSV")))[:, 1:]

@@ -1,10 +1,11 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from driftless.cli import main
-from driftless.market import read_weights_csv
+from driftless.market import read_weights_csv, write_weights_csv
 from driftless.var_model import (
     VarParams,
     desk_grid,
@@ -184,10 +185,7 @@ def test_hedge_and_robustness(tmp_path, bundle_dir):
     assert sum(int(r.split(",")[2]) for r in hist[1:]) == 200
 
     weights = tmp_path / "w.csv"
-    w = np.ones(200)
-    from driftless.market import write_weights_csv
-
-    write_weights_csv(weights, w)
+    write_weights_csv(weights, np.ones(200))
     rob = tmp_path / "rob.json"
     rc = main([
         "robustness", "--bundle", str(bundle_dir), "--weights", str(weights),
@@ -256,8 +254,6 @@ def test_simulate_bad_grid_exit_1(tmp_path, params_file, capsys, change):
 def test_verify_bad_instruments_exit_1(tmp_path, bundle_dir, capsys, doc):
     cost = write_cost(tmp_path)
     weights = tmp_path / "w.csv"
-    from driftless.market import write_weights_csv
-
     write_weights_csv(weights, np.ones(200))
     inst = tmp_path / "instruments.json"
     inst.write_text(json.dumps(doc))
@@ -282,3 +278,65 @@ def test_make_q_bad_config_value_exit_1(tmp_path, bundle_dir, capsys, doc):
     ])
     assert rc == 1
     assert "train config" in capsys.readouterr().err
+
+
+def write_payoff(d):
+    f = d / "payoff.json"
+    f.write_text(json.dumps({"kind": "vanilla_call", "rel_strike": 1.0,
+                             "maturity_steps": 4, "side": -1}))
+    return f
+
+
+@pytest.mark.parametrize("command, name, edit, key", [
+    ("verify", "cost.json", lambda d: {**d, "gamma": float("nan")}, "gamma"),
+    ("verify", "cost.json", lambda d: {**d, "gamma": "0.001"}, "gamma"),
+    ("make-q", "utility.json", lambda d: {**d, "lambda": float("nan")}, "lambda"),
+    ("make-q", "utility.json", lambda d: {**d, "lambda": "1"}, "lambda"),
+    ("hedge", "payoff.json", lambda d: {**d, "rel_strike": "1.0"}, "rel_strike"),
+    ("hedge", "payoff.json", lambda d: {**d, "maturity_steps": "4"}, "maturity_steps"),
+    ("hedge", "payoff.json", lambda d: {**d, "side": 1.0}, "side"),
+    ("hedge", "payoff.json", lambda d: {"kind": "custom_table", "table": ["1"] * 200}, "table"),
+    ("simulate", "params.json", lambda d: {}, "dim"),
+    ("verify", "b/meta.json", lambda d: {**d, "n_paths": "200"}, "n_paths"),
+    ("verify", "b/meta.json", lambda d: {**d, "n_steps": 2.5}, "n_steps"),
+    ("verify", "b/meta.json", lambda d: {**d, "n_steps": -1}, "n_steps"),
+    ("verify", "b/meta.json", lambda d: {**d, "seed": "0"}, "seed"),
+    ("verify", "b/meta.json", lambda d: {**d, "has_weights": "no"}, "has_weights"),
+], ids=["cost_nan_gamma", "cost_string_gamma", "utility_nan_lambda", "utility_string_lambda",
+        "payoff_string_strike", "payoff_string_maturity", "payoff_float_side",
+        "payoff_string_table", "params_empty", "meta_string_paths", "meta_float_steps",
+        "meta_negative_steps", "meta_string_seed", "meta_string_has_weights"])
+def test_bad_input_value_exit_1(tmp_path, params_file, bundle_dir, capsys, command, name, edit,
+                                key):
+    shutil.copytree(bundle_dir, tmp_path / "b")
+    shutil.copy(params_file, tmp_path / "params.json")
+    cost, util, pay = write_cost(tmp_path), write_utility(tmp_path), write_payoff(tmp_path)
+    train_cfg = write_train(tmp_path)
+    weights = tmp_path / "w.csv"
+    write_weights_csv(weights, np.ones(200))
+    f = tmp_path / name
+    f.write_text(json.dumps(edit(json.loads(f.read_text()))))
+    b, out = str(tmp_path / "b"), str(tmp_path / "out")
+    argv = {
+        "simulate": ["simulate", "--params", str(f), "--paths", "5", "--steps", "2",
+                     "--out", out],
+        "make-q": ["make-q", "--bundle", b, "--cost", str(cost), "--utility", str(util),
+                   "--train", str(train_cfg), "--out", out],
+        "verify": ["verify", "--bundle", b, "--weights", str(weights), "--cost", str(cost),
+                   "--report", out],
+        "hedge": ["hedge", "--bundle", b, "--payoff", str(pay), "--cost", str(cost),
+                  "--utility", str(util), "--train", str(train_cfg), "--out", out],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error in {command}" in err
+    assert key in err
+
+
+def test_verify_unreadable_weights_exit_1(tmp_path, bundle_dir, capsys):
+    rc = main([
+        "verify", "--bundle", str(bundle_dir), "--weights", str(tmp_path),
+        "--cost", str(write_cost(tmp_path)), "--report", str(tmp_path / "r"),
+    ])
+    assert rc == 1
+    assert "error in verify" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from driftless import market
 from driftless.errors import GridDomainError, InputError
 from driftless.market import (
     InstrumentSpec,
@@ -13,6 +14,7 @@ from driftless.market import (
     read_bundle,
     read_weights_csv,
     write_bundle,
+    write_text,
     write_weights_csv,
 )
 from driftless.surface import DlvGrid, intrinsic_row
@@ -243,6 +245,12 @@ class TestBundleIo:
             lambda lines: lines[:-1] + [lines[-2]],  # duplicated row
             lambda lines: lines + ["8" + lines[-1][1:]],  # path out of range
             lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0]],  # short row
+            lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0] + ",abc"],  # non-numeric
+            lambda lines: lines[:2] + ["# comment"] + lines[2:],  # comment row
+            lambda lines: lines[:-1] + [lines[-1] + " # note"],  # trailing comment
+            lambda lines: lines[:-1] + ['"' + lines[-1].replace(",", '","') + '"'],  # quoted
+            lambda lines: lines[:2] + [""] + lines[2:],  # blank line
+            lambda lines: lines[:1] + ["0.5" + lines[1][1:]] + lines[2:],  # fractional path
         ],
     )
     def test_bad_paths_csv_rejected(self, tmp_path, edit):
@@ -266,6 +274,38 @@ class TestBundleIo:
         f.write_text("\n".join(edit(f.read_text().splitlines())) + "\n")
         with pytest.raises(InputError):
             read_bundle(d)
+
+
+    def test_exact_bytes(self, tmp_path):
+        grid = DlvGrid(strikes=(0.9, 1.1), maturities=(0.1,))
+        spots = np.array([[1.0, 1.1], [1.0, 1 / 3]])
+        sigmas = np.array([0.2, 0.25, 1e-05, 0.3, 0.2, 0.2, 2.5e16, 0.1]).reshape(2, 2, 1, 2)
+        bundle = bundle_from_sigmas(grid, spots, sigmas, weights=[0.5, 1.5])
+        write_bundle(bundle, tmp_path)
+        assert (tmp_path / "paths.csv").read_bytes() == (
+            b"path,step,spot,dlv_1_1,dlv_1_2\r\n"
+            b"0,0,1.0,0.2,0.25\r\n"
+            b"0,1,1.1,1e-05,0.3\r\n"
+            b"1,0,1.0,0.2,0.2\r\n"
+            b"1,1,0.3333333333333333,2.5e+16,0.1\r\n"
+        )
+        assert (tmp_path / "weights.csv").read_bytes() == b"path,weight\r\n0,0.5\r\n1,1.5\r\n"
+        back = read_bundle(tmp_path)
+        assert back.spots.tobytes() == spots.tobytes()
+        assert back.sigmas.tobytes() == sigmas.tobytes()
+
+    def test_failed_replace_keeps_old_target(self, tmp_path, monkeypatch):
+        f = tmp_path / "w.csv"
+        f.write_text("old")
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(market.os, "replace", fail)
+        with pytest.raises(OSError, match="replace failed"):
+            write_text(f, "new")
+        assert f.read_text() == "old"
+        assert list(tmp_path.glob("*.tmp")) == []
 
 
 class TestBundleInvariants:

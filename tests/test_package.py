@@ -1,6 +1,46 @@
+import ast
+import pathlib
+
 import driftless
+
+SRC = pathlib.Path(driftless.__file__).parent
 
 
 def test_all_exports_resolve():
     missing = [name for name in driftless.__all__ if not hasattr(driftless, name)]
     assert missing == []
+
+
+def _may_write(call):
+    """True for an ``open``/``fdopen`` call whose mode has ``w``, ``a``,
+    ``x`` or ``+``, or is not a literal."""
+    func = call.func
+    if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) not in (
+            "open", "fdopen"):
+        return False
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg == "mode"), None)
+    if mode is None:
+        return False
+    return not isinstance(mode, ast.Constant) or bool(set(str(mode.value)) & set("wax+"))
+
+
+def test_one_file_writer_and_no_csv_module():
+    """Every file the package writes goes through market.write_text, and no
+    module parses or prints CSV with the csv module."""
+    csv_imports, writers = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}  # node -> name of the innermost enclosing function
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                owner[child] = (node.name if isinstance(node, ast.FunctionDef)
+                                else owner.get(node, "<module>"))
+            if isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names):
+                csv_imports.append(path.name)
+            if isinstance(node, ast.ImportFrom) and node.module == "csv":
+                csv_imports.append(path.name)
+            if isinstance(node, ast.Call) and _may_write(node):
+                writers.append((path.name, owner[node]))
+    assert csv_imports == []
+    assert writers == [("market.py", "write_text")]
