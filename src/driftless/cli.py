@@ -64,13 +64,21 @@ def _sha256(path):
     return h.hexdigest()
 
 
+def _bundle_files(directory, bundle):
+    """The files ``read_bundle`` read to load ``bundle`` from ``directory``."""
+    names = ["meta.json", "paths.csv"] + (["weights.csv"] if bundle.weights is not None else [])
+    return [os.path.join(directory, name) for name in names]
+
+
 def _manifest(out_dir, stage, inputs, outputs, seed=None):
+    """Write run.json: the sha256 of each input that is a file (``None``
+    stands for an optional input not given), the outputs, seed and versions."""
     doc = {
         "stage": stage,
         "version": __version__,
         "numpy": np.__version__,
         "seed": seed,
-        "inputs": {p: _sha256(p) for p in inputs if os.path.isfile(p)},
+        "inputs": {p: _sha256(p) for p in inputs if p is not None and os.path.isfile(p)},
         "outputs": sorted(outputs),
     }
     write_text(os.path.join(out_dir, "run.json"), json.dumps(doc, indent=2, sort_keys=True))
@@ -133,7 +141,7 @@ def cmd_simulate(args):
     _manifest(
         args.out,
         "simulate",
-        [args.params] + ([args.grid] if args.grid else []),
+        [args.params, args.grid],
         [os.path.join(args.out, f) for f in ("meta.json", "paths.csv")],
         seed=args.seed,
     )
@@ -155,7 +163,8 @@ def cmd_make_q(args):
     _manifest(
         os.path.dirname(args.out) or ".",
         "make-q",
-        [args.cost, args.utility] + ([args.train] if args.train else []),
+        [args.cost, args.utility, args.train, args.instruments,
+         *_bundle_files(args.bundle, bundle)],
         [args.out, sol_path],
         seed=cfg.seed,
     )
@@ -178,7 +187,7 @@ def cmd_verify(args):
     _manifest(
         os.path.dirname(args.report) or ".",
         "verify",
-        [args.weights, args.cost],
+        [args.weights, args.cost, args.instruments, *_bundle_files(args.bundle, bundle)],
         [args.report + ".csv", args.report + ".json"],
     )
     print(f"verify: {len(report.rows) - report.n_failed}/{len(report.rows)} rows pass")
@@ -203,7 +212,8 @@ def cmd_hedge(args):
     _manifest(
         os.path.dirname(args.out) or ".",
         "hedge",
-        [args.payoff, args.cost, args.utility] + ([args.weights] if args.weights else []),
+        [args.payoff, args.cost, args.utility, args.weights, args.train, args.instruments,
+         *_bundle_files(args.bundle, bundle)],
         [args.out, args.out + ".pnl_hist.csv"],
         seed=cfg.seed,
     )
@@ -227,11 +237,12 @@ def cmd_robustness(args):
     report = robustness_eval(
         bundle, rets, hedge_p, hedge_q, z, spec, util, c_list
     )
-    write_text(args.out, json.dumps(report_to_plain(report), indent=2, sort_keys=True))
+    write_text(args.out, json.dumps(report, indent=2, sort_keys=True))
     _manifest(
         os.path.dirname(args.out) or ".",
         "robustness",
-        [args.payoff, args.cost, args.utility, args.weights],
+        [args.payoff, args.cost, args.utility, args.weights, args.train, args.instruments,
+         *_bundle_files(args.bundle, bundle)],
         [args.out],
         seed=cfg.seed,
     )
@@ -241,18 +252,6 @@ def cmd_robustness(args):
             f"dCE(Q-hedge)={e['delta_q']:.6g}"
         )
     return 0
-
-
-def report_to_plain(obj):
-    if isinstance(obj, dict):
-        return {k: report_to_plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [report_to_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
 
 
 def cmd_demo(args):

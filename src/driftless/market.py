@@ -313,13 +313,17 @@ _BLOCK_ROWS = 10_000
 def write_text(path, text):
     """Write ``text`` (a str or an iterable of str chunks) to ``path``
     atomically: into a temp file in the target directory, renamed over the
-    target with os.replace; the temp file is removed on failure."""
+    target with os.replace; the temp file is removed on failure.  The file
+    gets the mode ``open(path, "w")`` would give it: 0o666 less the umask."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.writelines([text] if isinstance(text, str) else text)
+        umask = os.umask(0)  # the umask can only be read by setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates the file 0o600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

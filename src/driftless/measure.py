@@ -102,19 +102,28 @@ def density(solution, bundle, returns, spec, utility):
     res = evaluate_policy(
         bundle, returns, spec, utility, solution.policy, solution.y_star
     )
-    raw = u_deriv(utility, res["pre_utility"])
+    return _normalized_density(
+        bundle,
+        u_deriv(utility, res["pre_utility"]),
+        source=f"policy(obj={solution.objective_value:.6g})",
+        mode="martingale" if spec.mode == "none" else "near_martingale",
+    )
+
+
+def _normalized_density(bundle, raw, source, mode):
+    """DensityWeights from a raw path density, which must be positive and
+    finite; it multiplies any bundle weights and is normalized to mean one."""
     if np.any(raw <= 0) or not np.all(np.isfinite(raw)):
         raise ValueError(
             "non-positive density value: broken solution or u' range violation"
         )
     combined = bundle.path_weights() * raw
     mean_error = abs(float(np.mean(combined)) - 1.0)
-    weights = combined / combined.mean()
     return DensityWeights(
-        weights=weights,
+        weights=combined / combined.mean(),
         mean_error=mean_error,
-        source=f"policy(obj={solution.objective_value:.6g})",
-        mode="martingale" if spec.mode == "none" else "near_martingale",
+        source=source,
+        mode=mode,
     )
 
 
@@ -288,18 +297,10 @@ def bounded_reweight(bundle, returns, utility, config):
     res = evaluate_policy(
         bundle, returns, spec, utility, sol.policy, sol.y_star, inv_scale=inv_scale
     )
-    raw = u_deriv(utility, res["pre_utility"]) * inv_scale
-    if np.any(raw <= 0):
-        raise ValueError("non-positive bounded density value")
-    combined = bundle.path_weights() * raw
-    mean_error = abs(float(np.mean(combined)) - 1.0)
-    return (
-        DensityWeights(
-            weights=combined / combined.mean(),
-            mean_error=mean_error,
-            source=f"bounded(obj={sol.objective_value:.6g})",
-            mode="bounded",
-        ),
-        sol,
-        1.0 + m_path,
+    dw = _normalized_density(
+        bundle,
+        u_deriv(utility, res["pre_utility"]) * inv_scale,
+        source=f"bounded(obj={sol.objective_value:.6g})",
+        mode="bounded",
     )
+    return dw, sol, 1.0 + m_path

@@ -7,13 +7,15 @@ minibatches; the best-seen parameters by full-sample objective are
 returned.  Gradients use a smoothed |a| in the cost term; all reported
 objective values use the exact absolute value.
 
-Each minibatch objective is one fused ``autograd.Tensor`` node
-(``_objective``): its forward pass keeps each layer's input and ReLU mask,
-and its backward closure is the analytic gradient of
-``mean(w u(x)) - y`` with ``x = sum(a DH) - sum(|a| rates) + y (+ Z)(* s)``,
-back through the gain and cost head and the ReLU layers.  ``Tensor.backward``
-stays the one entry to the reverse pass.  The full-sample forward pass
-runs in fixed row blocks.
+The package has one gradient: the analytic gradient of the minibatch
+objective ``mean(w u(x)) - y`` with
+``x = sum(a DH) - sum(|a| rates) + y (+ Z)(* s)``, back through the gain
+and cost head and the ReLU layers.  ``_objective`` takes the parameters as
+plain arrays; its forward pass keeps each layer's input and ReLU mask, and
+it returns one ``autograd.Tensor`` whose ``backward`` returns the
+gradient.  The tests keep a per-op graph of the same objective as the
+bit-for-bit reference.  The full-sample forward pass runs in fixed row
+blocks.
 """
 
 from __future__ import annotations
@@ -201,14 +203,15 @@ def _make_problem(bundle, returns, spec, utility, payoff=None, inv_scale=None,
     )
 
 
-def _objective(prob, params, y_t, idx, smooth_eps):
-    """The minibatch objective as one scalar ``Tensor`` whose parents are
-    the parameter tensors ``params`` ([W_0, b_0, W_1, ...]) and ``y_t``.
+def _objective(prob, params, y, idx, smooth_eps):
+    """The minibatch objective at the parameter arrays ``params``
+    ([W_0, b_0, W_1, ...]) and the cash offset ``y``, as one scalar
+    ``Tensor``.
 
-    Its backward closure is the analytic gradient, accumulated into the
-    parents' ``grad``.  Each elementwise expression keeps the order of the
-    per-op graph it replaces, so value and gradients are bit-identical to
-    it.  The node is a root: its backward assumes an upstream gradient of 1.
+    Its ``backward`` returns the analytic gradient ``(grads, y_grad)``,
+    with ``grads`` in the order of ``params``.  Each elementwise expression
+    keeps the order of the per-op reference graph, so value and gradients
+    are bit-identical to it.
     """
     feats = prob.feats[idx]
     B, T, F = feats.shape
@@ -217,14 +220,13 @@ def _objective(prob, params, y_t, idx, smooth_eps):
     inputs, masks = [], []
     for l in range(n_layers):
         inputs.append(h)
-        h = h @ params[2 * l].data
-        h += params[2 * l + 1].data
+        h = h @ params[2 * l]
+        h += params[2 * l + 1]
         if l < n_layers - 1:
             masks.append(h > 0)
             np.maximum(h, 0.0, out=h)
     a = h.reshape(B, T, -1)
 
-    y = y_t.data
     dh = prob.dh[idx]
     x = (a * dh).sum(axis=(1, 2)) + y
     if prob.rates is not None:
@@ -242,7 +244,7 @@ def _objective(prob, params, y_t, idx, smooth_eps):
         gx = ((1.0 / B) * w) * u_deriv(prob.utility, x)
         if prob.inv_scale is not None:
             gx = gx * prob.inv_scale[idx]
-        y_t._acc(-1.0 + gx.sum(axis=0))
+        y_grad = -1.0 + gx.sum(axis=0)
         g3 = gx[:, None, None]
         da = g3 * dh
         if prob.rates is not None:
@@ -252,16 +254,16 @@ def _objective(prob, params, y_t, idx, smooth_eps):
             else:
                 da += neg_rates * np.sign(a)  # 0 at 0: subgradient convention
         g = da.reshape(B * T, -1)
+        grads = [None] * len(params)
         for l in range(n_layers - 1, -1, -1):
-            params[2 * l + 1]._acc(g.sum(axis=0))
-            params[2 * l]._acc(inputs[l].T @ g)
+            grads[2 * l + 1] = g.sum(axis=0)
+            grads[2 * l] = inputs[l].T @ g
             if l > 0:
-                g = g @ params[2 * l].data.T
+                g = g @ params[2 * l].T
                 g *= masks[l - 1]
+        return grads, y_grad
 
-    out = Tensor(value, (*params, y_t))
-    out._backward = backward
-    return out
+    return Tensor(value, backward)
 
 
 def _evaluate(prob, mlp, y):
@@ -295,15 +297,10 @@ def objective_and_grad(bundle, returns, spec, utility, mlp, y, payoff=None,
     [dW_0, db_0, dW_1, ...] matching the network layers.
     """
     prob = _make_problem(bundle, returns, spec, utility, payoff, inv_scale, weights)
-    params = []
-    for w, b in zip(mlp.weights, mlp.biases):
-        params.extend([Tensor(w), Tensor(b)])
-    y_t = Tensor(float(y))
-    idx = np.arange(bundle.n_paths)
-    obj = _objective(prob, params, y_t, idx, smooth_eps)
-    obj.backward()
-    grads = [p.grad for p in params]
-    y_grad = float(y_t.grad)
+    params = [a for pair in zip(mlp.weights, mlp.biases) for a in pair]
+    obj = _objective(prob, params, float(y), np.arange(bundle.n_paths), smooth_eps)
+    grads, y_grad = obj.backward()
+    y_grad = float(y_grad)
     if not all(np.all(np.isfinite(g)) for g in grads) or not np.isfinite(y_grad):
         raise TrainingError("non-finite gradient encountered")
     return float(obj.data), grads, y_grad
@@ -322,23 +319,19 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
     rng = np.random.default_rng(config.seed)
     mlp = init_mlp([F, *config.hidden, n_inst], rng)
 
-    params = []
-    for w, b in zip(mlp.weights, mlp.biases):
-        params.extend([Tensor(w.copy()), Tensor(b.copy())])
-    y_t = Tensor(float(config.y_init))
-    all_params = params + [y_t]
+    # [W_0, b_0, W_1, ..., y], updated in place by Adam; y is a 0-d array
+    params = [a for pair in zip(mlp.weights, mlp.biases) for a in pair]
+    params.append(np.array(float(config.y_init)))
 
-    m_state = [np.zeros_like(p.data) for p in all_params]
-    v_state = [np.zeros_like(p.data) for p in all_params]
+    m_state = [np.zeros_like(p) for p in params]
+    v_state = [np.zeros_like(p) for p in params]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
     def snapshot():
-        net = Mlp(
-            weights=[params[2 * l].data.copy() for l in range(len(mlp.weights))],
-            biases=[params[2 * l + 1].data.copy() for l in range(len(mlp.weights))],
-        )
-        return net, float(y_t.data)
+        net = Mlp(weights=[w.copy() for w in params[:-1:2]],
+                  biases=[b.copy() for b in params[1:-1:2]])
+        return net, float(params[-1])
 
     batch = config.batch_size if config.batch_size > 0 else P
     lr = config.lr
@@ -351,18 +344,14 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
         perm = rng.permutation(P) if batch < P else np.arange(P)
         for start in range(0, P, batch):
             idx = perm[start : start + batch]
-            for p in all_params:
-                p.grad = None
-            obj = _objective(prob, params, y_t, idx, config.smooth_abs_eps)
+            obj = _objective(prob, params[:-1], params[-1], idx, config.smooth_abs_eps)
             if not np.isfinite(obj.data):
                 raise TrainingError(
                     f"objective diverged at epoch {epoch}; last finite trace: "
                     f"{last_finite}"
                 )
-            obj.backward()
-
-            grads = [p.grad for p in all_params]
-            obj = None  # free the graph before the next build
+            grads, y_grad = obj.backward()
+            grads.append(y_grad)
             gnorm = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
             if not np.isfinite(gnorm):
                 raise TrainingError(f"non-finite gradient at epoch {epoch}")
@@ -371,7 +360,7 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
                 scale = config.clip_norm / gnorm
 
             step += 1
-            for p, g, m, v in zip(all_params, grads, m_state, v_state):
+            for p, g, m, v in zip(params, grads, m_state, v_state):
                 g = -g * scale  # ascent
                 m *= beta1
                 m += (1 - beta1) * g
@@ -379,7 +368,7 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
                 v += (1 - beta2) * g * g
                 mhat = m / (1 - beta1**step)
                 vhat = v / (1 - beta2**step)
-                p.data = p.data - lr * mhat / (np.sqrt(vhat) + eps)
+                p -= lr * mhat / (np.sqrt(vhat) + eps)
 
         net, y_now = snapshot()
         full = _evaluate(prob, net, y_now)["objective"]

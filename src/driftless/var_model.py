@@ -345,11 +345,7 @@ def synthetic_history(params, n_obs, seed, init=None):
     """One long simulated Y trajectory, for fitting tests and the demo."""
     if init is None:
         init = stationary_init(params)
-    g = np.stack(
-        [step_normals(seed, 0, r, params.dim) for r in range(n_obs)]
-    )
-    noise = np.sqrt(params.dt) * g @ params.chol.T
-    return iterate_var(params, init, n_obs, noise)
+    return _simulate_path_y(params, init, n_obs, seed, 0, 0)
 
 
 def write_history_csv(path, history, grid):

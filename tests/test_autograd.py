@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from driftless.autograd import Tensor
 from driftless.oce import Utility, u_value
+from pergraph import Tensor
 
 
 def numeric_grad(f, arrays, h=1e-6):

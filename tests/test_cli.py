@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 
@@ -107,6 +108,28 @@ def test_make_q_verify_pipeline(tmp_path, bundle_dir):
     assert len(doc["rows"]) > 0
     lines = (tmp_path / "report.csv").read_text().splitlines()
     assert lines[0] == "t,instrument,mean_dh,se,band_lo,band_hi,pass"
+
+
+def test_make_q_manifest_hashes_bundle_and_instruments(tmp_path, bundle_dir):
+    cost = write_cost(tmp_path)
+    util = write_utility(tmp_path)
+    train_cfg = write_train(tmp_path, epochs=2)
+    instruments = tmp_path / "instruments.json"
+    instruments.write_text(json.dumps([
+        {"kind": "spot"}, {"kind": "call", "rel_strike": 1.0, "ttm_days": 20},
+    ]))
+    rc = main([
+        "make-q", "--bundle", str(bundle_dir), "--cost", str(cost),
+        "--utility", str(util), "--train", str(train_cfg),
+        "--instruments", str(instruments), "--out", str(tmp_path / "weights.csv"),
+    ])
+    assert rc == 0
+    inputs = json.loads((tmp_path / "run.json").read_text())["inputs"]
+    paths_csv = bundle_dir / "paths.csv"
+    assert set(inputs) == {str(f) for f in (cost, util, train_cfg, instruments,
+                                           bundle_dir / "meta.json", paths_csv)}
+    assert inputs[str(paths_csv)] == hashlib.sha256(paths_csv.read_bytes()).hexdigest()
+    assert inputs[str(instruments)] == hashlib.sha256(instruments.read_bytes()).hexdigest()
 
 
 def test_verify_missing_weights_is_validation_error(tmp_path, bundle_dir, capsys):

@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -293,6 +296,16 @@ class TestBundleIo:
         back = read_bundle(tmp_path)
         assert back.spots.tobytes() == spots.tobytes()
         assert back.sigmas.tobytes() == sigmas.tobytes()
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_files_get_the_mode_open_would_give(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            d = self._bundle_dir(tmp_path)
+        finally:
+            os.umask(old)
+        for name in ("paths.csv", "weights.csv", "meta.json"):
+            assert stat.S_IMODE(os.stat(d / name).st_mode) == 0o666 & ~umask
 
     def test_failed_replace_keeps_old_target(self, tmp_path, monkeypatch):
         f = tmp_path / "w.csv"

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from driftless.autograd import Tensor
 from driftless.errors import InputError
 from driftless.frictions import CostSpec, marginal_cost
 from driftless.market import (
@@ -25,11 +24,12 @@ from driftless.trainer import (
     objective_and_grad,
     train,
 )
+from pergraph import Tensor
 
 
 def graph_objective(prob, param_tensors, y_tensor, idx, smooth_eps):
     """Per-op reference for ``trainer._objective``: the same minibatch
-    objective built node by node with the generic ``Tensor`` ops."""
+    objective built node by node with the ``pergraph.Tensor`` ops."""
     feats = prob.feats[idx]
     B, T, F = feats.shape
     h = Tensor(feats.reshape(B * T, F))
@@ -116,12 +116,19 @@ class TestFusedObjective:
     """``_objective`` against the per-op reference, bit for bit."""
 
     @staticmethod
-    def run(builder, prob, mlp, y, idx, eps):
+    def fused(prob, mlp, y, idx, eps):
+        params = [a for pair in zip(mlp.weights, mlp.biases) for a in pair]
+        obj = _objective(prob, params, y, idx, eps)
+        grads, y_grad = obj.backward()
+        return [obj.data, *grads, y_grad]
+
+    @staticmethod
+    def per_op(prob, mlp, y, idx, eps):
         params = []
         for w, b in zip(mlp.weights, mlp.biases):
             params.extend([Tensor(w.copy()), Tensor(b.copy())])
         y_t = Tensor(y)
-        obj = builder(prob, params, y_t, idx, eps)
+        obj = graph_objective(prob, params, y_t, idx, eps)
         obj.backward()
         return [obj.data] + [p.grad for p in params] + [y_t.grad]
 
@@ -147,8 +154,8 @@ class TestFusedObjective:
         mlp.weights[-1][:, 0] = 0.0
         mlp.biases[-1][0] = 0.0
         idx = rng.choice(P, size=96, replace=False)
-        fused = self.run(_objective, prob, mlp, 0.37, idx, eps)
-        ref = self.run(graph_objective, prob, mlp, 0.37, idx, eps)
+        fused = self.fused(prob, mlp, 0.37, idx, eps)
+        ref = self.per_op(prob, mlp, 0.37, idx, eps)
         assert len(fused) == len(ref)
         for got, want in zip(fused, ref):
             assert got.shape == want.shape
