@@ -12,7 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridDomainError, TiltError, check_keys, check_number, check_numbers
+from .errors import (
+    GridDomainError,
+    InputError,
+    TiltError,
+    check_keys,
+    check_number,
+    check_numbers,
+)
 from .market import read_json, write_text
 from .oce import oce_sup
 from .trainer import evaluate_policy, forward, train
@@ -177,8 +184,8 @@ def tilt(bundle, direction, c, tol=1e-6):
     theta >= 0 is found by bisection on the achieved entropy
     E[w log w] of the mean-1 weights.  c = 0 returns uniform weights.
     """
-    if c < 0:
-        raise ValueError("target entropy must be >= 0")
+    if not c >= 0:
+        raise InputError(f"target entropy must be >= 0, got {c}")
     n = bundle.n_paths
     if c == 0:
         return np.ones(n)

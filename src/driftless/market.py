@@ -1,4 +1,5 @@
-"""Market states, instruments, path bundles and gains accounting.
+"""Instruments, path bundles, hold-to-horizon returns, policy features and
+the package's file IO.
 
 Conventions: the spot is normalized to S_0 = 1 at path start; option
 strikes are relative to the spot at trade time; one unit of an option
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridDomainError, InputError, InvalidSurfaceError, check_keys, check_number
-from .surface import DlvGrid, DlvSurface, prices_from_dlv_batch
+from .errors import GridDomainError, InputError, check_keys, check_number
+from .surface import DlvGrid, prices_from_dlv_batch
 
 SIGMA_FLOOR = 1e-6  # floor before log features; keeps sigma = 0 nodes finite
 
@@ -63,23 +64,6 @@ class InstrumentSpec:
 
 
 @dataclass
-class MarketState:
-    """Single (path, step) snapshot: spot level, DLV surface and the call
-    price grid derived from it."""
-
-    step_index: int
-    spot: float
-    dlv: DlvSurface
-    call_prices: np.ndarray  # (m+1, n+2) spot-relative
-
-    def __post_init__(self):
-        if not self.spot > 0:
-            raise ValueError("spot must be positive")
-        if not np.all(np.isfinite(self.call_prices)):
-            raise InvalidSurfaceError("call price grid contains non-finite entries")
-
-
-@dataclass
 class PathBundle:
     """A simulated market sample: spots, DLVs and derived call grids for
     every path and step, plus optional per-path weights with mean one.
@@ -121,25 +105,6 @@ class PathBundle:
         if self.weights is None:
             return np.ones(self.n_paths)
         return self.weights
-
-    def state(self, path, step):
-        return MarketState(
-            step_index=step,
-            spot=float(self.spots[path, step]),
-            dlv=DlvSurface(self.grid, self.sigmas[path, step]),
-            call_prices=self.prices[path, step],
-        )
-
-    def with_weights(self, weights):
-        return PathBundle(
-            grid=self.grid,
-            spots=self.spots,
-            sigmas=self.sigmas,
-            prices=self.prices,
-            weights=weights,
-            seed=self.seed,
-            provenance=self.provenance,
-        )
 
 
 @dataclass
@@ -265,26 +230,9 @@ def build_returns(bundle, instruments):
     return InstrumentReturn(instruments=instruments, dh=dh, mids=mids)
 
 
-def gains(returns, actions):
-    """Per-path terminal gain: sum over steps and instruments of a * DH."""
-    actions = np.asarray(actions, dtype=float)
-    if actions.shape != returns.dh.shape:
-        raise ValueError(
-            f"actions shape {actions.shape} != returns shape {returns.dh.shape}"
-        )
-    return np.einsum("pti,pti->p", actions, returns.dh)
-
-
-def features(state, horizon):
-    """Fixed-length policy features: [t/horizon, log spot, log DLV nodes]."""
-    logsig = np.log(np.maximum(state.dlv.sigma, SIGMA_FLOOR)).ravel()
-    return np.concatenate(
-        ([state.step_index / horizon, np.log(state.spot)], logsig)
-    )
-
-
 def feature_matrix(bundle):
-    """Features for all (path, trading-step) states: (P, T, 2 + m*n)."""
+    """Policy features of every (path, trading step): [t/T, log spot, log
+    DLV nodes floored at SIGMA_FLOOR], shape (P, T, 2 + m*n)."""
     P, T = bundle.n_paths, bundle.n_steps
     m, n = bundle.grid.n_maturities, bundle.grid.n_strikes
     out = np.empty((P, T, 2 + m * n))

@@ -3,8 +3,10 @@
 The density over the sample is D = u'(y* + G_T(a*) - M_T(a*)) evaluated
 at the trained optimum; normalized to mean one it reweights the bundle
 into a measure with no statistical arbitrage within the marginal cost
-band.  Verification is unconditional and on coarse state buckets, plus an
-adversarial retraining test.
+band.  Verification is unconditional and on coarse state buckets.  The
+adversarial check is a retraining under the weights: a near-zero
+``train(..., weights=q).objective_value`` shows no statistical arbitrage
+left under Q*.
 """
 
 from __future__ import annotations
@@ -31,8 +33,6 @@ class DensityWeights:
 
     weights: np.ndarray
     mean_error: float
-    source: str = ""
-    mode: str = "martingale"
 
     def __post_init__(self):
         self.weights = check_weights(self.weights, np.size(self.weights))
@@ -102,15 +102,10 @@ def density(solution, bundle, returns, spec, utility):
     res = evaluate_policy(
         bundle, returns, spec, utility, solution.policy, solution.y_star
     )
-    return _normalized_density(
-        bundle,
-        u_deriv(utility, res["pre_utility"]),
-        source=f"policy(obj={solution.objective_value:.6g})",
-        mode="martingale" if spec.mode == "none" else "near_martingale",
-    )
+    return _normalized_density(bundle, u_deriv(utility, res["pre_utility"]))
 
 
-def _normalized_density(bundle, raw, source, mode):
+def _normalized_density(bundle, raw):
     """DensityWeights from a raw path density, which must be positive and
     finite; it multiplies any bundle weights and is normalized to mean one."""
     if np.any(raw <= 0) or not np.all(np.isfinite(raw)):
@@ -119,12 +114,7 @@ def _normalized_density(bundle, raw, source, mode):
         )
     combined = bundle.path_weights() * raw
     mean_error = abs(float(np.mean(combined)) - 1.0)
-    return DensityWeights(
-        weights=combined / combined.mean(),
-        mean_error=mean_error,
-        source=source,
-        mode=mode,
-    )
+    return DensityWeights(weights=combined / combined.mean(), mean_error=mean_error)
 
 
 def memm_one_period(outcomes, probs, lam):
@@ -235,35 +225,6 @@ def _atm_series(bundle):
     return bundle.sigmas[:, : bundle.n_steps, 0, i]
 
 
-@dataclass
-class AdversarialReport:
-    certainty_equivalent: float
-    gains: np.ndarray
-    hist_counts: np.ndarray
-    hist_edges: np.ndarray
-
-
-def adversarial_test(bundle, returns, weights, spec2, utility, config):
-    """Train a fresh policy on the reweighted sample; report its CE.
-
-    A near-zero certainty equivalent confirms the absence of statistical
-    arbitrage under the weighted measure at the (possibly larger) cost
-    level of ``spec2``.
-    """
-    sol = train(bundle, returns, spec2, utility, config, weights=weights)
-    res = evaluate_policy(
-        bundle, returns, spec2, utility, sol.policy, sol.y_star, weights=weights
-    )
-    g = res["gains"] - res["costs"]
-    counts, edges = np.histogram(g, bins=60)
-    return AdversarialReport(
-        certainty_equivalent=sol.objective_value,
-        gains=g,
-        hist_counts=counts,
-        hist_edges=edges,
-    )
-
-
 def divergence(weights, utility, bound_scale=None):
     """Sample u~-divergence of mean-1 weights from the uniform measure.
 
@@ -297,10 +258,5 @@ def bounded_reweight(bundle, returns, utility, config):
     res = evaluate_policy(
         bundle, returns, spec, utility, sol.policy, sol.y_star, inv_scale=inv_scale
     )
-    dw = _normalized_density(
-        bundle,
-        u_deriv(utility, res["pre_utility"]) * inv_scale,
-        source=f"bounded(obj={sol.objective_value:.6g})",
-        mode="bounded",
-    )
+    dw = _normalized_density(bundle, u_deriv(utility, res["pre_utility"]) * inv_scale)
     return dw, sol, 1.0 + m_path

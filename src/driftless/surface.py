@@ -78,10 +78,6 @@ class DlvGrid:
         """Maturities including tau_0 = 0."""
         return np.concatenate(([0.0], self.maturities))
 
-    @property
-    def maturities_days(self):
-        return tuple(round(t * DAYS_PER_YEAR, 10) for t in self.maturities)
-
     def to_dict(self):
         return {
             "strikes": list(self.strikes),
@@ -102,46 +98,6 @@ class DlvGrid:
             boundary_lo=check_number(d.get("boundary_lo", 0.5), "grid boundary_lo"),
             boundary_hi=check_number(d.get("boundary_hi", 0.0), "grid boundary_hi"),
         )
-
-
-@dataclass
-class DlvSurface:
-    """Discrete local volatility values on the interior grid nodes."""
-
-    grid: DlvGrid
-    sigma: np.ndarray  # (m, n), per-annum vol
-
-    def __post_init__(self):
-        self.sigma = np.asarray(self.sigma, dtype=float)
-        m, n = self.grid.n_maturities, self.grid.n_strikes
-        if self.sigma.shape != (m, n):
-            raise ValueError(f"sigma must have shape {(m, n)}, got {self.sigma.shape}")
-        if not np.all(np.isfinite(self.sigma)):
-            raise InvalidSurfaceError("local vol surface contains non-finite entries")
-        if np.any(self.sigma < 0):
-            raise InvalidSurfaceError("local vol surface contains negative entries")
-
-
-@dataclass
-class CallGrid:
-    """Spot-relative call prices on the full grid, boundaries included.
-
-    ``prices`` has shape (m + 1, n + 2): row 0 is the tau = 0 intrinsic
-    row, columns 0 and n + 1 are the boundary strikes.
-    """
-
-    grid: DlvGrid
-    prices: np.ndarray
-
-    def __post_init__(self):
-        self.prices = np.asarray(self.prices, dtype=float)
-        m, n = self.grid.n_maturities, self.grid.n_strikes
-        if self.prices.shape != (m + 1, n + 2):
-            raise ValueError(
-                f"prices must have shape {(m + 1, n + 2)}, got {self.prices.shape}"
-            )
-        if not np.all(np.isfinite(self.prices)):
-            raise InvalidSurfaceError("call grid contains non-finite entries")
 
 
 def solve_tridiagonal(lower, diag, upper, rhs):
@@ -192,7 +148,8 @@ def prices_from_dlv_batch(grid, sigma):
 
     with the boundary columns pinned at intrinsic value (low strike) and
     zero (high strike).  The system matrix is strictly diagonally dominant
-    for finite sigma and positive strike spacings.
+    for finite sigma and positive strike spacings.  Raises
+    InvalidSurfaceError on a non-finite or negative sigma.
     """
     sigma = np.asarray(sigma, dtype=float)
     m, n = grid.n_maturities, grid.n_strikes
@@ -200,6 +157,8 @@ def prices_from_dlv_batch(grid, sigma):
         raise ValueError(f"sigma must end in shape {(m, n)}")
     if not np.all(np.isfinite(sigma)):
         raise InvalidSurfaceError("local vol surface contains non-finite entries")
+    if np.any(sigma < 0):
+        raise InvalidSurfaceError("local vol surface contains negative entries")
 
     xs = grid.all_strikes
     taus = grid.all_taus
@@ -228,25 +187,24 @@ def prices_from_dlv_batch(grid, sigma):
     return prices
 
 
-def prices_from_dlv(surface):
-    """Arbitrage-free call grid reconstructed from a finite DLV surface."""
-    prices = prices_from_dlv_batch(surface.grid, surface.sigma)
-    return CallGrid(grid=surface.grid, prices=prices)
-
-
-def dlv_from_prices(cg):
-    """Discrete local volatilities extracted from a call-price grid.
+def dlv_from_prices(grid, prices):
+    """Discrete local volatilities (m, n) extracted from a call-price grid
+    ``prices`` (m+1, n+2), laid out as ``prices_from_dlv_batch`` returns it.
 
     sigma^2 = 2 Theta / (x^2 Gamma) with Theta the calendar difference
     quotient and Gamma the butterfly second difference.  A 0/0 node maps
     to sigma = 0; negative Theta or Gamma (static arbitrage) raises
-    ArbitrageError naming the offending node.
+    ArbitrageError naming the offending node, and a non-finite price
+    InvalidSurfaceError.
     """
-    grid = cg.grid
     m, n = grid.n_maturities, grid.n_strikes
+    C = np.asarray(prices, dtype=float)
+    if C.shape != (m + 1, n + 2):
+        raise ValueError(f"prices must have shape {(m + 1, n + 2)}, got {C.shape}")
+    if not np.all(np.isfinite(C)):
+        raise InvalidSurfaceError("call grid contains non-finite entries")
     xs = grid.all_strikes
     taus = grid.all_taus
-    C = cg.prices
 
     sigma = np.zeros((m, n))
     for j in range(1, m + 1):
@@ -270,4 +228,4 @@ def dlv_from_prices(cg):
                 )
             val = 2.0 * max(th, 0.0) / (xs[i + 1] ** 2 * g)
             sigma[j - 1, i] = np.sqrt(val)
-    return DlvSurface(grid=grid, sigma=sigma)
+    return sigma

@@ -40,10 +40,6 @@ class Mlp:
     weights: list
     biases: list
 
-    @property
-    def widths(self):
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
-
     def to_dict(self):
         return {
             "weights": [w.tolist() for w in self.weights],

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, SimulationError, check_keys, check_number
+from .errors import FitError, InputError, SimulationError, check_keys, check_number
 from .market import bundle_from_sigmas, read_csv, read_json, write_csv, write_text
 
 SIGMA_MAX = 5.0  # vol ceiling; paths breaching it are resampled
@@ -39,6 +39,8 @@ class VarParams:
     def __post_init__(self):
         for name in ("a1", "a2", "b", "chol"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+        if not self.dt > 0:
+            raise InputError(f"VAR params 'dt' must be positive, got {self.dt!r}")
         d = self.dim
         if self.a1.shape != (d, d) or self.a2.shape != (d, d):
             raise ValueError("coefficient matrices must be d x d")
@@ -52,10 +54,6 @@ class VarParams:
             np.all(np.isfinite(getattr(self, n))) for n in ("a1", "a2", "b", "chol")
         ):
             raise ValueError("parameters must be finite")
-
-    @property
-    def sigma_cov(self):
-        return self.chol @ self.chol.T
 
     def to_json(self, path):
         doc = {

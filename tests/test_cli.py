@@ -164,6 +164,22 @@ def test_verify_bad_weights_exit_1(tmp_path, bundle_dir, capsys, rows):
     assert "error in verify" in capsys.readouterr().err
 
 
+def test_verify_negative_dlv_exit_1(tmp_path, bundle_dir, capsys):
+    b = tmp_path / "b"
+    shutil.copytree(bundle_dir, b)
+    lines = (b / "paths.csv").read_text().splitlines()
+    lines[7] = lines[7].rsplit(",", 1)[0] + ",-0.2"
+    (b / "paths.csv").write_text("\n".join(lines) + "\n")
+    weights = tmp_path / "w.csv"
+    write_weights_csv(weights, np.ones(200))
+    rc = main([
+        "verify", "--bundle", str(b), "--weights", str(weights),
+        "--cost", str(write_cost(tmp_path)), "--report", str(tmp_path / "r"),
+    ])
+    assert rc == 1
+    assert "negative" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "name, doc",
     [
@@ -320,6 +336,8 @@ def write_payoff(d):
     ("hedge", "payoff.json", lambda d: {**d, "side": 1.0}, "side"),
     ("hedge", "payoff.json", lambda d: {"kind": "custom_table", "table": ["1"] * 200}, "table"),
     ("simulate", "params.json", lambda d: {}, "dim"),
+    ("simulate", "params.json", lambda d: {**d, "dt": 0}, "dt"),
+    ("simulate", "params.json", lambda d: {**d, "dt": -0.004}, "dt"),
     ("verify", "b/meta.json", lambda d: {**d, "n_paths": "200"}, "n_paths"),
     ("verify", "b/meta.json", lambda d: {**d, "n_steps": 2.5}, "n_steps"),
     ("verify", "b/meta.json", lambda d: {**d, "n_steps": -1}, "n_steps"),
@@ -327,8 +345,9 @@ def write_payoff(d):
     ("verify", "b/meta.json", lambda d: {**d, "has_weights": "no"}, "has_weights"),
 ], ids=["cost_nan_gamma", "cost_string_gamma", "utility_nan_lambda", "utility_string_lambda",
         "payoff_string_strike", "payoff_string_maturity", "payoff_float_side",
-        "payoff_string_table", "params_empty", "meta_string_paths", "meta_float_steps",
-        "meta_negative_steps", "meta_string_seed", "meta_string_has_weights"])
+        "payoff_string_table", "params_empty", "params_zero_dt", "params_negative_dt",
+        "meta_string_paths", "meta_float_steps", "meta_negative_steps", "meta_string_seed",
+        "meta_string_has_weights"])
 def test_bad_input_value_exit_1(tmp_path, params_file, bundle_dir, capsys, command, name, edit,
                                 key):
     shutil.copytree(bundle_dir, tmp_path / "b")

@@ -110,6 +110,12 @@ class TestTilt:
         w = tilt(b, direction, 0.2)
         assert np.mean(w * direction) < np.mean(direction)
 
+    @pytest.mark.parametrize("c", [float("nan"), -0.1], ids=["nan", "negative"])
+    def test_bad_entropy_rejected(self, c):
+        b, _ = one_period_bundle(np.zeros(4))
+        with pytest.raises(InputError):
+            tilt(b, np.array([1.0, 2.0, 3.0, 4.0]), c)
+
     def test_constant_direction_rejected(self):
         b, _ = one_period_bundle(np.zeros(4))
         with pytest.raises(TiltError):

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import stat
 
@@ -11,9 +12,7 @@ from driftless.market import (
     PathBundle,
     build_returns,
     bundle_from_sigmas,
-    features,
     feature_matrix,
-    gains,
     read_bundle,
     read_weights_csv,
     write_bundle,
@@ -99,14 +98,15 @@ class TestGains:
     def test_zero_actions(self):
         b = flat_bundle()
         rets = build_returns(b, [InstrumentSpec("spot")])
-        assert np.array_equal(gains(rets, np.zeros_like(rets.dh)), np.zeros(4))
+        a = np.zeros_like(rets.dh)
+        assert np.array_equal(np.einsum("pti,pti->p", a, rets.dh), np.zeros(4))
 
     def test_simple_sum(self):
         b = flat_bundle(n_paths=1, n_steps=2)
         rets = build_returns(b, [InstrumentSpec("spot")])
         rets.dh[0, :, 0] = [0.1, -0.2]
         a = np.ones((1, 2, 1))
-        assert gains(rets, a)[0] == pytest.approx(-0.1)
+        assert np.einsum("pti,pti->p", a, rets.dh)[0] == pytest.approx(-0.1)
 
     def test_linear_in_actions(self):
         grid = desk_grid()
@@ -116,8 +116,9 @@ class TestGains:
                                       InstrumentSpec("call", 1.0, 20)])
         rng = np.random.default_rng(0)
         a, b2 = rng.normal(size=(2,) + rets.dh.shape)
-        lhs = gains(rets, 2.0 * a + 0.3 * b2)
-        rhs = 2.0 * gains(rets, a) + 0.3 * gains(rets, b2)
+        lhs = np.einsum("pti,pti->p", 2.0 * a + 0.3 * b2, rets.dh)
+        rhs = (2.0 * np.einsum("pti,pti->p", a, rets.dh)
+               + 0.3 * np.einsum("pti,pti->p", b2, rets.dh))
         assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_delta_form_equivalence_for_fixed_instrument(self):
@@ -129,39 +130,33 @@ class TestGains:
         rets = build_returns(bundle, [InstrumentSpec("spot")])
         rng = np.random.default_rng(3)
         a = rng.normal(size=(25, 6, 1))
-        lhs = gains(rets, a)
+        lhs = np.einsum("pti,pti->p", a, rets.dh)
         delta = np.cumsum(a[:, :, 0], axis=1)
         dH = np.diff(bundle.spots, axis=1)
         rhs = (delta * dH).sum(axis=1)
         assert np.allclose(lhs, rhs, atol=1e-10)
 
-    def test_shape_mismatch(self):
-        b = flat_bundle()
-        rets = build_returns(b, [InstrumentSpec("spot")])
-        with pytest.raises(ValueError):
-            gains(rets, np.zeros((4, 3, 2)))
-
 
 class TestFeatures:
     def test_flat_state_vector(self):
         b = flat_bundle(sigma=0.2)
-        f = features(b.state(0, 0), horizon=3)
+        f = feature_matrix(b)[0, 0]
         expected = np.concatenate(([0.0, 0.0], np.full(9, np.log(0.2))))
         assert np.allclose(f, expected, atol=1e-15)
 
     def test_deterministic(self):
         b = flat_bundle()
-        f1 = features(b.state(1, 2), horizon=3)
-        f2 = features(b.state(1, 2), horizon=3)
+        f1 = feature_matrix(b)[1, 2]
+        f2 = feature_matrix(b)[1, 2]
         assert np.array_equal(f1, f2)
 
     def test_length(self):
         b = flat_bundle()
-        assert features(b.state(0, 0), 3).shape == (2 + 9,)
+        assert feature_matrix(b).shape == (4, 3, 2 + 9)
 
     def test_zero_vol_floored(self):
         b = flat_bundle(sigma=0.0)
-        f = features(b.state(0, 0), 3)
+        f = feature_matrix(b)[0, 0]
         assert np.all(np.isfinite(f))
         assert f[2] == pytest.approx(np.log(1e-6))
 
@@ -173,9 +168,9 @@ class TestFeatures:
         assert fm.shape == (6, 4, 11)
         for pth in range(6):
             for t in range(4):
-                assert np.allclose(
-                    fm[pth, t], features(bundle.state(pth, t), 4), atol=1e-15
-                )
+                logsig = np.log(np.maximum(bundle.sigmas[pth, t], 1e-6)).ravel()
+                expected = np.concatenate(([t / 4, np.log(bundle.spots[pth, t])], logsig))
+                assert np.allclose(fm[pth, t], expected, atol=1e-15)
 
 
 class TestGridDomainErrors:
@@ -196,7 +191,7 @@ class TestBundleIo:
         p = desk_params(grid)
         bundle = simulate(p, stationary_init(p), 8, 3, seed=4, grid=grid)
         w = np.abs(np.random.default_rng(0).normal(size=8)) + 0.2
-        bundle = bundle.with_weights(w / w.mean())
+        bundle = dataclasses.replace(bundle, weights=w / w.mean())
 
         d1, d2 = tmp_path / "a", tmp_path / "b"
         write_bundle(bundle, d1)
@@ -238,7 +233,7 @@ class TestBundleIo:
         p = desk_params(grid)
         bundle = simulate(p, stationary_init(p), 8, 3, seed=4, grid=grid)
         d = tmp_path / "b"
-        write_bundle(bundle.with_weights(np.ones(8)), d)
+        write_bundle(dataclasses.replace(bundle, weights=np.ones(8)), d)
         return d
 
     @pytest.mark.parametrize(
@@ -325,8 +320,8 @@ class TestBundleInvariants:
     def test_bad_weights_rejected(self):
         b = flat_bundle()
         with pytest.raises(ValueError):
-            b.with_weights(np.array([2.0, 2.0, 2.0, 2.0]))
+            dataclasses.replace(b, weights=np.array([2.0, 2.0, 2.0, 2.0]))
         with pytest.raises(ValueError):
-            b.with_weights(np.array([0.0, 2.0, 1.0, 1.0]))
+            dataclasses.replace(b, weights=np.array([0.0, 2.0, 1.0, 1.0]))
         with pytest.raises(ValueError):
-            b.with_weights(np.array([np.nan, 1.0, 1.0, 1.0]))
+            dataclasses.replace(b, weights=np.array([np.nan, 1.0, 1.0, 1.0]))

@@ -5,7 +5,6 @@ from driftless.errors import ClassicArbitrageError, InputError, UtilityDomainErr
 from driftless.frictions import CostSpec
 from driftless.measure import (
     DensityWeights,
-    adversarial_test,
     bounded_reweight,
     density,
     divergence,
@@ -186,8 +185,8 @@ class TestAdversarial:
         sol = train(bundle, rets, spec, u, cfg)
         dw = density(sol, bundle, rets, spec, u)
         ce_p = sol.objective_value
-        adv = adversarial_test(bundle, rets, dw.weights, spec, u, cfg)
-        assert abs(adv.certainty_equivalent) <= 0.1 * abs(ce_p)
+        ce_q = train(bundle, rets, spec, u, cfg, weights=dw.weights).objective_value
+        assert abs(ce_q) <= 0.1 * abs(ce_p)
 
 
 class TestBoundedReweight:

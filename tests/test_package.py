@@ -44,3 +44,24 @@ def test_one_file_writer_and_no_csv_module():
                 writers.append((path.name, owner[node]))
     assert csv_imports == []
     assert writers == [("market.py", "write_text")]
+
+
+def test_no_unused_imports():
+    """Every name a module imports is used in that module."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    imported[a.asname or a.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for a in node.names:
+                    imported[a.asname or a.name] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []

@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from driftless.errors import ArbitrageError, SingularSystemError
+from driftless.errors import ArbitrageError, InvalidSurfaceError, SingularSystemError
 from driftless.surface import (
-    CallGrid,
     DlvGrid,
-    DlvSurface,
     dlv_from_prices,
     intrinsic_row,
-    prices_from_dlv,
+    prices_from_dlv_batch,
     solve_tridiagonal,
 )
 
@@ -130,15 +128,15 @@ class TestGrid:
 class TestPricesFromDlv:
     def test_zero_vol_is_intrinsic(self):
         g = small_grid()
-        cg = prices_from_dlv(DlvSurface(g, np.zeros((3, 3))))
+        prices = prices_from_dlv_batch(g, np.zeros((3, 3)))
         intrinsic = intrinsic_row(g)
-        for j in range(cg.prices.shape[0]):
-            assert np.allclose(cg.prices[j], intrinsic, atol=1e-15)
+        for j in range(prices.shape[0]):
+            assert np.allclose(prices[j], intrinsic, atol=1e-15)
 
     def test_flat_surface_matches_dense_oracle(self):
         g = wide_grid()
         sigma = np.full((3, 7), 0.2)
-        cg = prices_from_dlv(DlvSurface(g, sigma))
+        prices = prices_from_dlv_batch(g, sigma)
         # replicate the implicit scheme with a dense solver
         xs = np.asarray(g.all_strikes)
         taus = [0.0] + list(g.maturities)
@@ -163,7 +161,7 @@ class TestPricesFromDlv:
                 if i < n - 1:
                     a[i, i + 1] = -beta
             interior = np.linalg.solve(a, rhs)
-            assert np.allclose(cg.prices[j + 1, 1:-1], interior, atol=1e-12)
+            assert np.allclose(prices[j + 1, 1:-1], interior, atol=1e-12)
             c_prev = np.concatenate(([1.0 - xs[0]], interior, [0.0]))
 
     def test_monotone_in_maturity_100_random_surfaces(self):
@@ -171,20 +169,27 @@ class TestPricesFromDlv:
         rng = np.random.default_rng(11)
         for _ in range(100):
             sigma = rng.uniform(0.05, 1.5, size=(3, 3))
-            cg = prices_from_dlv(DlvSurface(g, sigma))
-            assert np.all(np.diff(cg.prices, axis=0) >= -1e-12)
+            prices = prices_from_dlv_batch(g, sigma)
+            assert np.all(np.diff(prices, axis=0) >= -1e-12)
 
     def test_butterfly_convexity(self):
         g = small_grid()
         rng = np.random.default_rng(12)
         for _ in range(20):
             sigma = rng.uniform(0.05, 1.0, size=(3, 3))
-            cg = prices_from_dlv(DlvSurface(g, sigma))
+            prices = prices_from_dlv_batch(g, sigma)
             xs = np.asarray(g.all_strikes)
             for j in range(1, 4):
-                c = cg.prices[j]
+                c = prices[j]
                 delta = np.diff(c) / np.diff(xs)
                 assert np.all(np.diff(delta) >= -1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.1], ids=["nan", "negative"])
+    def test_bad_sigma_rejected(self, bad):
+        sigma = np.full((2, 3, 3), 0.2)
+        sigma[1, 2, 0] = bad
+        with pytest.raises(InvalidSurfaceError):
+            prices_from_dlv_batch(small_grid(), sigma)
 
 
 class TestDlvFromPrices:
@@ -192,32 +197,40 @@ class TestDlvFromPrices:
         g = small_grid()
         intrinsic = intrinsic_row(g)
         prices = np.tile(intrinsic, (4, 1))
-        s = dlv_from_prices(CallGrid(g, prices))
-        assert np.array_equal(s.sigma, np.zeros((3, 3)))
+        s = dlv_from_prices(g, prices)
+        assert np.array_equal(s, np.zeros((3, 3)))
 
     def test_round_trip_sigma(self):
         g = small_grid()
         rng = np.random.default_rng(21)
         sigma = rng.uniform(0.05, 1.2, size=(3, 3))
-        cg = prices_from_dlv(DlvSurface(g, sigma))
-        back = dlv_from_prices(cg)
-        assert np.allclose(back.sigma, sigma, atol=1e-9)
+        prices = prices_from_dlv_batch(g, sigma)
+        back = dlv_from_prices(g, prices)
+        assert np.allclose(back, sigma, atol=1e-9)
 
     def test_round_trip_prices(self):
         g = wide_grid()
         rng = np.random.default_rng(22)
         sigma = rng.uniform(0.05, 0.9, size=(3, 7))
-        cg = prices_from_dlv(DlvSurface(g, sigma))
-        again = prices_from_dlv(dlv_from_prices(cg))
-        assert np.allclose(again.prices, cg.prices, atol=1e-9)
+        prices = prices_from_dlv_batch(g, sigma)
+        again = prices_from_dlv_batch(g, dlv_from_prices(g, prices))
+        assert np.allclose(again, prices, atol=1e-9)
+
+    def test_bad_prices_rejected(self):
+        g = small_grid()
+        prices = prices_from_dlv_batch(g, np.full((3, 3), 0.3))
+        with pytest.raises(ValueError):
+            dlv_from_prices(g, prices[:, 1:])
+        prices[2, 2] = np.nan
+        with pytest.raises(InvalidSurfaceError):
+            dlv_from_prices(g, prices)
 
     def test_calendar_arbitrage_names_node(self):
         g = small_grid()
         sigma = np.full((3, 3), 0.3)
-        cg = prices_from_dlv(DlvSurface(g, sigma))
-        prices = cg.prices.copy()
+        prices = prices_from_dlv_batch(g, sigma)
         prices[2, 2] = prices[1, 2] - 1e-3  # negative calendar change at (2, 2)
         with pytest.raises(ArbitrageError) as err:
-            dlv_from_prices(CallGrid(g, prices))
+            dlv_from_prices(g, prices)
         assert err.value.node is not None
         assert err.value.node[0] == 2
