@@ -4,14 +4,16 @@ robustness, plus an end-to-end demo.
 Every subcommand is deterministic given its inputs and seed.  Every file
 it writes goes through ``market.write_text``, so each artifact, run.json
 included, is replaced atomically (temp file + rename); a bundle's meta.json
-is written after its CSVs.  A run.json manifest records input hashes, the
-seed and versions.  Exit codes: 0 success, 1 validation error or unreadable
-file, 2 numerical failure.
+is written after its CSVs.  Each subcommand reads and checks every input
+before it starts work, and its run.json manifest records the sha256 of
+exactly the files read, the seed used and versions.  Exit codes: 0
+success, 1 validation error or unreadable file, 2 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -64,34 +66,23 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _bundle_files(directory, bundle):
-    """The files ``read_bundle`` read to load ``bundle`` from ``directory``."""
-    names = ["meta.json", "paths.csv"] + (["weights.csv"] if bundle.weights is not None else [])
-    return [os.path.join(directory, name) for name in names]
-
-
-def _manifest(out_dir, stage, inputs, outputs, seed=None):
-    """Write run.json: the sha256 of each input that is a file (``None``
-    stands for an optional input not given), the outputs, seed and versions."""
+def _manifest(args, read, outputs, seed=None):
+    """Write run.json next to the first output: the stage, the sha256 of
+    each file in ``read``, the outputs, seed and versions."""
     doc = {
-        "stage": stage,
+        "stage": args.command,
         "version": __version__,
         "numpy": np.__version__,
         "seed": seed,
-        "inputs": {p: _sha256(p) for p in inputs if p is not None and os.path.isfile(p)},
+        "inputs": {p: _sha256(p) for p in read},
         "outputs": sorted(outputs),
     }
+    out_dir = os.path.dirname(outputs[0]) or "."
     write_text(os.path.join(out_dir, "run.json"), json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _load_grid(path):
-    return DlvGrid.from_dict(read_json(path))
-
-
-def _load_instruments(path_or_none):
-    if path_or_none is None:
-        return default_instruments()
-    doc = read_json(path_or_none)
+def _load_instruments(path):
+    doc = read_json(path)
     if not isinstance(doc, list):
         raise InputError("instruments JSON must be a list of instrument objects")
     out = []
@@ -116,58 +107,89 @@ def default_instruments():
     ]
 
 
-def _train_config(args):
-    if getattr(args, "train", None):
-        return TrainConfig.from_json(args.train)
-    return TrainConfig(epochs=300, lr=0.01, lr_decay=0.995, seed=args.seed)
+def _entropies(text):
+    """Parse --entropies: a non-empty comma list of finite numbers >= 0."""
+    try:
+        c_list = [float(c) for c in text.split(",")]
+    except ValueError:
+        c_list = []
+    if not c_list or not all(0 <= c < np.inf for c in c_list):
+        raise InputError(f"--entropies must be a comma list of finite numbers >= 0, got {text!r}")
+    return c_list
+
+
+def _load(args):
+    """Check --entropies, then replace each input option recorded by
+    ``_inputs`` with what its reader returns (a grid, instruments or train
+    config not given gets its default), and resolve the seed: an explicit
+    --seed overrides the train config's, and an unset one means 0.  Returns
+    the files read; a bundle contributes the files ``read_bundle`` opened."""
+    if "entropies" in args:
+        args.entropies = _entropies(args.entropies)
+    readers = {
+        "history": read_history_csv,
+        "params": VarParams.from_json,
+        "grid": lambda path: DlvGrid.from_dict(read_json(path)),
+        "bundle": read_bundle,
+        "weights": read_weights_csv,
+        "cost": CostSpec.from_json,
+        "utility": Utility.from_json,
+        "payoff": PayoffSpec.from_json,
+        "train": TrainConfig.from_json,
+        "instruments": _load_instruments,
+    }
+    defaults = {
+        "grid": desk_grid,
+        "instruments": default_instruments,
+        "train": lambda: TrainConfig(epochs=300, lr=0.01, lr_decay=0.995),
+    }
+    read = []
+    for name in args.inputs:
+        path = getattr(args, name)
+        if path is None:
+            setattr(args, name, defaults[name]() if name in defaults else None)
+            continue
+        setattr(args, name, readers[name](path))
+        if name == "bundle":
+            files = ["meta.json", "paths.csv"] + ["weights.csv"] * (args.bundle.weights is not None)
+            read += [os.path.join(path, f) for f in files]
+        else:
+            read.append(path)
+    if "train" in args.inputs:
+        if args.seed is not None:
+            args.train = dataclasses.replace(args.train, seed=args.seed)
+        args.seed = args.train.seed
+    elif args.seed is None:
+        args.seed = 0
+    return read
 
 
 # -- subcommands -----------------------------------------------------------
 
-def cmd_fit_var(args):
-    history = read_history_csv(args.history)
-    params = fit_var(history, dt=1.0 / 252.0)
+def cmd_fit_var(args, read):
+    params = fit_var(args.history, dt=1.0 / 252.0)
     params.to_json(args.out)
-    _manifest(os.path.dirname(args.out) or ".", "fit-var", [args.history], [args.out])
+    _manifest(args, read, [args.out])
     return 0
 
 
-def cmd_simulate(args):
-    params = VarParams.from_json(args.params)
-    grid = _load_grid(args.grid) if args.grid else desk_grid()
-    init = stationary_init(params)
-    bundle = simulate(params, init, args.paths, args.steps, args.seed, grid)
+def cmd_simulate(args, read):
+    bundle = simulate(args.params, stationary_init(args.params), args.paths, args.steps,
+                      args.seed, args.grid)
     write_bundle(bundle, args.out)
-    _manifest(
-        args.out,
-        "simulate",
-        [args.params, args.grid],
-        [os.path.join(args.out, f) for f in ("meta.json", "paths.csv")],
-        seed=args.seed,
-    )
+    _manifest(args, read, [os.path.join(args.out, f) for f in ("meta.json", "paths.csv")],
+              seed=args.seed)
     return 0
 
 
-def cmd_make_q(args):
-    bundle = read_bundle(args.bundle)
-    spec = CostSpec.from_json(args.cost)
-    util = Utility.from_json(args.utility)
-    instruments = _load_instruments(args.instruments)
-    rets = build_returns(bundle, instruments)
-    cfg = _train_config(args)
-    sol = train(bundle, rets, spec, util, cfg)
-    dw = density(sol, bundle, rets, spec, util)
+def cmd_make_q(args, read):
+    rets = build_returns(args.bundle, args.instruments)
+    sol = train(args.bundle, rets, args.cost, args.utility, args.train)
+    dw = density(sol, args.bundle, rets, args.cost, args.utility)
     write_weights_csv(args.out, dw.weights)
     sol_path = args.out + ".solution.json"
     sol.to_json(sol_path)
-    _manifest(
-        os.path.dirname(args.out) or ".",
-        "make-q",
-        [args.cost, args.utility, args.train, args.instruments,
-         *_bundle_files(args.bundle, bundle)],
-        [args.out, sol_path],
-        seed=cfg.seed,
-    )
+    _manifest(args, read, [args.out, sol_path], seed=args.seed)
     print(
         f"density: raw mean error {dw.mean_error:.4g}, objective "
         f"{sol.objective_value:.6g}"
@@ -175,77 +197,38 @@ def cmd_make_q(args):
     return 0
 
 
-def cmd_verify(args):
-    bundle = read_bundle(args.bundle)
-    weights = read_weights_csv(args.weights)
-    spec = CostSpec.from_json(args.cost)
-    instruments = _load_instruments(args.instruments)
-    rets = build_returns(bundle, instruments)
-    report = verify_drift(bundle, rets, weights, spec)
+def cmd_verify(args, read):
+    rets = build_returns(args.bundle, args.instruments)
+    report = verify_drift(args.bundle, rets, args.weights, args.cost)
     report.to_csv(args.report + ".csv")
     report.to_json(args.report + ".json")
-    _manifest(
-        os.path.dirname(args.report) or ".",
-        "verify",
-        [args.weights, args.cost, args.instruments, *_bundle_files(args.bundle, bundle)],
-        [args.report + ".csv", args.report + ".json"],
-    )
+    _manifest(args, read, [args.report + ".csv", args.report + ".json"])
     print(f"verify: {len(report.rows) - report.n_failed}/{len(report.rows)} rows pass")
     return 0
 
 
-def cmd_hedge(args):
-    bundle = read_bundle(args.bundle)
-    spec = CostSpec.from_json(args.cost)
-    util = Utility.from_json(args.utility)
-    pay = PayoffSpec.from_json(args.payoff)
-    weights = read_weights_csv(args.weights) if args.weights else None
-    instruments = _load_instruments(args.instruments)
-    rets = build_returns(bundle, instruments)
-    z = payoff(pay, bundle)
-    cfg = _train_config(args)
-    result = deep_hedge(bundle, rets, weights, z, spec, util, cfg)
+def cmd_hedge(args, read):
+    rets = build_returns(args.bundle, args.instruments)
+    z = payoff(args.payoff, args.bundle)
+    result = deep_hedge(args.bundle, rets, args.weights, z, args.cost, args.utility, args.train)
     result.to_json(args.out)
     counts, edges = np.histogram(result.pnl, bins=60)
     write_csv(args.out + ".pnl_hist.csv", ["bin_lo", "bin_hi", "count"],
               [edges[:-1], edges[1:], counts])
-    _manifest(
-        os.path.dirname(args.out) or ".",
-        "hedge",
-        [args.payoff, args.cost, args.utility, args.weights, args.train, args.instruments,
-         *_bundle_files(args.bundle, bundle)],
-        [args.out, args.out + ".pnl_hist.csv"],
-        seed=cfg.seed,
-    )
+    _manifest(args, read, [args.out, args.out + ".pnl_hist.csv"], seed=args.seed)
     print(f"hedge CE: {result.certainty_equivalent:.6g}")
     return 0
 
 
-def cmd_robustness(args):
-    bundle = read_bundle(args.bundle)
-    spec = CostSpec.from_json(args.cost)
-    util = Utility.from_json(args.utility)
-    pay = PayoffSpec.from_json(args.payoff)
-    q_weights = read_weights_csv(args.weights)
-    instruments = _load_instruments(args.instruments)
-    rets = build_returns(bundle, instruments)
-    z = payoff(pay, bundle)
-    cfg = _train_config(args)
+def cmd_robustness(args, read):
+    bundle, spec, util, cfg = args.bundle, args.cost, args.utility, args.train
+    rets = build_returns(bundle, args.instruments)
+    z = payoff(args.payoff, bundle)
     hedge_p = deep_hedge(bundle, rets, None, z, spec, util, cfg)
-    hedge_q = deep_hedge(bundle, rets, q_weights, z, spec, util, cfg)
-    c_list = [float(c) for c in args.entropies.split(",")]
-    report = robustness_eval(
-        bundle, rets, hedge_p, hedge_q, z, spec, util, c_list
-    )
+    hedge_q = deep_hedge(bundle, rets, args.weights, z, spec, util, cfg)
+    report = robustness_eval(bundle, hedge_p, hedge_q, util, args.entropies)
     write_text(args.out, json.dumps(report, indent=2, sort_keys=True))
-    _manifest(
-        os.path.dirname(args.out) or ".",
-        "robustness",
-        [args.payoff, args.cost, args.utility, args.weights, args.train, args.instruments,
-         *_bundle_files(args.bundle, bundle)],
-        [args.out],
-        seed=cfg.seed,
-    )
+    _manifest(args, read, [args.out], seed=args.seed)
     for e in report["entries"]:
         print(
             f"c={e['c']}: dCE(P-hedge)={e['delta_p']:.6g} "
@@ -254,7 +237,7 @@ def cmd_robustness(args):
     return 0
 
 
-def cmd_demo(args):
+def cmd_demo(args, read):
     """End-to-end pipeline on the synthetic desk-scale market."""
     out = args.out
     grid = desk_grid()
@@ -263,13 +246,11 @@ def cmd_demo(args):
     bundle = simulate(
         params, stationary_init(params), args.paths, args.steps, args.seed, grid
     )
-    bundle_dir = os.path.join(out, "bundle")
-    write_bundle(bundle, bundle_dir)
+    write_bundle(bundle, os.path.join(out, "bundle"))
 
     spec = CostSpec(gamma_prop=0.001, mode="marginal")
     util = Utility("exponential", 1.0)
-    instruments = default_instruments()
-    rets = build_returns(bundle, instruments)
+    rets = build_returns(bundle, default_instruments())
     cfg = TrainConfig(epochs=args.epochs, lr=0.01, lr_decay=0.995, seed=args.seed)
     sol = train(bundle, rets, spec, util, cfg)
     dw = density(sol, bundle, rets, spec, util)
@@ -280,22 +261,8 @@ def cmd_demo(args):
     report_u.to_csv(os.path.join(out, "drift_uniform.csv"))
     report_q.to_csv(os.path.join(out, "drift_q.csv"))
     report_q.to_json(os.path.join(out, "drift_q.json"))
-    _manifest(
-        out,
-        "demo",
-        [],
-        [
-            os.path.join(out, f)
-            for f in (
-                "params.json",
-                "weights.csv",
-                "drift_uniform.csv",
-                "drift_q.csv",
-                "drift_q.json",
-            )
-        ],
-        seed=args.seed,
-    )
+    names = ("params.json", "weights.csv", "drift_uniform.csv", "drift_q.csv", "drift_q.json")
+    _manifest(args, read, [os.path.join(out, f) for f in names], seed=args.seed)
     print(
         f"demo: uniform {report_u.n_failed}/{len(report_u.rows)} rows fail; "
         f"Q* {report_q.n_failed}/{len(report_q.rows)} rows fail; "
@@ -304,64 +271,53 @@ def cmd_demo(args):
     return 0
 
 
+def _inputs(sp, required, optional=()):
+    """Add an input-file option per name to ``sp`` (the ``optional`` ones
+    default to None) and record the names for ``_load``."""
+    for name in required + optional:
+        sp.add_argument(f"--{name}", required=name in required)
+    sp.set_defaults(inputs=required + optional)
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="driftless",
         description="Simulate option markets, remove statistical arbitrage by "
         "reweighting, and train drift-robust hedges.",
     )
-    p.add_argument("--seed", type=int, default=0, help="global RNG seed")
+    p.add_argument("--seed", type=int, default=None,
+                   help="global RNG seed (default 0); overrides the seed of a --train file")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("fit-var", help="fit the VAR(2) model to a Y-history CSV")
-    sp.add_argument("--history", required=True)
+    _inputs(sp, ("history",))
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_fit_var)
 
-    sp = sub.add_parser("simulate", help="simulate a path bundle")
-    sp.add_argument("--params", required=True)
-    sp.add_argument("--grid", default=None, help="grid JSON (default: demo grid)")
+    sp = sub.add_parser("simulate", help="simulate a path bundle (default --grid: the demo grid)")
+    _inputs(sp, ("params",), ("grid",))
     sp.add_argument("--paths", type=int, required=True)
     sp.add_argument("--steps", type=int, required=True)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("make-q", help="train the statarb policy and emit weights")
-    sp.add_argument("--bundle", required=True)
-    sp.add_argument("--cost", required=True)
-    sp.add_argument("--utility", required=True)
-    sp.add_argument("--train", default=None)
-    sp.add_argument("--instruments", default=None)
+    _inputs(sp, ("bundle", "cost", "utility"), ("train", "instruments"))
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_make_q)
 
     sp = sub.add_parser("verify", help="drift-band report for given weights")
-    sp.add_argument("--bundle", required=True)
-    sp.add_argument("--weights", required=True)
-    sp.add_argument("--cost", required=True)
-    sp.add_argument("--instruments", default=None)
+    _inputs(sp, ("bundle", "weights", "cost"), ("instruments",))
     sp.add_argument("--report", required=True, help="report path stem")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("hedge", help="deep-hedge a payoff")
-    sp.add_argument("--bundle", required=True)
-    sp.add_argument("--weights", default=None)
-    sp.add_argument("--payoff", required=True)
-    sp.add_argument("--cost", required=True)
-    sp.add_argument("--utility", required=True)
-    sp.add_argument("--train", default=None)
-    sp.add_argument("--instruments", default=None)
+    _inputs(sp, ("bundle", "payoff", "cost", "utility"), ("weights", "train", "instruments"))
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_hedge)
 
     sp = sub.add_parser("robustness", help="entropy-tilt robustness report")
-    sp.add_argument("--bundle", required=True)
-    sp.add_argument("--weights", required=True)
-    sp.add_argument("--payoff", required=True)
-    sp.add_argument("--cost", required=True)
-    sp.add_argument("--utility", required=True)
-    sp.add_argument("--train", default=None)
-    sp.add_argument("--instruments", default=None)
+    _inputs(sp, ("bundle", "weights", "payoff", "cost", "utility"), ("train", "instruments"))
     sp.add_argument("--entropies", default="0.05,0.5")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_robustness)
@@ -371,7 +327,7 @@ def build_parser():
     sp.add_argument("--steps", type=int, default=10)
     sp.add_argument("--epochs", type=int, default=150)
     sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_demo)
+    sp.set_defaults(func=cmd_demo, inputs=())
 
     return p
 
@@ -380,7 +336,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _load(args))
     except (OSError, ValueError, DriftlessError) as exc:
         if isinstance(exc, (SimulationError, TrainingError)):
             print(f"numerical failure in {args.command}: {exc}", file=sys.stderr)

@@ -227,8 +227,7 @@ def tilt(bundle, direction, c, tol=1e-6):
     return w
 
 
-def robustness_eval(bundle, returns, hedge_p, hedge_q, z, spec, utility, c_list,
-                    direction=None):
+def robustness_eval(bundle, hedge_p, hedge_q, utility, c_list, direction=None):
     """Certainty-equivalent degradation of two fixed hedges under tilts.
 
     For each target entropy c, reweights the sample against ``direction``

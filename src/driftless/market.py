@@ -393,7 +393,8 @@ def read_bundle(directory):
     """Read a bundle directory.  Raises InputError when meta.json lacks a
     required key, has an unknown one or a size that is not a positive
     integer, or when paths.csv does not hold each (path, step) row of the
-    declared sizes exactly once, with one spot and m*n DLVs per row."""
+    declared sizes exactly once, with one finite spot > 0 and m*n finite
+    DLVs >= 0 per row."""
     meta = read_json(os.path.join(directory, "meta.json"))
     check_keys(meta, ("grid", "n_paths", "n_steps", "seed", "provenance", "has_weights"),
                "bundle meta", required=("grid", "n_paths", "n_steps"))
@@ -412,9 +413,17 @@ def read_bundle(directory):
     sigmas = np.empty((P, T + 1, m, n))
     path = os.path.join(directory, "paths.csv")
     rows = read_csv(path, "bundle paths CSV", width=3 + m * n)
+    line = 2
     for index, block in place_rows(path, rows, {"path": P, "step": T + 1}):
+        bad = ~(((block[:, 2:] >= 0) & (block[:, 2:] < np.inf)).all(axis=1) & (block[:, 2] > 0))
+        if bad.any():
+            r = int(np.argmax(bad))
+            raise InputError(f"{path} line {line + r}: the spot must be finite and > 0 and each "
+                             f"DLV finite and >= 0, got spot {float(block[r, 2])!r}, "
+                             f"least DLV {float(block[r, 3:].min())!r}")
         spots.flat[index] = block[:, 2]
         sigmas.reshape(P * (T + 1), m * n)[index] = block[:, 3:]
+        line += len(block)
 
     weights = None
     if has_weights:

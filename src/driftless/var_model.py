@@ -321,21 +321,18 @@ def desk_params(
     return VarParams(dim=d, a1=a1, a2=a2, b=b, chol=_spd_cholesky(sigma), dt=dt)
 
 
-def stationary_init(params, grid=None, base_vols=None, spot_vol=0.20):
+def stationary_init(params):
     """Seed vectors (Y_{-1}, Y_0) at the log-vol mean with zero spot return.
 
     The log-vol mean is recovered from the fitted intercepts, so this
     works for any diagonal-AR parametrization produced by desk_params.
     """
     y = np.zeros(params.dim)
-    if base_vols is not None:
-        y[1:] = np.log(np.asarray(base_vols)).ravel()
-    else:
-        # invert the stationary mean of the per-equation AR recursion
-        diag1 = np.diag(params.a1)[1:]
-        diag2 = np.diag(params.a2)[1:]
-        denom = 1.0 + (diag1 + diag2) * params.dt
-        y[1:] = params.b[1:] * params.dt / denom
+    # invert the stationary mean of the per-equation AR recursion
+    diag1 = np.diag(params.a1)[1:]
+    diag2 = np.diag(params.a2)[1:]
+    denom = 1.0 + (diag1 + diag2) * params.dt
+    y[1:] = params.b[1:] * params.dt / denom
     return y.copy(), y.copy()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from driftless.cli import main
-from driftless.market import read_weights_csv, write_weights_csv
+from driftless.market import read_bundle, read_weights_csv, write_bundle, write_weights_csv
 from driftless.var_model import (
     VarParams,
     desk_grid,
@@ -50,6 +51,13 @@ def write_utility(d):
 def write_train(d, epochs=15):
     f = d / "train.json"
     f.write_text(json.dumps({"epochs": epochs, "lr": 0.01, "seed": 0}))
+    return f
+
+
+def write_payoff(d):
+    f = d / "payoff.json"
+    f.write_text(json.dumps({"kind": "vanilla_call", "rel_strike": 1.0,
+                             "maturity_steps": 4, "side": -1}))
     return f
 
 
@@ -110,26 +118,80 @@ def test_make_q_verify_pipeline(tmp_path, bundle_dir):
     assert lines[0] == "t,instrument,mean_dh,se,band_lo,band_hi,pass"
 
 
-def test_make_q_manifest_hashes_bundle_and_instruments(tmp_path, bundle_dir):
-    cost = write_cost(tmp_path)
-    util = write_utility(tmp_path)
-    train_cfg = write_train(tmp_path, epochs=2)
-    instruments = tmp_path / "instruments.json"
-    instruments.write_text(json.dumps([
+@pytest.mark.parametrize("command, names, rest", [
+    ("fit-var", ["history"], ["--out", "p.json"]),
+    ("simulate", ["params", "grid"], ["--paths", "5", "--steps", "2", "--out", ""]),
+    ("make-q", ["bundle", "cost", "utility", "train", "instruments"], ["--out", "w.csv"]),
+    ("verify", ["bundle", "weights", "cost", "instruments"], ["--report", "r"]),
+    ("hedge", ["bundle", "payoff", "cost", "utility", "weights", "train", "instruments"],
+     ["--out", "h.json"]),
+    ("robustness", ["bundle", "weights", "payoff", "cost", "utility", "train", "instruments"],
+     ["--out", "r.json"]),
+], ids=["fit-var", "simulate", "make-q", "verify", "hedge", "robustness"])
+def test_manifest_hashes_every_input(tmp_path, params_file, bundle_dir, command, names, rest):
+    """run.json's inputs are exactly the files passed plus the bundle's
+    files, each with its sha256."""
+    grid = desk_grid()
+    files = {"params": params_file, "cost": write_cost(tmp_path),
+             "utility": write_utility(tmp_path), "train": write_train(tmp_path, epochs=2),
+             "payoff": write_payoff(tmp_path), "history": tmp_path / "history.csv",
+             "grid": tmp_path / "grid.json", "weights": tmp_path / "w.csv",
+             "instruments": tmp_path / "instruments.json", "bundle": bundle_dir}
+    write_history_csv(files["history"], synthetic_history(desk_params(grid), 300, seed=1), grid)
+    files["grid"].write_text(json.dumps(grid.to_dict()))
+    write_weights_csv(files["weights"], np.ones(200))
+    files["instruments"].write_text(json.dumps([
         {"kind": "spot"}, {"kind": "call", "rel_strike": 1.0, "ttm_days": 20},
     ]))
+    bundle_files = ["meta.json", "paths.csv"]
+    if command == "verify":  # a bundle that carries weights.csv
+        files["bundle"] = tmp_path / "wb"
+        write_bundle(dataclasses.replace(read_bundle(bundle_dir), weights=np.ones(200)),
+                     files["bundle"])
+        bundle_files.append("weights.csv")
+    out = tmp_path / "out"
+    argv = [command] + [a for n in names for a in (f"--{n}", str(files[n]))]
+    assert main(argv + rest[:-1] + [str(out / rest[-1])]) == 0
+    read = [files[n] for n in names if n != "bundle"]
+    if "bundle" in names:
+        read += [files["bundle"] / f for f in bundle_files]
+    inputs = json.loads((out / "run.json").read_text())["inputs"]
+    assert inputs == {str(f): hashlib.sha256(f.read_bytes()).hexdigest() for f in read}
+
+
+@pytest.mark.parametrize("text", ["nan", "abc", "-0.1", ""],
+                         ids=["nan", "abc", "negative", "empty"])
+def test_robustness_bad_entropies_exit_1_before_any_work(tmp_path, bundle_dir, monkeypatch,
+                                                         capsys, text):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work started before --entropies was checked")
+
+    monkeypatch.setattr("driftless.cli.read_bundle", unreachable)
+    monkeypatch.setattr("driftless.cli.deep_hedge", unreachable)
+    weights = tmp_path / "w.csv"
+    write_weights_csv(weights, np.ones(200))
     rc = main([
-        "make-q", "--bundle", str(bundle_dir), "--cost", str(cost),
-        "--utility", str(util), "--train", str(train_cfg),
-        "--instruments", str(instruments), "--out", str(tmp_path / "weights.csv"),
+        "robustness", "--bundle", str(bundle_dir), "--weights", str(weights),
+        "--payoff", str(write_payoff(tmp_path)), "--cost", str(write_cost(tmp_path)),
+        "--utility", str(write_utility(tmp_path)), "--entropies", text,
+        "--out", str(tmp_path / "r.json"),
+    ])
+    assert rc == 1
+    assert "--entropies" in capsys.readouterr().err
+
+
+def test_seed_overrides_train_file(tmp_path, bundle_dir):
+    train_cfg = write_train(tmp_path, epochs=2)
+    assert json.loads(train_cfg.read_text())["seed"] == 0
+    rc = main([
+        "--seed", "5", "make-q", "--bundle", str(bundle_dir), "--cost", str(write_cost(tmp_path)),
+        "--utility", str(write_utility(tmp_path)), "--train", str(train_cfg),
+        "--out", str(tmp_path / "w.csv"),
     ])
     assert rc == 0
-    inputs = json.loads((tmp_path / "run.json").read_text())["inputs"]
-    paths_csv = bundle_dir / "paths.csv"
-    assert set(inputs) == {str(f) for f in (cost, util, train_cfg, instruments,
-                                           bundle_dir / "meta.json", paths_csv)}
-    assert inputs[str(paths_csv)] == hashlib.sha256(paths_csv.read_bytes()).hexdigest()
-    assert inputs[str(instruments)] == hashlib.sha256(instruments.read_bytes()).hexdigest()
+    assert json.loads((tmp_path / "run.json").read_text())["seed"] == 5
+    solution = json.loads((tmp_path / "w.csv.solution.json").read_text())
+    assert solution["config"]["seed"] == 5
 
 
 def test_verify_missing_weights_is_validation_error(tmp_path, bundle_dir, capsys):
@@ -164,20 +226,37 @@ def test_verify_bad_weights_exit_1(tmp_path, bundle_dir, capsys, rows):
     assert "error in verify" in capsys.readouterr().err
 
 
-def test_verify_negative_dlv_exit_1(tmp_path, bundle_dir, capsys):
+def _verify_edited_bundle(tmp_path, bundle_dir, column, value):
+    """Run verify on a copy of the bundle whose paths.csv line 8 has
+    ``value`` in ``column``; returns the exit code."""
     b = tmp_path / "b"
     shutil.copytree(bundle_dir, b)
     lines = (b / "paths.csv").read_text().splitlines()
-    lines[7] = lines[7].rsplit(",", 1)[0] + ",-0.2"
+    fields = lines[7].split(",")
+    fields[column] = value
+    lines[7] = ",".join(fields)
     (b / "paths.csv").write_text("\n".join(lines) + "\n")
     weights = tmp_path / "w.csv"
     write_weights_csv(weights, np.ones(200))
-    rc = main([
+    return main([
         "verify", "--bundle", str(b), "--weights", str(weights),
         "--cost", str(write_cost(tmp_path)), "--report", str(tmp_path / "r"),
     ])
-    assert rc == 1
-    assert "negative" in capsys.readouterr().err
+
+
+def test_verify_negative_dlv_exit_1(tmp_path, bundle_dir, capsys):
+    assert _verify_edited_bundle(tmp_path, bundle_dir, -1, "-0.2") == 1
+    err = capsys.readouterr().err
+    assert "paths.csv line 8" in err
+    assert "least DLV -0.2" in err
+
+
+@pytest.mark.parametrize("value", ["-1.0", "0.0", "nan", "inf"])
+def test_verify_bad_spot_exit_1(tmp_path, bundle_dir, capsys, value):
+    assert _verify_edited_bundle(tmp_path, bundle_dir, 2, value) == 1
+    err = capsys.readouterr().err
+    assert "paths.csv line 8" in err
+    assert f"spot {float(value)!r}" in err
 
 
 @pytest.mark.parametrize(
@@ -317,13 +396,6 @@ def test_make_q_bad_config_value_exit_1(tmp_path, bundle_dir, capsys, doc):
     ])
     assert rc == 1
     assert "train config" in capsys.readouterr().err
-
-
-def write_payoff(d):
-    f = d / "payoff.json"
-    f.write_text(json.dumps({"kind": "vanilla_call", "rel_strike": 1.0,
-                             "maturity_steps": 4, "side": -1}))
-    return f
 
 
 @pytest.mark.parametrize("command, name, edit, key", [

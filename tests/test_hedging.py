@@ -166,7 +166,7 @@ class TestRobustnessEval:
         cfg = TrainConfig(epochs=100, lr=0.02, seed=1, hidden=(8,))
         hp = deep_hedge(bundle, rets, None, z, spec, u, cfg)
         hq = deep_hedge(bundle, rets, None, z, spec, u, cfg)
-        rep = robustness_eval(bundle, rets, hp, hq, z, spec, u, [0.0])
+        rep = robustness_eval(bundle, hp, hq, u, [0.0])
         assert rep["entries"][0]["delta_p"] == pytest.approx(0.0, abs=1e-12)
         assert rep["entries"][0]["delta_q"] == pytest.approx(0.0, abs=1e-12)
 
@@ -179,8 +179,7 @@ class TestRobustnessEval:
         z = np.where(bundle.spots[:, -1] > 1.0, -1.0, 0.0)
         cfg = TrainConfig(epochs=150, lr=0.02, seed=3, hidden=(8,))
         hp = deep_hedge(bundle, rets, None, z, spec, u, cfg)
-        rep = robustness_eval(bundle, rets, hp, hp, z, spec, u,
-                              [0.02, 0.05, 0.2, 0.5])
+        rep = robustness_eval(bundle, hp, hp, u, [0.02, 0.05, 0.2, 0.5])
         deltas = [e["delta_p"] for e in rep["entries"]]
         assert all(b >= a - 1e-10 for a, b in zip(deltas, deltas[1:]))
 

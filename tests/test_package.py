@@ -65,3 +65,21 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def test_no_unused_parameters():
+    """Every parameter of every function and lambda (``self`` and ``cls``
+    aside) is used in its body."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = fn.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                      if p is not None]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            used = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            unused += [f"{path.name}:{fn.lineno} {getattr(fn, 'name', 'lambda')}({p})"
+                       for p in params if p not in used and p not in ("self", "cls")]
+    assert unused == []
