@@ -123,7 +123,7 @@ def _load(args):
     ``_inputs`` with what its reader returns (a grid, instruments or train
     config not given gets its default), and resolve the seed: an explicit
     --seed overrides the train config's, and an unset one means 0.  Returns
-    the files read; a bundle contributes the files ``read_bundle`` opened."""
+    the files read; a bundle contributes its meta.json and paths.csv."""
     if "entropies" in args:
         args.entropies = _entropies(args.entropies)
     readers = {
@@ -151,8 +151,7 @@ def _load(args):
             continue
         setattr(args, name, readers[name](path))
         if name == "bundle":
-            files = ["meta.json", "paths.csv"] + ["weights.csv"] * (args.bundle.weights is not None)
-            read += [os.path.join(path, f) for f in files]
+            read += [os.path.join(path, f) for f in ("meta.json", "paths.csv")]
         else:
             read.append(path)
     if "train" in args.inputs:
@@ -238,20 +237,22 @@ def cmd_robustness(args, read):
 
 
 def cmd_demo(args, read):
-    """End-to-end pipeline on the synthetic desk-scale market."""
+    """End-to-end pipeline on the synthetic desk-scale market.  The
+    arguments are checked, by building the train config and simulating,
+    before anything is written."""
     out = args.out
     grid = desk_grid()
     params = desk_params(grid)
-    params.to_json(os.path.join(out, "params.json"))
+    cfg = TrainConfig(epochs=args.epochs, lr=0.01, lr_decay=0.995, seed=args.seed)
     bundle = simulate(
         params, stationary_init(params), args.paths, args.steps, args.seed, grid
     )
+    params.to_json(os.path.join(out, "params.json"))
     write_bundle(bundle, os.path.join(out, "bundle"))
 
     spec = CostSpec(gamma_prop=0.001, mode="marginal")
     util = Utility("exponential", 1.0)
     rets = build_returns(bundle, default_instruments())
-    cfg = TrainConfig(epochs=args.epochs, lr=0.01, lr_decay=0.995, seed=args.seed)
     sol = train(bundle, rets, spec, util, cfg)
     dw = density(sol, bundle, rets, spec, util)
     write_weights_csv(os.path.join(out, "weights.csv"), dw.weights)

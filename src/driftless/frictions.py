@@ -2,9 +2,9 @@
 
 The near-martingale measure is built from the marginal cost M_T, the
 first-order bid/ask band, so only the proportional-on-mid-notional rates
-gamma * |H| per instrument are modelled.  Marginal rates gamma+/- are the
-one-sided derivatives at zero trade; both are stored as non-negative
-magnitudes, so the marginal cost is m(a) = a+ . gamma+ + a- . |gamma-| >= 0.
+gamma * |H| per instrument are modelled.  The one-sided marginal rates
+gamma+/- at zero trade are equal, so one non-negative rate per instrument
+gives the marginal cost m(a) = |a| . gamma >= 0.
 """
 
 from __future__ import annotations
@@ -51,19 +51,11 @@ class CostSpec:
         return cls.from_dict(read_json(path))
 
 
-def marginal_rates(spec, mids):
-    """One-sided marginal rates (gamma+, gamma-) at zero trade.
-
-    Both sides equal gamma * |H|, returned as non-negative magnitudes.
-    """
-    rate = spec.gamma_prop * np.abs(np.asarray(mids, dtype=float))
-    return rate, rate.copy()
+def marginal_rate(spec, mids):
+    """The marginal rate gamma * |H| at zero trade, the same on both sides."""
+    return spec.gamma_prop * np.abs(np.asarray(mids, dtype=float))
 
 
 def marginal_cost(spec, a, mids):
-    """Positively homogeneous first-order cost m(a) = a+ g+ + a- |g-|."""
-    a = np.asarray(a, dtype=float)
-    g_plus, g_minus = marginal_rates(spec, mids)
-    pos = np.maximum(a, 0.0)
-    neg = np.maximum(-a, 0.0)
-    return (pos * g_plus + neg * g_minus).sum(axis=-1)
+    """Positively homogeneous first-order cost m(a) = |a| . gamma."""
+    return (np.abs(np.asarray(a, dtype=float)) * marginal_rate(spec, mids)).sum(axis=-1)

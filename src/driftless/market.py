@@ -66,7 +66,8 @@ class InstrumentSpec:
 @dataclass
 class PathBundle:
     """A simulated market sample: spots, DLVs and derived call grids for
-    every path and step, plus optional per-path weights with mean one.
+    every path and step.  Path weights are not part of a bundle; they
+    travel as a separate weights CSV.
 
     Arrays: spots (P, T+1), sigmas (P, T+1, m, n), prices (P, T+1, m+1, n+2).
     """
@@ -75,7 +76,6 @@ class PathBundle:
     spots: np.ndarray
     sigmas: np.ndarray
     prices: np.ndarray
-    weights: np.ndarray | None = None
     seed: int = 0
     provenance: str = ""
 
@@ -89,8 +89,6 @@ class PathBundle:
             raise ValueError("sigmas shape inconsistent with spots/grid")
         if self.prices.shape != (p, t1, m + 1, n + 2):
             raise ValueError("prices shape inconsistent with spots/grid")
-        if self.weights is not None:
-            self.weights = check_weights(self.weights, p)
 
     @property
     def n_paths(self):
@@ -99,12 +97,6 @@ class PathBundle:
     @property
     def n_steps(self):
         return self.spots.shape[1] - 1
-
-    def path_weights(self):
-        """Weights with the uniform default filled in."""
-        if self.weights is None:
-            return np.ones(self.n_paths)
-        return self.weights
 
 
 @dataclass
@@ -117,7 +109,7 @@ class InstrumentReturn:
     mids: np.ndarray  # (P, T, I)
 
 
-def bundle_from_sigmas(grid, spots, sigmas, weights=None, seed=0, provenance=""):
+def bundle_from_sigmas(grid, spots, sigmas, seed=0, provenance=""):
     """Build a PathBundle, deriving the call grids from the DLVs."""
     prices = prices_from_dlv_batch(grid, np.asarray(sigmas, dtype=float))
     return PathBundle(
@@ -125,7 +117,6 @@ def bundle_from_sigmas(grid, spots, sigmas, weights=None, seed=0, provenance="")
         spots=spots,
         sigmas=sigmas,
         prices=prices,
-        weights=weights,
         seed=seed,
         provenance=provenance,
     )
@@ -364,8 +355,8 @@ def place_rows(path, blocks, keys):
         raise InputError(f"{path} lacks {int((count == 0).sum())} row(s), first {names} {first}")
 
 
-# Bundle file format: a directory with paths.csv, optionally weights.csv, and
-# meta.json, which is written last.
+# Bundle file format: a directory with paths.csv and meta.json, which is
+# written last.  Weights are never part of a bundle.
 
 def write_bundle(bundle, directory):
     m, n = bundle.grid.n_maturities, bundle.grid.n_strikes
@@ -376,15 +367,12 @@ def write_bundle(bundle, directory):
     write_csv(os.path.join(directory, "paths.csv"), header,
               [np.repeat(np.arange(P), T1), np.tile(np.arange(T1), P),
                bundle.spots.ravel(), *bundle.sigmas.reshape(P * T1, m * n).T])
-    if bundle.weights is not None:
-        write_weights_csv(os.path.join(directory, "weights.csv"), bundle.weights)
     meta = {
         "grid": bundle.grid.to_dict(),
         "n_paths": bundle.n_paths,
         "n_steps": bundle.n_steps,
         "seed": bundle.seed,
         "provenance": bundle.provenance,
-        "has_weights": bundle.weights is not None,
     }
     write_text(os.path.join(directory, "meta.json"), json.dumps(meta, indent=2, sort_keys=True))
 
@@ -392,7 +380,8 @@ def write_bundle(bundle, directory):
 def read_bundle(directory):
     """Read a bundle directory.  Raises InputError when meta.json lacks a
     required key, has an unknown one or a size that is not a positive
-    integer, or when paths.csv does not hold each (path, step) row of the
+    integer, or a ``has_weights`` other than false (the key bundles once
+    carried), or when paths.csv does not hold each (path, step) row of the
     declared sizes exactly once, with one finite spot > 0 and m*n finite
     DLVs >= 0 per row."""
     meta = read_json(os.path.join(directory, "meta.json"))
@@ -404,9 +393,9 @@ def read_bundle(directory):
     if P < 1 or T < 1:
         raise InputError(f"bundle meta sizes must be positive, got n_paths {P}, n_steps {T}")
     seed = check_number(meta.get("seed", 0), "bundle meta 'seed'", integer=True)
-    has_weights = meta.get("has_weights", False)
-    if not isinstance(has_weights, bool):
-        raise InputError(f"bundle meta 'has_weights' must be true or false, got {has_weights!r}")
+    if meta.get("has_weights", False) is not False:
+        raise InputError(f"bundle meta 'has_weights' is {meta['has_weights']!r}: a bundle "
+                         "carries no weights; pass them as a weights CSV with --weights")
 
     m, n = grid.n_maturities, grid.n_strikes
     spots = np.empty((P, T + 1))
@@ -425,18 +414,8 @@ def read_bundle(directory):
         sigmas.reshape(P * (T + 1), m * n)[index] = block[:, 3:]
         line += len(block)
 
-    weights = None
-    if has_weights:
-        weights = read_weights_csv(os.path.join(directory, "weights.csv"))
-
-    return bundle_from_sigmas(
-        grid,
-        spots,
-        sigmas,
-        weights=weights,
-        seed=seed,
-        provenance=meta.get("provenance", ""),
-    )
+    return bundle_from_sigmas(grid, spots, sigmas, seed=seed,
+                              provenance=meta.get("provenance", ""))
 
 
 def read_weights_csv(path):

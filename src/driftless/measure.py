@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ClassicArbitrageError, UtilityDomainError
-from .frictions import marginal_rates
+from .frictions import marginal_rate
 from .market import check_weights, write_csv, write_text
 from .oce import legendre, u_deriv
 from .trainer import evaluate_policy, train
@@ -95,26 +95,24 @@ class DriftReport:
 def density(solution, bundle, returns, spec, utility):
     """Path density D* from a trained statistical-arbitrage solution.
 
-    Uses D = u'(y* + G - M) with M absent for frictionless specs; the
-    result multiplies any existing bundle weights and is renormalized to
-    mean one.
+    Uses D = u'(y* + G - M), with M = 0 for frictionless specs,
+    renormalized to mean one.
     """
     res = evaluate_policy(
         bundle, returns, spec, utility, solution.policy, solution.y_star
     )
-    return _normalized_density(bundle, u_deriv(utility, res["pre_utility"]))
+    return _normalized_density(u_deriv(utility, res["pre_utility"]))
 
 
-def _normalized_density(bundle, raw):
+def _normalized_density(raw):
     """DensityWeights from a raw path density, which must be positive and
-    finite; it multiplies any bundle weights and is normalized to mean one."""
+    finite; it is normalized to mean one."""
     if np.any(raw <= 0) or not np.all(np.isfinite(raw)):
         raise ValueError(
             "non-positive density value: broken solution or u' range violation"
         )
-    combined = bundle.path_weights() * raw
-    mean_error = abs(float(np.mean(combined)) - 1.0)
-    return DensityWeights(weights=combined / combined.mean(), mean_error=mean_error)
+    mean_error = abs(float(np.mean(raw)) - 1.0)
+    return DensityWeights(weights=raw / raw.mean(), mean_error=mean_error)
 
 
 def memm_one_period(outcomes, probs, lam):
@@ -160,9 +158,9 @@ def memm_one_period(outcomes, probs, lam):
 def verify_drift(bundle, returns, weights, spec, z_score=3.0):
     """Weighted drift of every (step, instrument) against its cost band.
 
-    Bands are [-|gamma-| - z SE, gamma+ + z SE] with rates from the mean
-    mid price; buckets condition on the sign of the last spot return and
-    the ATM-vol tercile to approximate the conditional statement.
+    Bands are [-gamma - z SE, gamma + z SE] with the marginal rate gamma
+    of the mean mid price; buckets condition on the sign of the last spot
+    return and the ATM-vol tercile to approximate the conditional statement.
     """
     w = check_weights(weights, bundle.n_paths)
     P, T, n_inst = returns.dh.shape
@@ -177,8 +175,8 @@ def verify_drift(bundle, returns, weights, spec, z_score=3.0):
         for k in range(n_inst):
             label = returns.instruments[k].label()
             dh = returns.dh[:, t, k]
-            gp, gm = marginal_rates(spec, np.mean(returns.mids[:, t, k]))
-            rows.append(_drift_row(t, label, dh, w, float(gp), float(gm), z_score))
+            rate = float(marginal_rate(spec, np.mean(returns.mids[:, t, k])))
+            rows.append(_drift_row(t, label, dh, w, rate, z_score))
             if t >= 1:
                 terc = np.quantile(atm[:, t], [1 / 3, 2 / 3])
                 for b_sign in (-1, 1):
@@ -192,22 +190,20 @@ def verify_drift(bundle, returns, weights, spec, z_score=3.0):
                         bucket_rows.append(
                             (
                                 f"ret{'+' if b_sign > 0 else '-'}_vol{b_vol}",
-                                _drift_row(
-                                    t, label, dh[sel], wb, float(gp), float(gm), z_score
-                                ),
+                                _drift_row(t, label, dh[sel], wb, rate, z_score),
                             )
                         )
     return DriftReport(rows=rows, bucket_rows=bucket_rows)
 
 
-def _drift_row(t, label, dh, w, g_plus, g_minus, z):
+def _drift_row(t, label, dh, w, rate, z):
     n = dh.shape[0]
     wx = w * dh
     mean = float(wx.mean())
     se = float(wx.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     se = max(se, 1e-300)
-    lo = -g_minus - z * se
-    hi = g_plus + z * se
+    lo = -rate - z * se
+    hi = rate + z * se
     return DriftRow(
         t=t,
         instrument=label,
@@ -258,5 +254,5 @@ def bounded_reweight(bundle, returns, utility, config):
     res = evaluate_policy(
         bundle, returns, spec, utility, sol.policy, sol.y_star, inv_scale=inv_scale
     )
-    dw = _normalized_density(bundle, u_deriv(utility, res["pre_utility"]) * inv_scale)
+    dw = _normalized_density(u_deriv(utility, res["pre_utility"]) * inv_scale)
     return dw, sol, 1.0 + m_path

@@ -4,12 +4,12 @@ One shared network maps state features (time fraction, log spot, log DLV
 nodes) to an action vector per step; the cash offset y is one extra
 trainable scalar.  Training ascends the OCE objective with Adam on
 minibatches; the best-seen parameters by full-sample objective are
-returned.  Gradients use a smoothed |a| in the cost term; all reported
-objective values use the exact absolute value.
+returned.  Gradients use |a| smoothed by ``SMOOTH_EPS`` in the cost term;
+all reported objective values use the exact absolute value.
 
 The package has one gradient: the analytic gradient of the minibatch
 objective ``mean(w u(x)) - y`` with
-``x = sum(a DH) - sum(|a| rates) + y (+ Z)(* s)``, back through the gain
+``x = (sum(a DH) + y - sum(|a| rates) + Z)(* s)``, back through the gain
 and cost head and the ReLU layers.  ``_objective`` takes the parameters as
 plain arrays; its forward pass keeps each layer's input and ReLU mask, and
 it returns one ``autograd.Tensor`` whose ``backward`` returns the
@@ -28,7 +28,7 @@ import numpy as np
 
 from .autograd import Tensor
 from .errors import InputError, TrainingError, check_keys, check_number
-from .frictions import marginal_rates
+from .frictions import marginal_rate
 from .market import check_weights, feature_matrix, read_json, write_text
 from .oce import Utility, oce_sup, u_deriv, u_value
 
@@ -96,6 +96,10 @@ def forward(mlp, feats):
     return out[0] if single else out
 
 
+CLIP_NORM = 10.0  # minibatch gradients are rescaled to at most this norm
+SMOOTH_EPS = 1e-8  # |a| ~ sqrt(a^2 + eps^2) in the gradient of the cost term
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 300
@@ -103,14 +107,13 @@ class TrainConfig:
     lr: float = 1e-3
     lr_decay: float = 1.0  # per-epoch multiplicative factor
     seed: int = 0
-    clip_norm: float = 10.0
-    y_init: float = 0.0
-    smooth_abs_eps: float = 1e-8
     hidden: tuple = (64, 64)
 
     def __post_init__(self):
-        if self.epochs <= 0 or self.lr <= 0 or self.batch_size < 0:
-            raise ValueError("epochs and lr must be positive, batch_size >= 0")
+        if self.epochs <= 0 or self.lr <= 0 or self.lr_decay <= 0 or self.batch_size < 0:
+            raise InputError("train config: epochs, lr and lr_decay must be positive and "
+                             f"batch_size >= 0, got {self.epochs}, {self.lr}, "
+                             f"{self.lr_decay} and {self.batch_size}")
 
     def to_dict(self):
         d = self.__dict__.copy()
@@ -175,31 +178,28 @@ class _Problem:
 
     feats: np.ndarray  # (P, T, F)
     dh: np.ndarray  # (P, T, I)
-    rates: np.ndarray | None  # (P, T, I) marginal rates, None if costless
+    rates: np.ndarray  # (P, T, I) marginal rates, zeros if frictionless
     weights: np.ndarray  # (P,) mean-1
-    payoff: np.ndarray | None  # (P,)
+    payoff: np.ndarray  # (P,), zeros if there is no claim
     inv_scale: np.ndarray | None  # (P,)
     utility: Utility
 
 
 def _make_problem(bundle, returns, spec, utility, payoff=None, inv_scale=None,
                   weights=None):
-    rates = None
-    if spec.gamma_prop > 0:
-        rates, _ = marginal_rates(spec, returns.mids)  # gamma+ = gamma-
-    w = bundle.path_weights() if weights is None else check_weights(weights, bundle.n_paths)
+    P = bundle.n_paths
     return _Problem(
         feats=feature_matrix(bundle),
         dh=returns.dh,
-        rates=rates,
-        weights=w,
-        payoff=None if payoff is None else np.asarray(payoff, dtype=float),
+        rates=marginal_rate(spec, returns.mids),
+        weights=np.ones(P) if weights is None else check_weights(weights, P),
+        payoff=np.zeros(P) if payoff is None else np.asarray(payoff, dtype=float),
         inv_scale=None if inv_scale is None else np.asarray(inv_scale, dtype=float),
         utility=utility,
     )
 
 
-def _objective(prob, params, y, idx, smooth_eps):
+def _objective(prob, params, y, idx):
     """The minibatch objective at the parameter arrays ``params``
     ([W_0, b_0, W_1, ...]) and the cash offset ``y``, as one scalar
     ``Tensor``.
@@ -224,13 +224,9 @@ def _objective(prob, params, y, idx, smooth_eps):
     a = h.reshape(B, T, -1)
 
     dh = prob.dh[idx]
-    x = (a * dh).sum(axis=(1, 2)) + y
-    if prob.rates is not None:
-        rates = prob.rates[idx]
-        a_abs = np.sqrt(a**2 + smooth_eps**2) if smooth_eps > 0 else np.abs(a)
-        x = x - (a_abs * rates).sum(axis=(1, 2))
-    if prob.payoff is not None:
-        x = x + prob.payoff[idx]
+    rates = prob.rates[idx]
+    a_abs = np.sqrt(a**2 + SMOOTH_EPS**2)
+    x = (a * dh).sum(axis=(1, 2)) + y - (a_abs * rates).sum(axis=(1, 2)) + prob.payoff[idx]
     if prob.inv_scale is not None:
         x = x * prob.inv_scale[idx]
     w = prob.weights[idx]
@@ -243,12 +239,7 @@ def _objective(prob, params, y, idx, smooth_eps):
         y_grad = -1.0 + gx.sum(axis=0)
         g3 = gx[:, None, None]
         da = g3 * dh
-        if prob.rates is not None:
-            neg_rates = (-g3) * rates
-            if smooth_eps > 0:
-                da += neg_rates * a / a_abs
-            else:
-                da += neg_rates * np.sign(a)  # 0 at 0: subgradient convention
+        da += (-g3) * rates * a / a_abs
         g = da.reshape(B * T, -1)
         grads = [None] * len(params)
         for l in range(n_layers - 1, -1, -1):
@@ -264,15 +255,10 @@ def _objective(prob, params, y, idx, smooth_eps):
 
 def _evaluate(prob, mlp, y):
     """Full-sample evaluation with exact |a|; returns a result dict."""
-    P, T, _ = prob.feats.shape
     actions = forward(mlp, prob.feats)
     gain = np.einsum("pti,pti->p", actions, prob.dh)
-    costs = np.zeros(P)
-    if prob.rates is not None:
-        costs = np.einsum("pti,pti->p", np.abs(actions), prob.rates)
-    x = gain - costs + y
-    if prob.payoff is not None:
-        x = x + prob.payoff
+    costs = np.einsum("pti,pti->p", np.abs(actions), prob.rates)
+    x = gain - costs + y + prob.payoff
     if prob.inv_scale is not None:
         x = x * prob.inv_scale
     objective = float(np.mean(prob.weights * u_value(prob.utility, x)) - y)
@@ -286,7 +272,7 @@ def _evaluate(prob, mlp, y):
 
 
 def objective_and_grad(bundle, returns, spec, utility, mlp, y, payoff=None,
-                       inv_scale=None, weights=None, smooth_eps=0.0):
+                       inv_scale=None, weights=None):
     """Reverse-mode gradient of the full-sample objective.
 
     Returns (value, grads, y_grad) where ``grads`` interleaves
@@ -294,7 +280,7 @@ def objective_and_grad(bundle, returns, spec, utility, mlp, y, payoff=None,
     """
     prob = _make_problem(bundle, returns, spec, utility, payoff, inv_scale, weights)
     params = [a for pair in zip(mlp.weights, mlp.biases) for a in pair]
-    obj = _objective(prob, params, float(y), np.arange(bundle.n_paths), smooth_eps)
+    obj = _objective(prob, params, float(y), np.arange(bundle.n_paths))
     grads, y_grad = obj.backward()
     y_grad = float(y_grad)
     if not all(np.all(np.isfinite(g)) for g in grads) or not np.isfinite(y_grad):
@@ -317,7 +303,7 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
 
     # [W_0, b_0, W_1, ..., y], updated in place by Adam; y is a 0-d array
     params = [a for pair in zip(mlp.weights, mlp.biases) for a in pair]
-    params.append(np.array(float(config.y_init)))
+    params.append(np.array(0.0))
 
     m_state = [np.zeros_like(p) for p in params]
     v_state = [np.zeros_like(p) for p in params]
@@ -340,7 +326,7 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
         perm = rng.permutation(P) if batch < P else np.arange(P)
         for start in range(0, P, batch):
             idx = perm[start : start + batch]
-            obj = _objective(prob, params[:-1], params[-1], idx, config.smooth_abs_eps)
+            obj = _objective(prob, params[:-1], params[-1], idx)
             if not np.isfinite(obj.data):
                 raise TrainingError(
                     f"objective diverged at epoch {epoch}; last finite trace: "
@@ -351,9 +337,7 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
             gnorm = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
             if not np.isfinite(gnorm):
                 raise TrainingError(f"non-finite gradient at epoch {epoch}")
-            scale = 1.0
-            if config.clip_norm > 0 and gnorm > config.clip_norm:
-                scale = config.clip_norm / gnorm
+            scale = CLIP_NORM / gnorm if gnorm > CLIP_NORM else 1.0
 
             step += 1
             for p, g, m, v in zip(params, grads, m_state, v_state):

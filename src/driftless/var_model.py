@@ -252,14 +252,14 @@ def calibrated_base_vols(grid, spot_vol=0.20):
     simulated option prices consistent with the realized spot vol.
     """
     from scipy.optimize import brentq
-    from scipy.stats import norm
+    from scipy.special import ndtr  # the normal CDF, without importing scipy.stats
 
     from .surface import prices_from_dlv_batch
 
     def bs_atm(vol, tau):
         st = vol * np.sqrt(tau)
         d1 = 0.5 * st
-        return norm.cdf(d1) - norm.cdf(d1 - st)
+        return ndtr(d1) - ndtr(d1 - st)
 
     m, n = grid.n_maturities, grid.n_strikes
     i_atm = int(np.argmin(np.abs(np.asarray(grid.strikes) - 1.0))) + 1
@@ -324,15 +324,13 @@ def desk_params(
 def stationary_init(params):
     """Seed vectors (Y_{-1}, Y_0) at the log-vol mean with zero spot return.
 
-    The log-vol mean is recovered from the fitted intercepts, so this
-    works for any diagonal-AR parametrization produced by desk_params.
+    The log-vol mean is the stationary mean of the log-vol block of the
+    recursion, (I + (a1 + a2) dt) y = b dt, so this holds for any fitted
+    parametrization, not only the diagonal one of desk_params.
     """
     y = np.zeros(params.dim)
-    # invert the stationary mean of the per-equation AR recursion
-    diag1 = np.diag(params.a1)[1:]
-    diag2 = np.diag(params.a2)[1:]
-    denom = 1.0 + (diag1 + diag2) * params.dt
-    y[1:] = params.b[1:] * params.dt / denom
+    lhs = np.eye(params.dim - 1) + (params.a1 + params.a2)[1:, 1:] * params.dt
+    y[1:] = np.linalg.solve(lhs, params.b[1:] * params.dt)
     return y.copy(), y.copy()
 
 

@@ -171,9 +171,7 @@ def test_a5_gradient_correctness():
         bundle, rets = one_period_bundle(rng.normal(size=16))
         mlp = init_mlp([3, 8, 1], np.random.default_rng(trial))
         y = float(rng.normal() * 0.1)
-        _, grads, y_grad = objective_and_grad(
-            bundle, rets, spec, u, mlp, y, smooth_eps=1e-8
-        )
+        _, grads, y_grad = objective_and_grad(bundle, rets, spec, u, mlp, y)
         h = 1e-5
         arrays = [mlp.weights[0], mlp.biases[0], mlp.weights[1], mlp.biases[1]]
         for arr, g in zip(arrays, grads):
@@ -182,20 +180,14 @@ def test_a5_gradient_correctness():
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + h
-                up, _, _ = objective_and_grad(
-                    bundle, rets, spec, u, mlp, y, smooth_eps=1e-8
-                )
+                up, _, _ = objective_and_grad(bundle, rets, spec, u, mlp, y)
                 arr[idx] = orig - h
-                dn, _, _ = objective_and_grad(
-                    bundle, rets, spec, u, mlp, y, smooth_eps=1e-8
-                )
+                dn, _, _ = objective_and_grad(bundle, rets, spec, u, mlp, y)
                 arr[idx] = orig
                 num = (up - dn) / (2 * h)
                 worst = max(worst, abs(g[idx] - num) / max(abs(num), 1e-6))
-        up, _, _ = objective_and_grad(bundle, rets, spec, u, mlp, y + h,
-                                      smooth_eps=1e-8)
-        dn, _, _ = objective_and_grad(bundle, rets, spec, u, mlp, y - h,
-                                      smooth_eps=1e-8)
+        up, _, _ = objective_and_grad(bundle, rets, spec, u, mlp, y + h)
+        dn, _, _ = objective_and_grad(bundle, rets, spec, u, mlp, y - h)
         num = (up - dn) / (2 * h)
         worst = max(worst, abs(y_grad - num) / max(abs(num), 1e-6))
     report("A5", worst < 1e-4, f"max relative gradient error {worst:.2e}")

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import shutil
@@ -7,7 +6,7 @@ import numpy as np
 import pytest
 
 from driftless.cli import main
-from driftless.market import read_bundle, read_weights_csv, write_bundle, write_weights_csv
+from driftless.market import read_weights_csv, write_weights_csv
 from driftless.var_model import (
     VarParams,
     desk_grid,
@@ -73,6 +72,19 @@ def test_fit_var_round_trip(tmp_path):
     manifest = json.loads((tmp_path / "run.json").read_text())
     assert manifest["stage"] == "fit-var"
     assert str(hfile) in manifest["inputs"]
+
+
+def test_fit_var_then_simulate(tmp_path):
+    """A VAR fitted to a short history starts simulate at its own stationary
+    log-vol mean, inside the vol ceiling."""
+    grid = desk_grid()
+    hfile = tmp_path / "history.csv"
+    write_history_csv(hfile, synthetic_history(desk_params(grid), 600, seed=1), grid)
+    fitted = tmp_path / "fitted.json"
+    assert main(["fit-var", "--history", str(hfile), "--out", str(fitted)]) == 0
+    rc = main(["simulate", "--params", str(fitted), "--paths", "20", "--steps", "3",
+               "--out", str(tmp_path / "b")])
+    assert rc == 0
 
 
 def test_simulate_deterministic(tmp_path, params_file):
@@ -143,18 +155,12 @@ def test_manifest_hashes_every_input(tmp_path, params_file, bundle_dir, command,
     files["instruments"].write_text(json.dumps([
         {"kind": "spot"}, {"kind": "call", "rel_strike": 1.0, "ttm_days": 20},
     ]))
-    bundle_files = ["meta.json", "paths.csv"]
-    if command == "verify":  # a bundle that carries weights.csv
-        files["bundle"] = tmp_path / "wb"
-        write_bundle(dataclasses.replace(read_bundle(bundle_dir), weights=np.ones(200)),
-                     files["bundle"])
-        bundle_files.append("weights.csv")
     out = tmp_path / "out"
     argv = [command] + [a for n in names for a in (f"--{n}", str(files[n]))]
     assert main(argv + rest[:-1] + [str(out / rest[-1])]) == 0
     read = [files[n] for n in names if n != "bundle"]
     if "bundle" in names:
-        read += [files["bundle"] / f for f in bundle_files]
+        read += [files["bundle"] / f for f in ("meta.json", "paths.csv")]
     inputs = json.loads((out / "run.json").read_text())["inputs"]
     assert inputs == {str(f): hashlib.sha256(f.read_bytes()).hexdigest() for f in read}
 
@@ -337,6 +343,16 @@ def test_demo_small(tmp_path):
         assert (tmp_path / "demo" / name).exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--paths", "50", "--steps", "3", "--epochs", "0"],
+    ["--paths", "0", "--steps", "3", "--epochs", "5"],
+], ids=["zero_epochs", "zero_paths"])
+def test_demo_bad_argument_writes_nothing(tmp_path, argv):
+    out = tmp_path / "demo"
+    assert main(["demo", *argv, "--out", str(out)]) == 1
+    assert not out.exists() or list(out.rglob("*")) == []
+
+
 @pytest.mark.parametrize("text", ["", "r,dlogS\n", "r,dlogS\n0,0.1\n1\n"],
                          ids=["empty", "header_only", "ragged"])
 def test_fit_var_bad_history_exit_1(tmp_path, capsys, text):
@@ -385,7 +401,7 @@ def test_verify_bad_instruments_exit_1(tmp_path, bundle_dir, capsys, doc):
 
 
 @pytest.mark.parametrize("doc", [{"epochs": "5"}, {"seed": True}, {"lr": float("nan")},
-                                 {"hidden": [8.5]}])
+                                 {"hidden": [8.5]}, {"lr_decay": -1}, {"lr_decay": 0}])
 def test_make_q_bad_config_value_exit_1(tmp_path, bundle_dir, capsys, doc):
     train_cfg = tmp_path / "train.json"
     train_cfg.write_text(json.dumps(doc))

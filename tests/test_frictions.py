@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from driftless.errors import InputError
-from driftless.frictions import CostSpec, marginal_cost, marginal_rates
+from driftless.frictions import CostSpec, marginal_cost, marginal_rate
 
 
 def test_zero_action_costs_nothing():
@@ -17,25 +17,23 @@ def test_proportional_arithmetic():
 
 
 def test_marginal_rates_zero_spec():
-    gp, gm = marginal_rates(CostSpec(gamma_prop=0.0), np.full(2, 0.05))
-    assert np.all(gp == 0) and np.all(gm == 0)
+    assert np.all(marginal_rate(CostSpec(gamma_prop=0.0), np.full(2, 0.05)) == 0)
 
 
 def test_marginal_rates_value():
-    gp, gm = marginal_rates(CostSpec(gamma_prop=0.001), np.full(4, 0.05))
-    assert np.allclose(gp, 5e-5)
-    assert np.allclose(gm, 5e-5)
+    assert np.allclose(marginal_rate(CostSpec(gamma_prop=0.001), np.full(4, 0.05)), 5e-5)
+    assert np.allclose(marginal_rate(CostSpec(gamma_prop=0.001), np.full(4, -0.05)), 5e-5)
 
 
 def test_one_sided_difference_matches_rate():
     spec = CostSpec(gamma_prop=0.001)
     mids = np.array([0.04, 0.07])
-    gp, _ = marginal_rates(spec, mids)
+    rate = marginal_rate(spec, mids)
     for i in range(2):
-        for eps in (1e-3, 1e-6):
+        for eps in (1e-3, 1e-6, -1e-3, -1e-6):
             e = np.zeros(2)
             e[i] = eps
-            assert (marginal_cost(spec, e, mids) - 0.0) / eps == pytest.approx(gp[i])
+            assert (marginal_cost(spec, e, mids) - 0.0) / abs(eps) == pytest.approx(rate[i])
 
 
 def test_marginal_cost_zero():

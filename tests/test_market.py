@@ -1,4 +1,4 @@
-import dataclasses
+import json
 import os
 import stat
 
@@ -12,6 +12,7 @@ from driftless.market import (
     PathBundle,
     build_returns,
     bundle_from_sigmas,
+    check_weights,
     feature_matrix,
     read_bundle,
     read_weights_csv,
@@ -190,19 +191,18 @@ class TestBundleIo:
         grid = desk_grid()
         p = desk_params(grid)
         bundle = simulate(p, stationary_init(p), 8, 3, seed=4, grid=grid)
-        w = np.abs(np.random.default_rng(0).normal(size=8)) + 0.2
-        bundle = dataclasses.replace(bundle, weights=w / w.mean())
 
         d1, d2 = tmp_path / "a", tmp_path / "b"
         write_bundle(bundle, d1)
         write_bundle(bundle, d2)
-        for name in ("meta.json", "paths.csv", "weights.csv"):
+        assert sorted(f.name for f in d1.iterdir()) == ["meta.json", "paths.csv"]
+        for name in ("meta.json", "paths.csv"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+        assert "has_weights" not in json.loads((d1 / "meta.json").read_text())
 
         back = read_bundle(d1)
         assert np.array_equal(back.spots, bundle.spots)
         assert np.array_equal(back.sigmas, bundle.sigmas)
-        assert np.array_equal(back.weights, bundle.weights)
         assert back.seed == bundle.seed
 
     def test_weights_csv_round_trip(self, tmp_path):
@@ -233,7 +233,7 @@ class TestBundleIo:
         p = desk_params(grid)
         bundle = simulate(p, stationary_init(p), 8, 3, seed=4, grid=grid)
         d = tmp_path / "b"
-        write_bundle(dataclasses.replace(bundle, weights=np.ones(8)), d)
+        write_bundle(bundle, d)
         return d
 
     @pytest.mark.parametrize(
@@ -261,24 +261,29 @@ class TestBundleIo:
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda lines: lines[:-1],  # missing path
-            lambda lines: lines[:-1] + [lines[-2]],  # duplicated path
-            lambda lines: lines + ["8,1.0"],  # path out of range
+            lambda meta: {**meta, "has_weights": True},  # a bundle that claims weights
+            lambda meta: {**meta, "has_weights": "no"},  # not a bool
+            lambda meta: {**meta, "has_weights": 0},  # falsy, but not false
         ],
     )
     def test_bad_bundle_weights_rejected(self, tmp_path, edit):
+        """A bundle carries no weights: meta.json may say "has_weights":
+        false, as bundles written before weights left the format do, and
+        anything else is rejected with a pointer to --weights."""
         d = self._bundle_dir(tmp_path)
-        f = d / "weights.csv"
-        f.write_text("\n".join(edit(f.read_text().splitlines())) + "\n")
-        with pytest.raises(InputError):
+        f = d / "meta.json"
+        meta = json.loads(f.read_text())
+        f.write_text(json.dumps({**meta, "has_weights": False}))
+        assert read_bundle(d).n_paths == 8
+        f.write_text(json.dumps(edit(meta)))
+        with pytest.raises(InputError, match="--weights"):
             read_bundle(d)
-
 
     def test_exact_bytes(self, tmp_path):
         grid = DlvGrid(strikes=(0.9, 1.1), maturities=(0.1,))
         spots = np.array([[1.0, 1.1], [1.0, 1 / 3]])
         sigmas = np.array([0.2, 0.25, 1e-05, 0.3, 0.2, 0.2, 2.5e16, 0.1]).reshape(2, 2, 1, 2)
-        bundle = bundle_from_sigmas(grid, spots, sigmas, weights=[0.5, 1.5])
+        bundle = bundle_from_sigmas(grid, spots, sigmas)
         write_bundle(bundle, tmp_path)
         assert (tmp_path / "paths.csv").read_bytes() == (
             b"path,step,spot,dlv_1_1,dlv_1_2\r\n"
@@ -287,16 +292,18 @@ class TestBundleIo:
             b"1,0,1.0,0.2,0.2\r\n"
             b"1,1,0.3333333333333333,2.5e+16,0.1\r\n"
         )
-        assert (tmp_path / "weights.csv").read_bytes() == b"path,weight\r\n0,0.5\r\n1,1.5\r\n"
         back = read_bundle(tmp_path)
         assert back.spots.tobytes() == spots.tobytes()
         assert back.sigmas.tobytes() == sigmas.tobytes()
+        write_weights_csv(tmp_path / "weights.csv", np.array([0.5, 1.5]))
+        assert (tmp_path / "weights.csv").read_bytes() == b"path,weight\r\n0,0.5\r\n1,1.5\r\n"
 
     @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
     def test_files_get_the_mode_open_would_give(self, tmp_path, umask):
         old = os.umask(umask)
         try:
             d = self._bundle_dir(tmp_path)
+            write_weights_csv(d / "weights.csv", np.ones(8))
         finally:
             os.umask(old)
         for name in ("paths.csv", "weights.csv", "meta.json"):
@@ -318,10 +325,12 @@ class TestBundleIo:
 
 class TestBundleInvariants:
     def test_bad_weights_rejected(self):
-        b = flat_bundle()
-        with pytest.raises(ValueError):
-            dataclasses.replace(b, weights=np.array([2.0, 2.0, 2.0, 2.0]))
-        with pytest.raises(ValueError):
-            dataclasses.replace(b, weights=np.array([0.0, 2.0, 1.0, 1.0]))
-        with pytest.raises(ValueError):
-            dataclasses.replace(b, weights=np.array([np.nan, 1.0, 1.0, 1.0]))
+        n = flat_bundle().n_paths
+        with pytest.raises(InputError, match="mean 1"):
+            check_weights(np.array([2.0, 2.0, 2.0, 2.0]), n)
+        with pytest.raises(InputError, match="positive"):
+            check_weights(np.array([0.0, 2.0, 1.0, 1.0]), n)
+        with pytest.raises(InputError, match="finite"):
+            check_weights(np.array([np.nan, 1.0, 1.0, 1.0]), n)
+        with pytest.raises(InputError, match="one per path"):
+            check_weights(np.ones(n + 1), n)

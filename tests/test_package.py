@@ -1,5 +1,8 @@
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import driftless
 
@@ -9,6 +12,17 @@ SRC = pathlib.Path(driftless.__file__).parent
 def test_all_exports_resolve():
     missing = [name for name in driftless.__all__ if not hasattr(driftless, name)]
     assert missing == []
+
+
+def test_desk_calibration_does_not_import_scipy_stats():
+    """The desk calibration's normal CDF comes from scipy.special; importing
+    scipy.stats would add about 0.6 s to every process start."""
+    code = ("import sys; from driftless.var_model import desk_grid, desk_params; "
+            "desk_params(desk_grid()); print('scipy.stats' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def _may_write(call):

@@ -14,6 +14,7 @@ from driftless.oce import Utility, closed_form_y, u_value
 from driftless.surface import DlvGrid
 from driftless.trainer import (
     _BLOCK_ROWS,
+    SMOOTH_EPS,
     Mlp,
     TrainConfig,
     _objective,
@@ -29,7 +30,8 @@ from pergraph import Tensor
 
 def graph_objective(prob, param_tensors, y_tensor, idx, smooth_eps):
     """Per-op reference for ``trainer._objective``: the same minibatch
-    objective built node by node with the ``pergraph.Tensor`` ops."""
+    objective built node by node with the ``pergraph.Tensor`` ops, with |a|
+    smoothed by ``smooth_eps``."""
     feats = prob.feats[idx]
     B, T, F = feats.shape
     h = Tensor(feats.reshape(B * T, F))
@@ -42,11 +44,8 @@ def graph_objective(prob, param_tensors, y_tensor, idx, smooth_eps):
 
     gain = (a * Tensor(prob.dh[idx])).sum(axis=(1, 2))
     x = gain + y_tensor
-    if prob.rates is not None:
-        a_abs = a.smooth_abs(smooth_eps) if smooth_eps > 0 else a.abs()
-        x = x - (a_abs * Tensor(prob.rates[idx])).sum(axis=(1, 2))
-    if prob.payoff is not None:
-        x = x + Tensor(prob.payoff[idx])
+    x = x - (a.smooth_abs(smooth_eps) * Tensor(prob.rates[idx])).sum(axis=(1, 2))
+    x = x + Tensor(prob.payoff[idx])
     if prob.inv_scale is not None:
         x = x * Tensor(prob.inv_scale[idx])
     util = x.apply_utility(prob.utility)
@@ -116,9 +115,9 @@ class TestFusedObjective:
     """``_objective`` against the per-op reference, bit for bit."""
 
     @staticmethod
-    def fused(prob, mlp, y, idx, eps):
+    def fused(prob, mlp, y, idx):
         params = [a for pair in zip(mlp.weights, mlp.biases) for a in pair]
-        obj = _objective(prob, params, y, idx, eps)
+        obj = _objective(prob, params, y, idx)
         grads, y_grad = obj.backward()
         return [obj.data, *grads, y_grad]
 
@@ -134,7 +133,7 @@ class TestFusedObjective:
 
     @pytest.mark.parametrize("family", ["exponential", "adjusted_mean_vol"])
     @pytest.mark.parametrize("costs", [False, True])
-    @pytest.mark.parametrize("eps", [0.0, 1e-8])
+    @pytest.mark.parametrize("eps", [SMOOTH_EPS])  # the smoothing _objective fixes
     @pytest.mark.parametrize("extras", [False, True], ids=["plain", "payoff_scale"])
     def test_matches_per_op_graph(self, family, costs, eps, extras):
         rng = np.random.default_rng(21)
@@ -143,9 +142,9 @@ class TestFusedObjective:
         prob = _Problem(
             feats=rng.normal(size=(P, T, F)),
             dh=0.1 * rng.normal(size=(P, T, I)),
-            rates=0.01 * rng.uniform(size=(P, T, I)) if costs else None,
+            rates=0.01 * rng.uniform(size=(P, T, I)) if costs else np.zeros((P, T, I)),
             weights=w / w.mean(),
-            payoff=rng.normal(size=P) if extras else None,
+            payoff=rng.normal(size=P) if extras else np.zeros(P),
             inv_scale=rng.uniform(0.5, 2.0, size=P) if extras else None,
             utility=Utility(family, 1.3),
         )
@@ -154,7 +153,7 @@ class TestFusedObjective:
         mlp.weights[-1][:, 0] = 0.0
         mlp.biases[-1][0] = 0.0
         idx = rng.choice(P, size=96, replace=False)
-        fused = self.fused(prob, mlp, 0.37, idx, eps)
+        fused = self.fused(prob, mlp, 0.37, idx)
         ref = self.per_op(prob, mlp, 0.37, idx, eps)
         assert len(fused) == len(ref)
         for got, want in zip(fused, ref):
@@ -172,9 +171,7 @@ class TestGradient:
             bundle, rets = one_period_bundle(outcomes)
             mlp = init_mlp([3, 8, 1], np.random.default_rng(trial))
             y = float(rng.normal() * 0.1)
-            val, grads, y_grad = objective_and_grad(
-                bundle, rets, spec, u, mlp, y, smooth_eps=1e-8
-            )
+            val, grads, y_grad = objective_and_grad(bundle, rets, spec, u, mlp, y)
             h = 1e-5
             # grads interleave [W0, b0, W1, b1]; check every coordinate
             order = [
@@ -189,21 +186,15 @@ class TestGradient:
                     idx = it.multi_index
                     orig = arr[idx]
                     arr[idx] = orig + h
-                    up, _, _ = objective_and_grad(
-                        bundle, rets, spec, u, mlp, y, smooth_eps=1e-8
-                    )
+                    up, _, _ = objective_and_grad(bundle, rets, spec, u, mlp, y)
                     arr[idx] = orig - h
-                    dn, _, _ = objective_and_grad(
-                        bundle, rets, spec, u, mlp, y, smooth_eps=1e-8
-                    )
+                    dn, _, _ = objective_and_grad(bundle, rets, spec, u, mlp, y)
                     arr[idx] = orig
                     num = (up - dn) / (2 * h)
                     denom = max(abs(num), 1e-6)
                     assert abs(g[idx] - num) / denom < 1e-4
-            up, _, _ = objective_and_grad(bundle, rets, spec, u, mlp, y + h,
-                                          smooth_eps=1e-8)
-            dn, _, _ = objective_and_grad(bundle, rets, spec, u, mlp, y - h,
-                                          smooth_eps=1e-8)
+            up, _, _ = objective_and_grad(bundle, rets, spec, u, mlp, y + h)
+            dn, _, _ = objective_and_grad(bundle, rets, spec, u, mlp, y - h)
             assert y_grad == pytest.approx((up - dn) / (2 * h), abs=1e-6)
 
     def test_dead_relu_unit_zero_gradient(self):
@@ -338,3 +329,11 @@ def test_config_rejects_unknown_key():
     with pytest.raises(InputError, match="epoch"):
         TrainConfig.from_dict({"epoch": 10})
     assert TrainConfig.from_dict({"epochs": 10, "hidden": [4]}).hidden == (4,)
+
+
+@pytest.mark.parametrize("key", ["clip_norm", "y_init", "smooth_abs_eps"])
+def test_config_rejects_fixed_training_constants(key):
+    """Gradient clipping, the initial y and the |a| smoothing are module
+    constants, not config keys."""
+    with pytest.raises(InputError, match=key):
+        TrainConfig.from_dict({"epochs": 10, key: 1.0})

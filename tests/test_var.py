@@ -116,6 +116,17 @@ class TestStepNormals:
                 assert abs(sample_cov[i, j] - target[i, j]) <= 4 * se
 
 
+class TestStationaryInit:
+    def test_desk_init_unchanged(self):
+        """On the diagonal desk parametrization the linear solve gives the
+        per-equation stationary mean bit for bit."""
+        p = desk_params(desk_grid())
+        y = np.zeros(p.dim)
+        y[1:] = p.b[1:] * p.dt / (1.0 + (np.diag(p.a1)[1:] + np.diag(p.a2)[1:]) * p.dt)
+        for seed_vector in stationary_init(p):
+            assert seed_vector.tobytes() == y.tobytes()
+
+
 class TestSimulate:
     def test_deterministic_given_seed(self):
         grid = desk_grid()
