@@ -11,11 +11,19 @@ The package has one gradient: the analytic gradient of the minibatch
 objective ``mean(w u(x)) - y`` with
 ``x = (sum(a DH) + y - sum(|a| rates) + Z)(* s)``, back through the gain
 and cost head and the ReLU layers.  ``_objective`` takes the parameters as
-plain arrays; its forward pass keeps each layer's input and ReLU mask, and
-it returns one ``autograd.Tensor`` whose ``backward`` returns the
+plain arrays; its forward pass keeps each layer's output and ReLU mask,
+and it returns one ``autograd.Tensor`` whose ``backward`` returns the
 gradient.  The tests keep a per-op graph of the same objective as the
 bit-for-bit reference.  The full-sample forward pass runs in fixed row
 blocks.
+
+``train`` allocates its large buffers once per call, in one
+``_Workspace``: the gathered minibatch rows, one output buffer per layer
+and one ReLU mask per hidden layer.  Every minibatch and every block of
+the per-epoch evaluation writes into leading-row views of them, and the
+backward pass writes each layer's input gradient over that layer's
+input, which it no longer needs.  So a ``backward`` closure is valid
+only until the next ``_objective`` on the same workspace.
 """
 
 from __future__ import annotations
@@ -71,27 +79,59 @@ def init_mlp(widths, rng):
 _BLOCK_ROWS = 10_000
 
 
-def forward(mlp, feats):
+class _Workspace:
+    """Reused buffers for the networks of widths ``widths`` ([F, ..., I])
+    on up to ``rows`` rows: the gathered minibatch features, action
+    increments and rates, one output per layer and one ReLU mask per
+    hidden layer.  Callers use leading-row views, which stay C-contiguous.
+    """
+
+    def __init__(self, rows, widths):
+        self.feats = np.empty((rows, widths[0]))
+        self.dh = np.empty((rows, widths[-1]))
+        self.rates = np.empty((rows, widths[-1]))
+        self.layers = [np.empty((rows, w)) for w in widths[1:]]
+        self.masks = [np.empty((rows, w), dtype=bool) for w in widths[1:-1]]
+
+
+def _layers(weights, biases, h, ws, with_masks=False):
+    """The affine-ReLU layers on the rows ``h``, each layer written into
+    the leading rows of its workspace buffer, and with ``with_masks`` each
+    hidden layer's ReLU mask into its mask buffer; returns the output
+    rows."""
+    n = h.shape[0]
+    for l, (w, b) in enumerate(zip(weights, biases)):
+        h = np.matmul(h, w, out=ws.layers[l][:n])
+        h += b
+        if l < len(weights) - 1:
+            if with_masks:
+                np.greater(h, 0, out=ws.masks[l][:n])
+            np.maximum(h, 0.0, out=h)
+    return h
+
+
+def forward(mlp, feats, ws=None):
     """Deterministic forward pass; ``feats`` is (F,) or (..., F).
 
-    Rows run in blocks of ``_BLOCK_ROWS`` into one preallocated output, so
-    the hidden activations never exceed one block.
+    Rows run in blocks of ``_BLOCK_ROWS`` into one preallocated output,
+    through the layer buffers of ``ws`` (a ``_Workspace`` of at least
+    min(_BLOCK_ROWS, rows) rows), allocated once per call when it is None.
     """
     h = np.asarray(feats, dtype=float)
     single = h.ndim == 1
     if single:
         h = h[None, :]
     flat = h.reshape(-1, h.shape[-1])
-    n_layers = len(mlp.weights)
-    out = np.empty((flat.shape[0], mlp.weights[-1].shape[1]))
-    for start in range(0, flat.shape[0], _BLOCK_ROWS):
-        z = flat[start : start + _BLOCK_ROWS]
-        for l, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-            z = z @ w
-            z += b
-            if l < n_layers - 1:
-                np.maximum(z, 0.0, out=z)
-        out[start : start + _BLOCK_ROWS] = z
+    n_rows = flat.shape[0]
+    # the result is allocated before a local workspace, so that freeing
+    # the workspace can return its pages while the result lives on
+    out = np.empty((n_rows, mlp.weights[-1].shape[1]))
+    if ws is None:
+        widths = [flat.shape[1]] + [w.shape[1] for w in mlp.weights]
+        ws = _Workspace(min(_BLOCK_ROWS, n_rows), widths)
+    for start in range(0, n_rows, _BLOCK_ROWS):
+        block = flat[start : start + _BLOCK_ROWS]
+        out[start : start + _BLOCK_ROWS] = _layers(mlp.weights, mlp.biases, block, ws)
     out = out.reshape(h.shape[:-1] + (out.shape[1],))
     return out[0] if single else out
 
@@ -199,32 +239,34 @@ def _make_problem(bundle, returns, spec, utility, payoff=None, inv_scale=None,
     )
 
 
-def _objective(prob, params, y, idx):
+def _objective(prob, params, y, idx, ws=None):
     """The minibatch objective at the parameter arrays ``params``
     ([W_0, b_0, W_1, ...]) and the cash offset ``y``, as one scalar
     ``Tensor``.
 
-    Its ``backward`` returns the analytic gradient ``(grads, y_grad)``,
-    with ``grads`` in the order of ``params``.  Each elementwise expression
-    keeps the order of the per-op reference graph, so value and gradients
-    are bit-identical to it.
+    The forward and backward passes run in the leading len(idx)·T rows of
+    the workspace ``ws`` (one of exactly that size when None).  Its
+    ``backward`` returns the analytic gradient ``(grads, y_grad)``, with
+    ``grads`` in the order of ``params``; it overwrites the hidden
+    activations, so it is valid only until the next ``_objective`` on
+    ``ws``.  Each elementwise expression keeps the order of the per-op
+    reference graph, so value and gradients are bit-identical to it.
     """
-    feats = prob.feats[idx]
-    B, T, F = feats.shape
-    h = feats.reshape(B * T, F)
+    B, T, F = len(idx), prob.feats.shape[1], prob.feats.shape[2]
     n_layers = len(params) // 2
-    inputs, masks = [], []
-    for l in range(n_layers):
-        inputs.append(h)
-        h = h @ params[2 * l]
-        h += params[2 * l + 1]
-        if l < n_layers - 1:
-            masks.append(h > 0)
-            np.maximum(h, 0.0, out=h)
-    a = h.reshape(B, T, -1)
+    if ws is None:
+        ws = _Workspace(B * T, [F] + [w.shape[1] for w in params[::2]])
+    n = B * T
+    # idx holds valid rows, so "clip" only spares np.take the copy that
+    # mode="raise" makes of ``out``
+    feats = np.take(prob.feats, idx, axis=0, out=ws.feats[:n].reshape(B, T, F), mode="clip")
+    a = _layers(params[::2], params[1::2], feats.reshape(n, F), ws, with_masks=True)
+    a = a.reshape(B, T, -1)
+    inputs = [ws.feats[:n]] + [buf[:n] for buf in ws.layers[:-1]]
+    masks = [buf[:n] for buf in ws.masks]
 
-    dh = prob.dh[idx]
-    rates = prob.rates[idx]
+    dh = np.take(prob.dh, idx, axis=0, out=ws.dh[:n].reshape(a.shape), mode="clip")
+    rates = np.take(prob.rates, idx, axis=0, out=ws.rates[:n].reshape(a.shape), mode="clip")
     a_abs = np.sqrt(a**2 + SMOOTH_EPS**2)
     x = (a * dh).sum(axis=(1, 2)) + y - (a_abs * rates).sum(axis=(1, 2)) + prob.payoff[idx]
     if prob.inv_scale is not None:
@@ -240,22 +282,24 @@ def _objective(prob, params, y, idx):
         g3 = gx[:, None, None]
         da = g3 * dh
         da += (-g3) * rates * a / a_abs
-        g = da.reshape(B * T, -1)
+        g = da.reshape(n, -1)
         grads = [None] * len(params)
         for l in range(n_layers - 1, -1, -1):
             grads[2 * l + 1] = g.sum(axis=0)
             grads[2 * l] = inputs[l].T @ g
             if l > 0:
-                g = g @ params[2 * l].T
+                # inputs[l] is dead once dW_l is taken: it takes dL/d(input)
+                g = np.matmul(g, params[2 * l].T, out=inputs[l])
                 g *= masks[l - 1]
         return grads, y_grad
 
     return Tensor(value, backward)
 
 
-def _evaluate(prob, mlp, y):
-    """Full-sample evaluation with exact |a|; returns a result dict."""
-    actions = forward(mlp, prob.feats)
+def _evaluate(prob, mlp, y, ws=None):
+    """Full-sample evaluation with exact |a|; returns a result dict.
+    ``ws`` is passed to ``forward``."""
+    actions = forward(mlp, prob.feats, ws)
     gain = np.einsum("pti,pti->p", actions, prob.dh)
     costs = np.einsum("pti,pti->p", np.abs(actions), prob.rates)
     x = gain - costs + y + prob.payoff
@@ -315,7 +359,9 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
                   biases=[b.copy() for b in params[1:-1:2]])
         return net, float(params[-1])
 
-    batch = config.batch_size if config.batch_size > 0 else P
+    batch = min(config.batch_size, P) if config.batch_size > 0 else P
+    # one buffer set for every minibatch and every evaluation block
+    ws = _Workspace(max(batch * T, min(_BLOCK_ROWS, P * T)), [F, *config.hidden, n_inst])
     lr = config.lr
     best_obj = -np.inf
     best = snapshot()
@@ -326,7 +372,7 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
         perm = rng.permutation(P) if batch < P else np.arange(P)
         for start in range(0, P, batch):
             idx = perm[start : start + batch]
-            obj = _objective(prob, params[:-1], params[-1], idx)
+            obj = _objective(prob, params[:-1], params[-1], idx, ws)
             if not np.isfinite(obj.data):
                 raise TrainingError(
                     f"objective diverged at epoch {epoch}; last finite trace: "
@@ -351,7 +397,7 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
                 p -= lr * mhat / (np.sqrt(vhat) + eps)
 
         net, y_now = snapshot()
-        full = _evaluate(prob, net, y_now)["objective"]
+        full = _evaluate(prob, net, y_now, ws)["objective"]
         last_finite = full
         trace.append(full)
         if full > best_obj:
@@ -364,7 +410,7 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
     # first-order condition E_w[u'(.) dx/dy] = 1 holds at the returned
     # solution (closed form for the exponential family, bounded search
     # for the scaled objective)
-    res = _evaluate(prob, net, y_star)
+    res = _evaluate(prob, net, y_star, ws)
     if prob.inv_scale is None:
         x = res["pre_utility"] - y_star
         val, y_opt = oce_sup(x, prob.weights, utility)
@@ -385,7 +431,7 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
         val, y_opt = -float(opt.fun), float(opt.x)
     if val >= res["objective"]:
         y_star = y_opt
-    objective_value = _evaluate(prob, net, y_star)["objective"]
+    objective_value = _evaluate(prob, net, y_star, ws)["objective"]
     return Solution(
         policy=net,
         y_star=y_star,

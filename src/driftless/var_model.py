@@ -145,14 +145,33 @@ def fit_var(history, dt):
     )
 
 
+# the one generator behind step_normals; every call resets its whole state,
+# so no draw depends on an earlier one (not safe to share between threads)
+_PHILOX = np.random.Philox(0)
+_GENERATOR = np.random.Generator(_PHILOX)
+_EMPTY_BUFFER = np.zeros(4, dtype=np.uint64)
+
+
 def step_normals(seed, path, step, dim, retry=0):
     """Standard normals from a Philox stream keyed by (seed, retry) with the
-    counter set from (path, step)."""
-    bg = np.random.Philox(
-        key=np.array([seed & 0xFFFFFFFFFFFFFFFF, retry], dtype=np.uint64),
-        counter=np.array([0, 0, path, step], dtype=np.uint64),
-    )
-    return np.random.Generator(bg).standard_normal(dim)
+    counter set from (path, step).
+
+    The draws equal those of a fresh ``Philox(key=..., counter=...)``: the
+    state set here is the one that constructor leaves, with an empty
+    output buffer.
+    """
+    _PHILOX.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.array([0, 0, path, step], dtype=np.uint64),
+            "key": np.array([seed & 0xFFFFFFFFFFFFFFFF, retry], dtype=np.uint64),
+        },
+        "buffer": _EMPTY_BUFFER,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return _GENERATOR.standard_normal(dim)
 
 
 def iterate_var(params, init, n_steps, noise):

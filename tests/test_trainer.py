@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -19,6 +21,7 @@ from driftless.trainer import (
     TrainConfig,
     _objective,
     _Problem,
+    _Workspace,
     evaluate_policy,
     forward,
     init_mlp,
@@ -115,9 +118,9 @@ class TestFusedObjective:
     """``_objective`` against the per-op reference, bit for bit."""
 
     @staticmethod
-    def fused(prob, mlp, y, idx):
+    def fused(prob, mlp, y, idx, ws=None):
         params = [a for pair in zip(mlp.weights, mlp.biases) for a in pair]
-        obj = _objective(prob, params, y, idx)
+        obj = _objective(prob, params, y, idx, ws)
         grads, y_grad = obj.backward()
         return [obj.data, *grads, y_grad]
 
@@ -131,12 +134,8 @@ class TestFusedObjective:
         obj.backward()
         return [obj.data] + [p.grad for p in params] + [y_t.grad]
 
-    @pytest.mark.parametrize("family", ["exponential", "adjusted_mean_vol"])
-    @pytest.mark.parametrize("costs", [False, True])
-    @pytest.mark.parametrize("eps", [SMOOTH_EPS])  # the smoothing _objective fixes
-    @pytest.mark.parametrize("extras", [False, True], ids=["plain", "payoff_scale"])
-    def test_matches_per_op_graph(self, family, costs, eps, extras):
-        rng = np.random.default_rng(21)
+    @staticmethod
+    def problem(rng, family, costs, extras):
         P, T, F, I = 240, 4, 6, 3
         w = rng.uniform(0.2, 3.0, size=P)
         prob = _Problem(
@@ -152,13 +151,67 @@ class TestFusedObjective:
         # action 0 is exactly 0 on every row, so |a| sits at its kink
         mlp.weights[-1][:, 0] = 0.0
         mlp.biases[-1][0] = 0.0
-        idx = rng.choice(P, size=96, replace=False)
-        fused = self.fused(prob, mlp, 0.37, idx)
-        ref = self.per_op(prob, mlp, 0.37, idx, eps)
+        return prob, mlp
+
+    @staticmethod
+    def assert_bit_equal(fused, ref):
         assert len(fused) == len(ref)
         for got, want in zip(fused, ref):
             assert got.shape == want.shape
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("family", ["exponential", "adjusted_mean_vol"])
+    @pytest.mark.parametrize("costs", [False, True])
+    @pytest.mark.parametrize("eps", [SMOOTH_EPS])  # the smoothing _objective fixes
+    @pytest.mark.parametrize("extras", [False, True], ids=["plain", "payoff_scale"])
+    def test_matches_per_op_graph(self, family, costs, eps, extras):
+        rng = np.random.default_rng(21)
+        prob, mlp = self.problem(rng, family, costs, extras)
+        idx = rng.choice(240, size=96, replace=False)
+        fused = self.fused(prob, mlp, 0.37, idx)
+        ref = self.per_op(prob, mlp, 0.37, idx, eps)
+        self.assert_bit_equal(fused, ref)
+
+    def test_reused_workspace_ragged_then_full(self):
+        """One workspace sized for 96-path minibatches serves a full one, a
+        shorter last one and a full one again, each bit-equal to the
+        per-op graph: no call reads rows another call left behind."""
+        rng = np.random.default_rng(22)
+        prob, mlp = self.problem(rng, "exponential", True, True)
+        ws = _Workspace(96 * 4, [6, 16, 16, 3])
+        perm = rng.permutation(240)
+        for idx in (perm[:96], perm[96:136], perm[136:232]):
+            fused = self.fused(prob, mlp, 0.37, idx, ws)
+            self.assert_bit_equal(fused, self.per_op(prob, mlp, 0.37, idx, SMOOTH_EPS))
+
+
+def test_minibatch_allocates_less_than_one_layer_buffer():
+    """A steady-state minibatch (objective, then backward) on a reused
+    workspace allocates less than one (B*T x 64) float64 buffer: its
+    activations and gradients live in the workspace."""
+    rng = np.random.default_rng(5)
+    P, B, T, F, I = 2000, 1000, 10, 11, 4
+    prob = _Problem(
+        feats=rng.normal(size=(P, T, F)),
+        dh=0.1 * rng.normal(size=(P, T, I)),
+        rates=0.01 * rng.uniform(size=(P, T, I)),
+        weights=np.ones(P),
+        payoff=np.zeros(P),
+        inv_scale=None,
+        utility=Utility("exponential", 1.0),
+    )
+    mlp = init_mlp([F, 64, 64, I], rng)
+    params = [a for pair in zip(mlp.weights, mlp.biases) for a in pair]
+    ws = _Workspace(B * T, [F, 64, 64, I])
+    idx = rng.permutation(P)[:B]
+    _objective(prob, params, 0.1, idx, ws).backward()  # first touch of the buffers
+    tracemalloc.start()
+    try:
+        _objective(prob, params, 0.1, idx, ws).backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < B * T * 64 * 8
 
 
 class TestGradient:
@@ -266,6 +319,60 @@ class TestTrain:
         assert s1.y_star == s2.y_star
         for w1, w2 in zip(s1.policy.weights, s2.policy.weights):
             assert np.array_equal(w1, w2)
+
+    @staticmethod
+    def desk_sample(n_paths):
+        from driftless.cli import default_instruments
+        from driftless.var_model import desk_grid, desk_params, simulate, stationary_init
+
+        grid = desk_grid()
+        params = desk_params(grid)
+        bundle = simulate(params, stationary_init(params), n_paths, 3, seed=1, grid=grid)
+        return bundle, build_returns(bundle, default_instruments())
+
+    def test_batch_larger_than_sample_equals_full_batch(self):
+        bundle, rets = self.desk_sample(30)
+        u = Utility("exponential", 1.0)
+        spec = CostSpec(gamma_prop=0.002, mode="marginal")
+        sols = [
+            train(bundle, rets, spec, u,
+                  TrainConfig(epochs=4, batch_size=b, lr=0.01, seed=2, hidden=(8, 8)))
+            for b in (0, 45)
+        ]
+        assert sols[0].trace == sols[1].trace
+        assert sols[0].y_star == sols[1].y_star
+        assert sols[0].objective_value == sols[1].objective_value
+        for w1, w2 in zip(sols[0].policy.weights, sols[1].policy.weights):
+            assert np.array_equal(w1, w2)
+
+    def test_ragged_minibatches_match_per_op_graph(self, monkeypatch):
+        """With P % batch != 0, every minibatch of ``train`` on its one
+        workspace, the short last one included, gives the per-op graph's
+        value and gradient bit for bit."""
+        import driftless.trainer as trainer
+        from driftless.autograd import Tensor as ObjectiveTensor
+
+        bundle, rets = self.desk_sample(40)
+        fused_objective, sizes = trainer._objective, []
+
+        def checked(prob, params, y, idx, ws):
+            net = Mlp(weights=list(params[::2]), biases=list(params[1::2]))
+            ref = TestFusedObjective.per_op(prob, net, float(y), idx, SMOOTH_EPS)
+            obj = fused_objective(prob, params, y, idx, ws)
+            sizes.append(len(idx))
+
+            def backward():
+                grads, y_grad = obj.backward()
+                TestFusedObjective.assert_bit_equal([obj.data, *grads, y_grad], ref)
+                return grads, y_grad
+
+            return ObjectiveTensor(obj.data, backward)
+
+        monkeypatch.setattr(trainer, "_objective", checked)
+        cfg = TrainConfig(epochs=3, batch_size=12, lr=0.01, seed=4, hidden=(8, 8))
+        train(bundle, rets, CostSpec(gamma_prop=0.002, mode="marginal"),
+              Utility("adjusted_mean_vol", 1.0), cfg)
+        assert sizes == [12, 12, 12, 4] * 3
 
     def test_objective_value_matches_fresh_evaluation(self):
         bundle, rets = one_period_bundle(np.array([0.8, -0.6, 0.2, -0.1]))

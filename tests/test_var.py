@@ -83,7 +83,31 @@ class TestFitVar:
             fit_var(h, DT)
 
 
+def fresh_step_normals(seed, path, step, dim, retry=0):
+    """Reference for ``step_normals``: a new Philox and Generator per draw."""
+    bg = np.random.Philox(
+        key=np.array([seed & 0xFFFFFFFFFFFFFFFF, retry], dtype=np.uint64),
+        counter=np.array([0, 0, path, step], dtype=np.uint64),
+    )
+    return np.random.Generator(bg).standard_normal(dim)
+
+
 class TestStepNormals:
+    def test_matches_fresh_construction(self):
+        """The reset generator draws what a fresh one per key draws, with
+        keys interleaved so each call follows a different stream."""
+        rng = np.random.default_rng(3)
+        keys = [(-7, 0), (7, 0), (-7, 3), (2029, 100), (-(2**62) - 1, 1)]
+        for n in range(400):
+            seed, retry = keys[n % len(keys)]
+            path, step = int(rng.integers(0, 10**6)), int(rng.integers(0, 200))
+            dim = int(rng.integers(1, 41))
+            got = step_normals(seed, path, step, dim, retry)
+            assert np.array_equal(got, fresh_step_normals(seed, path, step, dim, retry))
+        # a draw longer than one Philox block, then a short one on a new key
+        assert np.array_equal(step_normals(-1, 9, 2, 37, 5), fresh_step_normals(-1, 9, 2, 37, 5))
+        assert np.array_equal(step_normals(-1, 9, 2, 1, 6), fresh_step_normals(-1, 9, 2, 1, 6))
+
     def test_deterministic_per_key(self):
         a = step_normals(7, path=3, step=5, dim=4)
         b = step_normals(7, path=3, step=5, dim=4)
