@@ -411,11 +411,13 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
     # solution (closed form for the exponential family, bounded search
     # for the scaled objective)
     res = _evaluate(prob, net, y_star, ws)
+    pre_utility, res_objective = res["pre_utility"], res["objective"]
+    del res  # free its actions before the last evaluation allocates its own
     if prob.inv_scale is None:
-        x = res["pre_utility"] - y_star
+        x = pre_utility - y_star
         val, y_opt = oce_sup(x, prob.weights, utility)
     else:
-        base = res["pre_utility"] / prob.inv_scale - y_star
+        base = pre_utility / prob.inv_scale - y_star
 
         def neg(y):
             vals = u_value(utility, (base + y) * prob.inv_scale)
@@ -429,7 +431,7 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
             options={"xatol": 1e-12},
         )
         val, y_opt = -float(opt.fun), float(opt.x)
-    if val >= res["objective"]:
+    if val >= res_objective:
         y_star = y_opt
     objective_value = _evaluate(prob, net, y_star, ws)["objective"]
     return Solution(

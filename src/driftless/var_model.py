@@ -5,8 +5,12 @@ log sigma^{m,n}_r)' and evolves as
 
     Y_r = (B - A_1 Y_{r-1} - A_2 Y_{r-2}) dt + sqrt(dt) Z_r,  Z_r ~ N(0, Sigma).
 
-Fitting is per-equation OLS; simulation uses a counter-based generator
-keyed per (seed, path, step) so results are independent of scheduling.
+Fitting is per-equation OLS.  Simulation draws its noise from a
+counter-based generator keyed per (seed, retry, path, step), and runs the
+recursion once per step over a block of paths.  Paths whose vols breach
+the ceiling are redrawn in retry rounds with the next retry.  Every draw
+equals that of a fresh generator for its (seed, retry, path, step), so the
+output does not depend on the blocking or the order of the rounds.
 """
 
 from __future__ import annotations
@@ -146,10 +150,24 @@ def fit_var(history, dt):
 
 
 # the one generator behind step_normals; every call resets its whole state,
-# so no draw depends on an earlier one (not safe to share between threads)
+# so no draw depends on an earlier one (not safe to share between threads).
+# The state setter copies what it is given, so one state dict, with its
+# counter and key arrays, is updated in place for every draw.
 _PHILOX = np.random.Philox(0)
 _GENERATOR = np.random.Generator(_PHILOX)
-_EMPTY_BUFFER = np.zeros(4, dtype=np.uint64)
+_COUNTER = np.zeros(4, dtype=np.uint64)
+_KEY = np.zeros(2, dtype=np.uint64)
+_STATE = {
+    "bit_generator": "Philox",
+    "state": {"counter": _COUNTER, "key": _KEY},
+    "buffer": np.zeros(4, dtype=np.uint64),
+    "buffer_pos": 4,
+    "has_uint32": 0,
+    "uinteger": 0,
+}
+
+# paths per block of retry rounds in simulate; bounds its working set
+_BLOCK_PATHS = 2048
 
 
 def step_normals(seed, path, step, dim, retry=0):
@@ -160,50 +178,59 @@ def step_normals(seed, path, step, dim, retry=0):
     state set here is the one that constructor leaves, with an empty
     output buffer.
     """
-    _PHILOX.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": np.array([0, 0, path, step], dtype=np.uint64),
-            "key": np.array([seed & 0xFFFFFFFFFFFFFFFF, retry], dtype=np.uint64),
-        },
-        "buffer": _EMPTY_BUFFER,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    _COUNTER[2] = path
+    _COUNTER[3] = step
+    _KEY[0] = seed & 0xFFFFFFFFFFFFFFFF
+    _KEY[1] = retry
+    _PHILOX.state = _STATE
     return _GENERATOR.standard_normal(dim)
 
 
-def iterate_var(params, init, n_steps, noise):
-    """Run the VAR recursion from two seed vectors with supplied noise.
+def iterate_var(params, init, noise):
+    """Run the VAR recursion from two seed vectors with supplied noise, one
+    step at a time over a whole stack of paths.
 
-    ``noise`` is (n_steps, d) of sqrt(dt) * chol * g terms (may be zeros).
-    Returns (n_steps, d) of Y_1..Y_{n_steps}.
+    ``noise`` is (n, T, d) of sqrt(dt) * chol * g terms (may be zeros), one
+    (T, d) slice per path, all started from the same ``init``.  Returns
+    (n, T, d) of Y_1..Y_T per path.
     """
-    y_prev2, y_prev1 = np.asarray(init[0], float), np.asarray(init[1], float)
-    out = np.empty((n_steps, params.dim))
-    for r in range(n_steps):
-        y = (params.b - params.a1 @ y_prev1 - params.a2 @ y_prev2) * params.dt + noise[r]
-        out[r] = y
+    a1, a2, b, dt = params.a1, params.a2, params.b[:, None], params.dt
+    # column vectors, so a1 @ y is one matrix-vector product per path, as
+    # when each path ran alone; a matrix product over the stack can differ
+    # from it in the last bit when a1 or a2 is not diagonal
+    y_prev2 = np.asarray(init[0], float)[:, None]
+    y_prev1 = np.asarray(init[1], float)[:, None]
+    out = np.empty(noise.shape + (1,))
+    for r in range(noise.shape[1]):
+        y = out[:, r]
+        np.multiply(b - a1 @ y_prev1 - a2 @ y_prev2, dt, out=y)
+        y += noise[:, r, :, None]
         y_prev2, y_prev1 = y_prev1, y
-    return out
+    return out[..., 0]
 
 
-def _simulate_path_y(params, init, n_steps, seed, path, retry):
+def _noise(params, n_steps, seed, paths, retry):
+    """sqrt(dt) * chol * g for each of ``paths``: an (n, n_steps, d) stack
+    whose draws come from ``step_normals`` at this ``retry``."""
     d = params.dim
-    g = np.stack(
-        [step_normals(seed, path, r, d, retry) for r in range(n_steps)]
-    )
-    noise = np.sqrt(params.dt) * g @ params.chol.T
-    return iterate_var(params, init, n_steps, noise)
+    g = np.empty((len(paths), n_steps, d))
+    for i, path in enumerate(paths):
+        for r in range(n_steps):
+            g[i, r] = step_normals(seed, path, r, d, retry)
+    # a stacked product, one (n_steps, d) matrix per path as drawn alone
+    return np.sqrt(params.dt) * g @ params.chol.T
 
 
 def simulate(params, init, n_paths, n_steps, seed, grid):
     """Simulate a PathBundle under the statistical measure.
 
     ``init`` is (Y_{-1}, Y_0): the two seed vectors; the step-0 state uses
-    Y_0's log-vols with spot normalized to 1.  Paths whose DLVs breach
-    SIGMA_MAX are resampled on a fresh stream, up to MAX_RETRIES times.
+    Y_0's log-vols with spot normalized to 1.  Paths run in blocks of
+    retry rounds: a round draws and iterates every pending path of the
+    block, keeps the ones whose DLVs stay within SIGMA_MAX, and redraws the
+    rest on the stream of the next retry, up to MAX_RETRIES times.  Every
+    draw depends only on (seed, retry, path, step), so the bundle does not
+    depend on the blocking.
     """
     if n_paths < 1 or n_steps < 1:
         raise ValueError("n_paths and n_steps must be >= 1")
@@ -222,19 +249,23 @@ def simulate(params, init, n_paths, n_steps, seed, grid):
     spots[:, 0] = 1.0
     sigmas[:, 0] = np.exp(log_vol0).reshape(m, n)
 
-    for p in range(n_paths):
+    for start in range(0, n_paths, _BLOCK_PATHS):
+        pending = np.arange(start, min(start + _BLOCK_PATHS, n_paths))
         for retry in range(MAX_RETRIES + 1):
-            ys = _simulate_path_y(params, init, n_steps, seed, p, retry)
-            vols = np.exp(ys[:, 1:])
-            if np.all(vols <= SIGMA_MAX):
+            ys = iterate_var(params, init, _noise(params, n_steps, seed, pending.tolist(), retry))
+            vols = np.exp(ys[:, :, 1:])
+            ok = np.all(vols <= SIGMA_MAX, axis=(1, 2))
+            done = pending[ok]
+            spots[done, 1:] = np.cumprod(np.exp(ys[ok, :, 0]), axis=1)
+            sigmas[done, 1:] = vols[ok].reshape(-1, n_steps, m, n)
+            pending = pending[~ok]
+            if not pending.size:
                 break
         else:
             raise SimulationError(
-                f"path {p}: vol ceiling {SIGMA_MAX} still breached after "
+                f"path {pending[0]}: vol ceiling {SIGMA_MAX} still breached after "
                 f"{MAX_RETRIES} resamples"
             )
-        spots[p, 1:] = np.cumprod(np.exp(ys[:, 0]))
-        sigmas[p, 1:] = vols.reshape(n_steps, m, n)
 
     return bundle_from_sigmas(
         grid,
@@ -357,7 +388,7 @@ def synthetic_history(params, n_obs, seed, init=None):
     """One long simulated Y trajectory, for fitting tests and the demo."""
     if init is None:
         init = stationary_init(params)
-    return _simulate_path_y(params, init, n_obs, seed, 0, 0)
+    return iterate_var(params, init, _noise(params, n_obs, seed, [0], 0))[0]
 
 
 def write_history_csv(path, history, grid):

@@ -3,7 +3,10 @@ import pytest
 
 from driftless.errors import FitError, SimulationError
 from driftless.var_model import (
+    MAX_RETRIES,
+    SIGMA_MAX,
     VarParams,
+    _BLOCK_PATHS,
     desk_grid,
     desk_params,
     fit_var,
@@ -35,7 +38,7 @@ class TestFitVar:
     def test_noiseless_exact_recovery(self):
         p = oscillator_params()
         init = (np.array([0.4, -0.2]), np.array([-0.1, 0.5]))
-        ys = iterate_var(p, init, 400, np.zeros((400, 2)))
+        ys = iterate_var(p, init, np.zeros((1, 400, 2)))[0]
         history = np.vstack([init[0], init[1], ys])
         fitted = fit_var(history, DT)
         assert np.allclose(fitted.a1, p.a1, atol=1e-8)
@@ -197,8 +200,91 @@ class TestSimulate:
             dt=p.dt,
         )
         init = stationary_init(p)
-        with pytest.raises(SimulationError):
-            simulate(exploding, init, 1, 10, seed=0, grid=grid)
+        # every path breaches; the error names the lowest-index one pending
+        match = rf"^path 0: vol ceiling {SIGMA_MAX} still breached after {MAX_RETRIES} resamples$"
+        with pytest.raises(SimulationError, match=match):
+            simulate(exploding, init, 3, 10, seed=0, grid=grid)
+
+
+def iterate_var_per_path(params, init, n_steps, noise):
+    """Reference for ``iterate_var``: the recursion on one path, as a
+    matrix-vector product per step.  ``noise`` is (n_steps, d)."""
+    y_prev2, y_prev1 = np.asarray(init[0], float), np.asarray(init[1], float)
+    out = np.empty((n_steps, params.dim))
+    for r in range(n_steps):
+        y = (params.b - params.a1 @ y_prev1 - params.a2 @ y_prev2) * params.dt + noise[r]
+        out[r] = y
+        y_prev2, y_prev1 = y_prev1, y
+    return out
+
+
+def _simulate_path_y(params, init, n_steps, seed, path, retry):
+    d = params.dim
+    g = np.stack(
+        [step_normals(seed, path, r, d, retry) for r in range(n_steps)]
+    )
+    noise = np.sqrt(params.dt) * g @ params.chol.T
+    return iterate_var_per_path(params, init, n_steps, noise)
+
+
+def simulate_per_path(params, init, n_paths, n_steps, seed, grid):
+    """Reference for ``simulate``: one path at a time, each redrawn with the
+    next retry until its vols stay within the ceiling.  Returns spots,
+    sigmas and the number of redraws."""
+    m, n = grid.n_maturities, grid.n_strikes
+    spots = np.empty((n_paths, n_steps + 1))
+    sigmas = np.empty((n_paths, n_steps + 1, m, n))
+    spots[:, 0] = 1.0
+    sigmas[:, 0] = np.exp(np.asarray(init[1], float)[1:]).reshape(m, n)
+    redraws = 0
+    for p in range(n_paths):
+        for retry in range(MAX_RETRIES + 1):
+            ys = _simulate_path_y(params, init, n_steps, seed, p, retry)
+            vols = np.exp(ys[:, 1:])
+            if np.all(vols <= SIGMA_MAX):
+                break
+            redraws += 1
+        else:
+            raise AssertionError(f"path {p} exhausted its retries")
+        spots[p, 1:] = np.cumprod(np.exp(ys[:, 0]))
+        sigmas[p, 1:] = vols.reshape(n_steps, m, n)
+    return spots, sigmas, redraws
+
+
+class TestBatchedSimulate:
+    """The batched retry rounds equal the per-path reference bit for bit."""
+
+    def check(self, params, n_paths, seed):
+        grid = desk_grid()
+        init = stationary_init(params)
+        bundle = simulate(params, init, n_paths, 10, seed=seed, grid=grid)
+        spots, sigmas, redraws = simulate_per_path(params, init, n_paths, 10, seed, grid)
+        assert bundle.spots.tobytes() == spots.tobytes()
+        assert bundle.sigmas.tobytes() == sigmas.tobytes()
+        return redraws
+
+    def test_desk_more_than_one_block(self):
+        n_paths = 2500
+        assert n_paths > _BLOCK_PATHS and n_paths % _BLOCK_PATHS
+        assert self.check(desk_params(desk_grid()), n_paths, seed=7) == 0
+
+    def test_resampled_paths(self):
+        # about 0.7% of the paths breach the ceiling at least once
+        redraws = self.check(desk_params(desk_grid(), vol_of_vol=0.2), 3000, seed=7)
+        assert redraws > 0
+
+    def test_non_diagonal_params(self):
+        # fitted coefficients are dense, so each product has many terms
+        p = desk_params(desk_grid())
+        fitted = fit_var(synthetic_history(p, 4000, seed=1), p.dt)
+        assert np.count_nonzero(fitted.a1) == fitted.dim**2
+        self.check(fitted, 300, seed=2029)
+
+    def test_synthetic_history_is_one_path(self):
+        p = desk_params(desk_grid())
+        init = stationary_init(p)
+        hist = synthetic_history(p, 500, seed=4)
+        assert hist.tobytes() == _simulate_path_y(p, init, 500, 4, 0, 0).tobytes()
 
 
 class TestFitSimulateConsistency:
