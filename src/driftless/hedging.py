@@ -22,7 +22,7 @@ from .errors import (
 )
 from .market import read_json, write_text
 from .oce import oce_sup
-from .trainer import evaluate_policy, forward, train
+from .trainer import forward, train
 
 
 @dataclass(frozen=True)
@@ -38,11 +38,11 @@ class PayoffSpec:
 
     def __post_init__(self):
         if self.kind not in ("digital_call", "vanilla_call", "vanilla_put", "custom_table"):
-            raise ValueError(f"unknown payoff kind {self.kind!r}")
+            raise InputError(f"unknown payoff kind {self.kind!r}")
         if self.kind != "custom_table" and self.rel_strike <= 0:
-            raise ValueError("strike must be positive")
+            raise InputError("strike must be positive")
         if self.side not in (-1, 1):
-            raise ValueError("side must be +1 or -1")
+            raise InputError("side must be +1 or -1")
 
     @classmethod
     def from_dict(cls, d):
@@ -71,7 +71,7 @@ def payoff(spec, bundle):
     if spec.kind == "custom_table":
         z = np.asarray(spec.table, dtype=float)
         if z.shape[0] != bundle.n_paths:
-            raise ValueError("custom table length must equal n_paths")
+            raise InputError("custom table length must equal n_paths")
         return z
     t = spec.maturity_steps
     if not 0 <= t <= bundle.n_steps:
@@ -123,18 +123,9 @@ def deep_hedge(bundle, returns, weights, z, spec, utility, config):
     """
     z = np.asarray(z, dtype=float)
     sol = train(bundle, returns, spec, utility, config, payoff=z, weights=weights)
-    res = evaluate_policy(
-        bundle, returns, spec, utility, sol.policy, sol.y_star, payoff=z,
-        weights=weights,
-    )
-    pnl = z + res["gains"] - res["costs"]
-    return HedgeResult(
-        policy=sol.policy,
-        y_star=sol.y_star,
-        certainty_equivalent=sol.objective_value,
-        pnl=pnl,
-        stats=_pnl_stats(pnl),
-    )
+    pnl = z + sol.gains - sol.costs
+    return HedgeResult(policy=sol.policy, y_star=sol.y_star,
+                       certainty_equivalent=sol.objective_value, pnl=pnl, stats=_pnl_stats(pnl))
 
 
 def decompose_check(bundle, returns, utility, z, config, q_weights, spec=None):
@@ -164,8 +155,7 @@ def decompose_check(bundle, returns, utility, z, config, q_weights, spec=None):
     resid = np.linalg.norm(a_p - a_q - a_0, axis=-1)
     norm_p = np.linalg.norm(a_p, axis=-1)
 
-    g_0 = np.einsum("pti,pti->p", a_0, returns.dh)
-    pnl_p_minus_0 = hedge_p.pnl - g_0
+    pnl_p_minus_0 = hedge_p.pnl - sol_0.gains
 
     return {
         "median_residual": float(np.median(resid)),

@@ -50,12 +50,12 @@ class InstrumentSpec:
 
     def __post_init__(self):
         if self.kind not in ("spot", "call", "put"):
-            raise ValueError(f"unknown instrument kind {self.kind!r}")
+            raise InputError(f"unknown instrument kind {self.kind!r}")
         if self.kind != "spot":
             if self.rel_strike <= 0:
-                raise ValueError("options need a positive relative strike")
+                raise InputError("options need a positive relative strike")
             if self.ttm_days <= 0:
-                raise ValueError("options need a positive time to maturity")
+                raise InputError("options need a positive time to maturity")
 
     def label(self):
         if self.kind == "spot":

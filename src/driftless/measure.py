@@ -93,7 +93,8 @@ class DriftReport:
 
 
 def density(solution, bundle, returns, spec, utility):
-    """Path density D* from a trained statistical-arbitrage solution.
+    """Path density D* from a trained statistical-arbitrage solution, on
+    any bundle: the policy runs on ``bundle`` through ``evaluate_policy``.
 
     Uses D = u'(y* + G - M), with M = 0 for frictionless specs,
     renormalized to mean one.
@@ -172,27 +173,24 @@ def verify_drift(bundle, returns, weights, spec, z_score=3.0):
     last_ret[:, 1:] = np.diff(np.log(bundle.spots[:, :T]), axis=1)
 
     for t in range(T):
+        # (name, mask, renormalized weights) of step t's buckets of >= 30 paths
+        buckets = []
+        if t >= 1:
+            sign = np.sign(last_ret[:, t])
+            vol = np.digitize(atm[:, t], np.quantile(atm[:, t], [1 / 3, 2 / 3]))
+            for b_sign in (-1, 1):
+                for b_vol in range(3):
+                    sel = (sign == b_sign) & (vol == b_vol)
+                    if sel.sum() >= 30:
+                        buckets.append((f"ret{'+' if b_sign > 0 else '-'}_vol{b_vol}",
+                                        sel, w[sel] / w[sel].mean()))
         for k in range(n_inst):
             label = returns.instruments[k].label()
             dh = returns.dh[:, t, k]
             rate = float(marginal_rate(spec, np.mean(returns.mids[:, t, k])))
             rows.append(_drift_row(t, label, dh, w, rate, z_score))
-            if t >= 1:
-                terc = np.quantile(atm[:, t], [1 / 3, 2 / 3])
-                for b_sign in (-1, 1):
-                    for b_vol in range(3):
-                        sel = (np.sign(last_ret[:, t]) == b_sign) & (
-                            np.digitize(atm[:, t], terc) == b_vol
-                        )
-                        if sel.sum() < 30:
-                            continue
-                        wb = w[sel] / w[sel].mean()
-                        bucket_rows.append(
-                            (
-                                f"ret{'+' if b_sign > 0 else '-'}_vol{b_vol}",
-                                _drift_row(t, label, dh[sel], wb, rate, z_score),
-                            )
-                        )
+            for name, sel, wb in buckets:
+                bucket_rows.append((name, _drift_row(t, label, dh[sel], wb, rate, z_score)))
     return DriftReport(rows=rows, bucket_rows=bucket_rows)
 
 
@@ -251,8 +249,5 @@ def bounded_reweight(bundle, returns, utility, config):
     inv_scale = 1.0 / (1.0 + m_path)
     spec = CostSpec(gamma_prop=0.0, mode="none")
     sol = train(bundle, returns, spec, utility, config, inv_scale=inv_scale)
-    res = evaluate_policy(
-        bundle, returns, spec, utility, sol.policy, sol.y_star, inv_scale=inv_scale
-    )
-    dw = _normalized_density(u_deriv(utility, res["pre_utility"]) * inv_scale)
+    dw = _normalized_density(u_deriv(utility, sol.pre_utility) * inv_scale)
     return dw, sol, 1.0 + m_path

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import logsumexp
 
-from .errors import UtilityDomainError, check_keys, check_number
+from .errors import InputError, UtilityDomainError, check_keys, check_number
 from .market import read_json, write_text
 
 _EXP_CLIP = 700.0  # exp argument clip; keeps float64 finite
@@ -37,9 +37,9 @@ class Utility:
 
     def __post_init__(self):
         if self.family not in ("exponential", "adjusted_mean_vol"):
-            raise ValueError(f"unknown utility family {self.family!r}")
+            raise InputError(f"unknown utility family {self.family!r}")
         if check_number(self.lam, "utility lambda") <= 0:
-            raise ValueError("risk aversion lambda must be positive")
+            raise InputError("risk aversion lambda must be positive")
         # normalization check: u(0) = 0, u'(0) = 1
         if abs(u_value(self, 0.0)) > 1e-12 or abs(u_deriv(self, 0.0) - 1.0) > 1e-12:
             raise ValueError("utility normalization violated")

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     ArbitrageError,
+    InputError,
     InvalidSurfaceError,
     SingularSystemError,
     check_keys,
@@ -52,13 +53,13 @@ class DlvGrid:
         if self.boundary_hi == 0.0:
             object.__setattr__(self, "boundary_hi", 1.0 + 2.0 * strikes[-1])
         if any(b >= a for a, b in zip(strikes[1:], strikes)):
-            raise ValueError("strikes must be strictly increasing")
+            raise InputError("strikes must be strictly increasing")
         if not (0.0 <= self.boundary_lo < strikes[0]):
-            raise ValueError("boundary_lo must satisfy 0 <= x_0 < x_1")
+            raise InputError("boundary_lo must satisfy 0 <= x_0 < x_1")
         if self.boundary_hi <= strikes[-1]:
-            raise ValueError("boundary_hi must exceed the largest strike")
+            raise InputError("boundary_hi must exceed the largest strike")
         if any(b >= a for a, b in zip(mats[1:], mats)) or mats[0] <= 0.0:
-            raise ValueError("maturities must be strictly increasing and positive")
+            raise InputError("maturities must be strictly increasing and positive")
 
     @property
     def n_strikes(self):

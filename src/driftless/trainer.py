@@ -33,6 +33,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .autograd import Tensor
 from .errors import InputError, TrainingError, check_keys, check_number
@@ -185,11 +186,18 @@ class TrainConfig:
 
 @dataclass
 class Solution:
+    """A trained policy and cash offset; from ``train``, also the per-path
+    training-sample ``gains``, ``costs`` and ``pre_utility`` at them, which
+    are not written to file (``from_json`` leaves them None)."""
+
     policy: Mlp
     y_star: float
     objective_value: float
     trace: list = field(default_factory=list)
     config: TrainConfig | None = None
+    gains: np.ndarray | None = None  # (P,)
+    costs: np.ndarray | None = None  # (P,)
+    pre_utility: np.ndarray | None = None  # (P,)
 
     def to_json(self, path):
         doc = {
@@ -296,23 +304,19 @@ def _objective(prob, params, y, idx, ws=None):
     return Tensor(value, backward)
 
 
-def _evaluate(prob, mlp, y, ws=None):
-    """Full-sample evaluation with exact |a|; returns a result dict.
-    ``ws`` is passed to ``forward``."""
-    actions = forward(mlp, prob.feats, ws)
-    gain = np.einsum("pti,pti->p", actions, prob.dh)
-    costs = np.einsum("pti,pti->p", np.abs(actions), prob.rates)
-    x = gain - costs + y + prob.payoff
+def _gains_costs(prob, actions):
+    """Per-path gains and exact-|a| costs of the full-sample ``actions``."""
+    gains = np.einsum("pti,pti->p", actions, prob.dh)
+    return gains, np.einsum("pti,pti->p", np.abs(actions), prob.rates)
+
+
+def _head(prob, gains, costs, y):
+    """The pre-utility x and the full-sample objective at the cash offset
+    ``y``, from per-path gains and costs."""
+    x = gains - costs + y + prob.payoff
     if prob.inv_scale is not None:
         x = x * prob.inv_scale
-    objective = float(np.mean(prob.weights * u_value(prob.utility, x)) - y)
-    return {
-        "actions": actions,
-        "gains": gain,
-        "costs": costs,
-        "pre_utility": x,
-        "objective": objective,
-    }
+    return x, float(np.mean(prob.weights * u_value(prob.utility, x)) - y)
 
 
 def objective_and_grad(bundle, returns, spec, utility, mlp, y, payoff=None,
@@ -337,7 +341,8 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
     """Maximize the OCE objective over network parameters and y.
 
     Deterministic given the config seed; returns the best-seen parameters
-    by full-sample objective (exact-abs costs).
+    by full-sample objective (exact-abs costs), with their training-sample
+    evaluation: the y refit reruns only the head on its gains and costs.
     """
     prob = _make_problem(bundle, returns, spec, utility, payoff, inv_scale, weights)
     P, T, F = prob.feats.shape
@@ -360,6 +365,9 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
         return net, float(params[-1])
 
     batch = min(config.batch_size, P) if config.batch_size > 0 else P
+    # the returned gains, costs and pre-utility; allocated before the
+    # workspace, so that once freed its pages are not pinned below them
+    evaluation = np.empty((3, P))
     # one buffer set for every minibatch and every evaluation block
     ws = _Workspace(max(batch * T, min(_BLOCK_ROWS, P * T)), [F, *config.hidden, n_inst])
     lr = config.lr
@@ -397,7 +405,8 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
                 p -= lr * mhat / (np.sqrt(vhat) + eps)
 
         net, y_now = snapshot()
-        full = _evaluate(prob, net, y_now, ws)["objective"]
+        # one expression, so no array of it lives on through the next epoch
+        full = _head(prob, *_gains_costs(prob, forward(net, prob.feats, ws)), y_now)[1]
         last_finite = full
         trace.append(full)
         if full > best_obj:
@@ -406,16 +415,14 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
         lr *= config.lr_decay
 
     net, y_star = best
+    gains, costs = _gains_costs(prob, forward(net, prob.feats, ws))
+    pre_utility, objective_value = _head(prob, gains, costs, y_star)
     # y enters as a plain concave 1-d sup; close it exactly so the
     # first-order condition E_w[u'(.) dx/dy] = 1 holds at the returned
     # solution (closed form for the exponential family, bounded search
     # for the scaled objective)
-    res = _evaluate(prob, net, y_star, ws)
-    pre_utility, res_objective = res["pre_utility"], res["objective"]
-    del res  # free its actions before the last evaluation allocates its own
     if prob.inv_scale is None:
-        x = pre_utility - y_star
-        val, y_opt = oce_sup(x, prob.weights, utility)
+        val, y_opt = oce_sup(pre_utility - y_star, prob.weights, utility)
     else:
         base = pre_utility / prob.inv_scale - y_star
 
@@ -423,28 +430,33 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
             vals = u_value(utility, (base + y) * prob.inv_scale)
             return -(float(np.mean(prob.weights * vals)) - y)
 
-        from scipy.optimize import minimize_scalar
-
         span = float(np.max(np.abs(base))) + 1.0
-        opt = minimize_scalar(
-            neg, bounds=(y_star - span, y_star + span), method="bounded",
-            options={"xatol": 1e-12},
-        )
+        opt = minimize_scalar(neg, bounds=(y_star - span, y_star + span), method="bounded",
+                              options={"xatol": 1e-12})
         val, y_opt = -float(opt.fun), float(opt.x)
-    if val >= res_objective:
+    if val >= objective_value:
         y_star = y_opt
-    objective_value = _evaluate(prob, net, y_star, ws)["objective"]
+        pre_utility, objective_value = _head(prob, gains, costs, y_star)
+    evaluation[:] = gains, costs, pre_utility
     return Solution(
         policy=net,
         y_star=y_star,
         objective_value=objective_value,
         trace=trace,
         config=copy.deepcopy(config),
+        gains=evaluation[0],
+        costs=evaluation[1],
+        pre_utility=evaluation[2],
     )
 
 
 def evaluate_policy(bundle, returns, spec, utility, mlp, y, payoff=None,
                     inv_scale=None, weights=None):
-    """Full-sample evaluation of a fixed policy (exact-abs costs)."""
+    """Full-sample evaluation of a fixed policy on any bundle (exact-abs
+    costs): its actions, per-path gains, costs and pre-utility, and the
+    objective."""
     prob = _make_problem(bundle, returns, spec, utility, payoff, inv_scale, weights)
-    return _evaluate(prob, mlp, y)
+    actions = forward(mlp, prob.feats)
+    gains, costs = _gains_costs(prob, actions)
+    x, objective = _head(prob, gains, costs, y)
+    return dict(actions=actions, gains=gains, costs=costs, pre_utility=x, objective=objective)

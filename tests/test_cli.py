@@ -1,12 +1,18 @@
 import hashlib
 import json
 import shutil
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from driftless.cli import main
+from driftless.cli import _load_instruments, main
+from driftless.errors import DriftlessError
+from driftless.frictions import CostSpec
+from driftless.hedging import PayoffSpec, payoff
 from driftless.market import read_weights_csv, write_weights_csv
+from driftless.oce import Utility
+from driftless.surface import DlvGrid
 from driftless.var_model import (
     VarParams,
     desk_grid,
@@ -470,3 +476,37 @@ def test_verify_unreadable_weights_exit_1(tmp_path, bundle_dir, capsys):
     ])
     assert rc == 1
     assert "error in verify" in capsys.readouterr().err
+
+
+def _instruments_from(doc):
+    with open("instruments.json", "w") as f:
+        json.dump(doc, f)
+    return _load_instruments("instruments.json")
+
+
+def _custom_payoff(doc):
+    return payoff(PayoffSpec.from_dict(doc), SimpleNamespace(n_paths=3))
+
+
+@pytest.mark.parametrize("reader, doc", [
+    (Utility.from_dict, {"family": "power"}),
+    (Utility.from_dict, {"family": "exponential", "lambda": 0.0}),
+    (PayoffSpec.from_dict, {"kind": "barrier"}),
+    (PayoffSpec.from_dict, {"kind": "vanilla_call", "rel_strike": -1.0}),
+    (PayoffSpec.from_dict, {"kind": "vanilla_put", "side": 2}),
+    (_custom_payoff, {"kind": "custom_table", "table": [1.0, 2.0]}),
+    (DlvGrid.from_dict, {"strikes": [1.1, 0.9], "maturities_days": [20]}),
+    (DlvGrid.from_dict, {"strikes": [0.9, 1.1], "maturities_days": [40, 20]}),
+    (DlvGrid.from_dict, {"strikes": [0.9, 1.1], "maturities_days": [20], "boundary_lo": 0.95}),
+    (DlvGrid.from_dict, {"strikes": [0.9, 1.1], "maturities_days": [20], "boundary_hi": 1.05}),
+    (_instruments_from, [{"kind": "future"}]),
+    (_instruments_from, [{"kind": "call", "rel_strike": 0.0, "ttm_days": 20}]),
+    (_instruments_from, [{"kind": "put", "rel_strike": 0.95, "ttm_days": 0}]),
+    (CostSpec.from_dict, {"gamma": -0.1}),
+])
+def test_bad_config_raises_package_error(reader, doc, tmp_path, monkeypatch):
+    """A config that parses but breaks a domain rule raises a package
+    error (an InputError, so the CLI exits 1), not a bare ValueError."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(DriftlessError):
+        reader(doc)

@@ -13,7 +13,7 @@ from driftless.hedging import (
 )
 from driftless.measure import density, memm_one_period
 from driftless.oce import Utility
-from driftless.trainer import TrainConfig, train
+from driftless.trainer import TrainConfig, evaluate_policy, train
 
 from test_trainer import one_period_bundle
 
@@ -153,6 +153,44 @@ class TestConcavity:
         ce_short = deep_hedge(bundle, rets, None, z, spec, u, cfg).certainty_equivalent
         ce_long = deep_hedge(bundle, rets, None, -z, spec, u, cfg).certainty_equivalent
         assert ce_short + ce_long <= 1e-6
+
+
+class TestDeepHedge:
+    def test_pnl_comes_from_train(self, monkeypatch):
+        """``deep_hedge`` reads the P&L off its trained solution: every
+        full-sample forward pass runs inside ``train``, and the P&L equals
+        a fresh evaluation's bit for bit."""
+        import driftless.hedging as hedging
+        import driftless.trainer as trainer
+
+        inside, calls = [False], []
+        real_forward, real_train = trainer.forward, hedging.train
+
+        def spy_forward(*args):
+            calls.append(inside[0])
+            return real_forward(*args)
+
+        def spy_train(*args, **kwargs):
+            inside[0] = True
+            try:
+                return real_train(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(trainer, "forward", spy_forward)
+        monkeypatch.setattr(hedging, "train", spy_train)
+        rng = np.random.default_rng(4)
+        bundle, rets = one_period_bundle(0.05 * rng.normal(size=50))
+        z = np.where(bundle.spots[:, -1] > 1.0, -1.0, 0.0)
+        w = rng.uniform(0.5, 1.5, 50)
+        w /= w.mean()
+        u, spec = Utility("exponential", 1.0), CostSpec(gamma_prop=0.001)
+        cfg = TrainConfig(epochs=6, lr=0.02, seed=1, hidden=(8,))
+        result = deep_hedge(bundle, rets, w, z, spec, u, cfg)
+        assert calls == [True] * (cfg.epochs + 1)
+        res = evaluate_policy(bundle, rets, spec, u, result.policy, result.y_star, payoff=z,
+                              weights=w)
+        assert np.array_equal(result.pnl, z + res["gains"] - res["costs"])
 
 
 class TestRobustnessEval:

@@ -97,3 +97,25 @@ def test_no_unused_parameters():
             unused += [f"{path.name}:{fn.lineno} {getattr(fn, 'name', 'lambda')}({p})"
                        for p in params if p not in used and p not in ("self", "cls")]
     assert unused == []
+
+
+def test_no_unused_private_names():
+    """Every module-level private name (function, class or constant) is
+    used somewhere in the package outside its own definition."""
+    defined, users = [], {}  # users: name -> the (file, statement) pairs using it
+    for path in sorted(SRC.glob("*.py")):
+        for i, stmt in enumerate(ast.parse(path.read_text()).body):
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            else:
+                targets = getattr(stmt, "targets", [getattr(stmt, "target", None)])
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            defined += [(path.name, i, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+            for n in ast.walk(stmt):
+                if isinstance(n, (ast.Name, ast.Attribute)):
+                    users.setdefault(getattr(n, "id", None) or n.attr, set()).add((path.name, i))
+    assert defined
+    unused = [f"{module} {name}" for module, i, name in defined
+              if not users.get(name, set()) - {(module, i)}]
+    assert unused == []

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -430,6 +431,66 @@ class TestTrain:
         assert back.objective_value == sol.objective_value
         for w1, w2 in zip(back.policy.weights, sol.policy.weights):
             assert np.array_equal(w1, w2)
+        # the training-sample evaluation stays in memory only
+        assert set(json.loads(p.read_text())) == {"policy", "y_star", "objective_value",
+                                                  "config"}
+        assert back.gains is None and back.costs is None and back.pre_utility is None
+
+    @pytest.mark.parametrize("key", ["clip_norm", "y_init", "smooth_abs_eps"])
+    def test_solution_with_removed_config_key_rejected(self, tmp_path, key):
+        """A solution file whose config holds a key that became a module
+        constant does not load: loading it would drop that setting."""
+        bundle, rets = one_period_bundle(np.array([0.5, -0.5]))
+        sol = train(bundle, rets, CostSpec(mode="none"), Utility("exponential", 1.0),
+                    TrainConfig(epochs=2, lr=0.01, seed=0, hidden=(4,)))
+        p = tmp_path / "sol.json"
+        sol.to_json(p)
+        doc = json.loads(p.read_text())
+        doc["config"][key] = 1.0
+        p.write_text(json.dumps(doc))
+        from driftless.trainer import Solution
+
+        with pytest.raises(InputError, match=key):
+            Solution.from_json(p)
+
+    @pytest.mark.parametrize("case", ["plain", "payoff_weights", "inv_scale"])
+    def test_solution_carries_its_evaluation(self, case):
+        """``train`` returns the gains, costs and pre-utility of its policy
+        at y*, bit for bit as a fresh ``evaluate_policy``."""
+        bundle, rets = self.desk_sample(30)
+        u = Utility("adjusted_mean_vol", 1.0)
+        spec = CostSpec(gamma_prop=0.002, mode="marginal")
+        rng = np.random.default_rng(3)
+        w = rng.uniform(0.5, 1.5, 30)
+        extra = {
+            "plain": {},
+            "payoff_weights": {"payoff": rng.normal(size=30), "weights": w / w.mean()},
+            "inv_scale": {"inv_scale": 1.0 / (1.0 + np.max(np.abs(rets.dh), axis=(1, 2)))},
+        }[case]
+        cfg = TrainConfig(epochs=4, batch_size=12, lr=0.01, seed=2, hidden=(8, 8))
+        sol = train(bundle, rets, spec, u, cfg, **extra)
+        res = evaluate_policy(bundle, rets, spec, u, sol.policy, sol.y_star, **extra)
+        for key in ("gains", "costs", "pre_utility"):
+            assert np.array_equal(getattr(sol, key), res[key]), key
+        assert sol.objective_value == res["objective"]
+
+    def test_train_runs_the_full_sample_once_per_epoch_and_once_more(self, monkeypatch):
+        """One full-sample forward pass per epoch, one at the best epoch's
+        policy, and none for the y refit."""
+        import driftless.trainer as trainer
+
+        calls, real_forward = [], trainer.forward
+
+        def spy(*args):
+            calls.append(None)
+            return real_forward(*args)
+
+        monkeypatch.setattr(trainer, "forward", spy)
+        bundle, rets = self.desk_sample(30)
+        cfg = TrainConfig(epochs=5, batch_size=12, lr=0.01, seed=2, hidden=(8,))
+        train(bundle, rets, CostSpec(gamma_prop=0.002, mode="marginal"),
+              Utility("exponential", 1.0), cfg)
+        assert len(calls) == cfg.epochs + 1
 
 
 def test_config_rejects_unknown_key():
