@@ -55,7 +55,7 @@ from .var_model import (
     simulate,
     stationary_init,
 )
-from .surface import DlvGrid
+from .surface import DAYS_PER_YEAR, DlvGrid
 
 
 def _sha256(path):
@@ -166,7 +166,7 @@ def _load(args):
 # -- subcommands -----------------------------------------------------------
 
 def cmd_fit_var(args, read):
-    params = fit_var(args.history, dt=1.0 / 252.0)
+    params = fit_var(args.history, dt=1.0 / DAYS_PER_YEAR)
     params.to_json(args.out)
     _manifest(args, read, [args.out])
     return 0
@@ -225,7 +225,7 @@ def cmd_robustness(args, read):
     z = payoff(args.payoff, bundle)
     hedge_p = deep_hedge(bundle, rets, None, z, spec, util, cfg)
     hedge_q = deep_hedge(bundle, rets, args.weights, z, spec, util, cfg)
-    report = robustness_eval(bundle, hedge_p, hedge_q, util, args.entropies)
+    report = robustness_eval(hedge_p, hedge_q, util, args.entropies)
     write_text(args.out, json.dumps(report, indent=2, sort_keys=True))
     _manifest(args, read, [args.out], seed=args.seed)
     for e in report["entries"]:

@@ -20,9 +20,12 @@ from .errors import (
     check_number,
     check_numbers,
 )
-from .market import read_json, write_text
+from .frictions import CostSpec
+from .market import feature_matrix, read_json, write_text
 from .oce import oce_sup
 from .trainer import forward, train
+
+TILT_TOL = 1e-6  # tolerance of tilt on the achieved relative entropy
 
 
 @dataclass(frozen=True)
@@ -128,19 +131,16 @@ def deep_hedge(bundle, returns, weights, z, spec, utility, config):
                        certainty_equivalent=sol.objective_value, pnl=pnl, stats=_pnl_stats(pnl))
 
 
-def decompose_check(bundle, returns, utility, z, config, q_weights, spec=None):
-    """Check the hedge decomposition a*_P = a*_Q + a*_0 on trained policies.
+def decompose_check(bundle, returns, utility, z, config, q_weights):
+    """Check the frictionless hedge decomposition a*_P = a*_Q + a*_0 on
+    trained policies.
 
     Trains the statistical hedge (P weights, claim), the clean hedge
     (Q* weights, claim) and the pure statarb policy (P weights, empty
     portfolio); reports per-state action residuals and the PnL comparison
     of the clean hedge vs the statistical hedge with statarb subtracted.
     """
-    from .frictions import CostSpec
-    from .market import feature_matrix
-
-    if spec is None:
-        spec = CostSpec(gamma_prop=0.0, mode="none")
+    spec = CostSpec(gamma_prop=0.0, mode="none")
     z = np.asarray(z, dtype=float)
 
     hedge_p = deep_hedge(bundle, returns, None, z, spec, utility, config)
@@ -168,18 +168,18 @@ def decompose_check(bundle, returns, utility, z, config, q_weights, spec=None):
     }
 
 
-def tilt(bundle, direction, c, tol=1e-6):
-    """Exponential tilt w ~ exp(-theta direction) hitting relative entropy c.
+def tilt(direction, c):
+    """Exponential tilt w ~ exp(-theta direction) hitting relative entropy c
+    within TILT_TOL: one weight per entry of ``direction``.
 
     theta >= 0 is found by bisection on the achieved entropy
     E[w log w] of the mean-1 weights.  c = 0 returns uniform weights.
     """
     if not c >= 0:
         raise InputError(f"target entropy must be >= 0, got {c}")
-    n = bundle.n_paths
-    if c == 0:
-        return np.ones(n)
     d = np.asarray(direction, dtype=float)
+    if c == 0:
+        return np.ones(len(d))
     if not np.all(np.isfinite(d)):
         raise ValueError("tilt direction must be finite")
     if np.ptp(d) < 1e-14:
@@ -205,19 +205,19 @@ def tilt(bundle, direction, c, tol=1e-6):
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         e_mid, w = entropy(mid)
-        if abs(e_mid - c) <= tol:
+        if abs(e_mid - c) <= TILT_TOL:
             return w
         if e_mid < c:
             lo = mid
         else:
             hi = mid
     e_fin, w = entropy(0.5 * (lo + hi))
-    if abs(e_fin - c) > tol:
+    if abs(e_fin - c) > TILT_TOL:
         raise TiltError(f"bisection failed to reach entropy {c} (got {e_fin})")
     return w
 
 
-def robustness_eval(bundle, hedge_p, hedge_q, utility, c_list, direction=None):
+def robustness_eval(hedge_p, hedge_q, utility, c_list, direction=None):
     """Certainty-equivalent degradation of two fixed hedges under tilts.
 
     For each target entropy c, reweights the sample against ``direction``
@@ -235,7 +235,7 @@ def robustness_eval(bundle, hedge_p, hedge_q, utility, c_list, direction=None):
         "entries": [],
     }
     for c in c_list:
-        w = tilt(bundle, direction, c)
+        w = tilt(direction, c)
         ce_p, _ = oce_sup(hedge_p.pnl, w, utility)
         ce_q, _ = oce_sup(hedge_q.pnl, w, utility)
         out["entries"].append(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridDomainError, InputError, check_keys, check_number
-from .surface import DlvGrid, prices_from_dlv_batch
+from .surface import DAYS_PER_YEAR, DlvGrid, prices_from_dlv_batch
 
 SIGMA_FLOOR = 1e-6  # floor before log features; keeps sigma = 0 nodes finite
 
@@ -86,9 +86,11 @@ class PathBundle:
         p, t1 = self.spots.shape
         m, n = self.grid.n_maturities, self.grid.n_strikes
         if self.sigmas.shape != (p, t1, m, n):
-            raise ValueError("sigmas shape inconsistent with spots/grid")
+            raise InputError(f"sigmas shape {self.sigmas.shape} inconsistent with spots/grid "
+                             f"{(p, t1, m, n)}")
         if self.prices.shape != (p, t1, m + 1, n + 2):
-            raise ValueError("prices shape inconsistent with spots/grid")
+            raise InputError(f"prices shape {self.prices.shape} inconsistent with spots/grid "
+                             f"{(p, t1, m + 1, n + 2)}")
 
     @property
     def n_paths(self):
@@ -180,7 +182,7 @@ def build_returns(bundle, instruments):
                 dh[:, t, k] = s_T - spots[:, t]
             continue
 
-        tau_years = inst.ttm_days / 252.0
+        tau_years = inst.ttm_days / DAYS_PER_YEAR
         if not (grid.boundary_lo <= inst.rel_strike <= grid.boundary_hi):
             raise GridDomainError(
                 f"strike {inst.rel_strike} outside [{grid.boundary_lo}, {grid.boundary_hi}]"
@@ -208,7 +210,7 @@ def build_returns(bundle, instruments):
                 else:
                     terminal = s_t * np.maximum(inst.rel_strike - ratio, 0.0)
             else:
-                rem_tau = (expiry - T) / 252.0
+                rem_tau = (expiry - T) / DAYS_PER_YEAR
                 x_T = inst.rel_strike * s_t / s_T
                 np.clip(x_T, grid.boundary_lo, grid.boundary_hi, out=x_T)
                 c_T = _interp_price(grid, bundle.prices[:, T], x_T, rem_tau)

@@ -17,10 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ClassicArbitrageError, UtilityDomainError
-from .frictions import marginal_rate
+from .frictions import CostSpec, marginal_rate
 from .market import check_weights, write_csv, write_text
 from .oce import legendre, u_deriv
 from .trainer import evaluate_policy, train
+
+Z_SCORE = 3.0  # half-width of the drift bands beyond the cost rate, in standard errors
 
 
 @dataclass
@@ -156,12 +158,13 @@ def memm_one_period(outcomes, probs, lam):
     return a_star, q
 
 
-def verify_drift(bundle, returns, weights, spec, z_score=3.0):
+def verify_drift(bundle, returns, weights, spec):
     """Weighted drift of every (step, instrument) against its cost band.
 
-    Bands are [-gamma - z SE, gamma + z SE] with the marginal rate gamma
-    of the mean mid price; buckets condition on the sign of the last spot
-    return and the ATM-vol tercile to approximate the conditional statement.
+    Bands are [-gamma - z SE, gamma + z SE] with z = Z_SCORE and the
+    marginal rate gamma of the mean mid price; buckets condition on the
+    sign of the last spot return and the ATM-vol tercile to approximate
+    the conditional statement.
     """
     w = check_weights(weights, bundle.n_paths)
     P, T, n_inst = returns.dh.shape
@@ -188,20 +191,20 @@ def verify_drift(bundle, returns, weights, spec, z_score=3.0):
             label = returns.instruments[k].label()
             dh = returns.dh[:, t, k]
             rate = float(marginal_rate(spec, np.mean(returns.mids[:, t, k])))
-            rows.append(_drift_row(t, label, dh, w, rate, z_score))
+            rows.append(_drift_row(t, label, dh, w, rate))
             for name, sel, wb in buckets:
-                bucket_rows.append((name, _drift_row(t, label, dh[sel], wb, rate, z_score)))
+                bucket_rows.append((name, _drift_row(t, label, dh[sel], wb, rate)))
     return DriftReport(rows=rows, bucket_rows=bucket_rows)
 
 
-def _drift_row(t, label, dh, w, rate, z):
+def _drift_row(t, label, dh, w, rate):
     n = dh.shape[0]
     wx = w * dh
     mean = float(wx.mean())
     se = float(wx.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     se = max(se, 1e-300)
-    lo = -rate - z * se
-    hi = rate + z * se
+    lo = -rate - Z_SCORE * se
+    hi = rate + Z_SCORE * se
     return DriftRow(
         t=t,
         instrument=label,
@@ -219,15 +222,9 @@ def _atm_series(bundle):
     return bundle.sigmas[:, : bundle.n_steps, 0, i]
 
 
-def divergence(weights, utility, bound_scale=None):
-    """Sample u~-divergence of mean-1 weights from the uniform measure.
-
-    With ``bound_scale`` given (the per-path 1 + M factors of the bounded
-    construction) evaluates E[u~((1 + M) D)] instead.
-    """
+def divergence(weights, utility):
+    """Sample u~-divergence of mean-1 weights from the uniform measure."""
     d = np.asarray(weights, dtype=float)
-    if bound_scale is not None:
-        d = d * np.asarray(bound_scale, dtype=float)
     if utility.family == "adjusted_mean_vol" and np.any(d >= 2.0):
         bad = np.nonzero(d >= 2.0)[0]
         raise UtilityDomainError(
@@ -243,8 +240,6 @@ def bounded_reweight(bundle, returns, utility, config):
     trains the frictionless objective, and returns the unscaled-problem
     density D* = u'((y* + G)/(1 + M))/(1 + M), normalized.
     """
-    from .frictions import CostSpec
-
     m_path = np.max(np.abs(returns.dh), axis=(1, 2))
     inv_scale = 1.0 / (1.0 + m_path)
     spec = CostSpec(gamma_prop=0.0, mode="none")

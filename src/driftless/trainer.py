@@ -319,14 +319,14 @@ def _head(prob, gains, costs, y):
     return x, float(np.mean(prob.weights * u_value(prob.utility, x)) - y)
 
 
-def objective_and_grad(bundle, returns, spec, utility, mlp, y, payoff=None,
-                       inv_scale=None, weights=None):
-    """Reverse-mode gradient of the full-sample objective.
+def objective_and_grad(bundle, returns, spec, utility, mlp, y):
+    """Reverse-mode gradient of the full-sample objective, with uniform
+    weights and no claim.
 
     Returns (value, grads, y_grad) where ``grads`` interleaves
     [dW_0, db_0, dW_1, ...] matching the network layers.
     """
-    prob = _make_problem(bundle, returns, spec, utility, payoff, inv_scale, weights)
+    prob = _make_problem(bundle, returns, spec, utility)
     params = [a for pair in zip(mlp.weights, mlp.biases) for a in pair]
     obj = _objective(prob, params, float(y), np.arange(bundle.n_paths))
     grads, y_grad = obj.backward()

@@ -22,10 +22,20 @@ import numpy as np
 
 from .errors import FitError, InputError, SimulationError, check_keys, check_number
 from .market import bundle_from_sigmas, read_csv, read_json, write_csv, write_text
+from .surface import DAYS_PER_YEAR, DlvGrid, prices_from_dlv_batch
 
 SIGMA_MAX = 5.0  # vol ceiling; paths breaching it are resampled
 MAX_RETRIES = 100
 RIDGE = 1e-10
+
+# the desk market of desk_params: annual spot drift and vol, daily AR
+# coefficient of the log vols, their correlation with the spot return, and
+# a one-day step
+ANNUAL_DRIFT = 0.20
+SPOT_VOL = 0.20
+PERSISTENCE = 0.95
+SPOT_VOL_CORR = -0.5
+DT = 1.0 / DAYS_PER_YEAR
 
 
 @dataclass
@@ -41,23 +51,23 @@ class VarParams:
     se_a2: np.ndarray | None = None
 
     def __post_init__(self):
+        d = self.dim
         for name in ("a1", "a2", "b", "chol"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+            try:
+                value = np.asarray(getattr(self, name), dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"VAR params {name!r} must be a numeric array: {exc}") from None
+            shape = (d,) if name == "b" else (d, d)
+            if value.shape != shape:
+                raise InputError(f"VAR params {name!r} must have shape {shape} for dim {d}, "
+                                 f"got {value.shape}")
+            if not np.all(np.isfinite(value)):
+                raise InputError(f"VAR params {name!r} must be finite")
+            setattr(self, name, value)
         if not self.dt > 0:
             raise InputError(f"VAR params 'dt' must be positive, got {self.dt!r}")
-        d = self.dim
-        if self.a1.shape != (d, d) or self.a2.shape != (d, d):
-            raise ValueError("coefficient matrices must be d x d")
-        if self.b.shape != (d,):
-            raise ValueError("intercept must be a d-vector")
-        if self.chol.shape != (d, d):
-            raise ValueError("chol must be d x d")
         if np.any(np.diag(self.chol) <= 0) or np.any(np.triu(self.chol, 1) != 0):
-            raise ValueError("chol must be lower-triangular with positive diagonal")
-        if not all(
-            np.all(np.isfinite(getattr(self, n))) for n in ("a1", "a2", "b", "chol")
-        ):
-            raise ValueError("parameters must be finite")
+            raise InputError("VAR params 'chol' must be lower-triangular with positive diagonal")
 
     def to_json(self, path):
         doc = {
@@ -233,11 +243,11 @@ def simulate(params, init, n_paths, n_steps, seed, grid):
     depend on the blocking.
     """
     if n_paths < 1 or n_steps < 1:
-        raise ValueError("n_paths and n_steps must be >= 1")
+        raise InputError(f"n_paths and n_steps must be >= 1, got {n_paths} and {n_steps}")
     d = params.dim
     m, n = grid.n_maturities, grid.n_strikes
     if d != 1 + m * n:
-        raise ValueError(f"params dim {d} inconsistent with grid ({1 + m * n})")
+        raise InputError(f"params dim {d} inconsistent with the {m}x{n} grid ({1 + m * n})")
 
     init = (np.asarray(init[0], float), np.asarray(init[1], float))
     log_vol0 = init[1][1:]
@@ -284,18 +294,17 @@ def simulate(params, init, n_paths, n_steps, seed, grid):
 
 def desk_grid():
     """3 maturities x 3 strikes demo grid: {20, 40, 60} days, 0.95..1.05."""
-    from .surface import DlvGrid
-
     return DlvGrid(
         strikes=(0.95, 1.0, 1.05),
-        maturities=(20 / 252, 40 / 252, 60 / 252),
+        maturities=(20 / DAYS_PER_YEAR, 40 / DAYS_PER_YEAR, 60 / DAYS_PER_YEAR),
         boundary_lo=0.5,
         boundary_hi=1.6,
     )
 
 
-def calibrated_base_vols(grid, spot_vol=0.20):
-    """Flat-in-strike DLV level per maturity matching Black-Scholes ATM.
+def calibrated_base_vols(grid):
+    """Flat-in-strike DLV level per maturity matching Black-Scholes ATM at
+    SPOT_VOL.
 
     DLVs are defined by the grid finite differences, so the level that
     reproduces a given implied vol depends on the grid; this keeps the
@@ -303,8 +312,6 @@ def calibrated_base_vols(grid, spot_vol=0.20):
     """
     from scipy.optimize import brentq
     from scipy.special import ndtr  # the normal CDF, without importing scipy.stats
-
-    from .surface import prices_from_dlv_batch
 
     def bs_atm(vol, tau):
         st = vol * np.sqrt(tau)
@@ -321,54 +328,43 @@ def calibrated_base_vols(grid, spot_vol=0.20):
                 sig[k] = lv
             sig[j] = s
             p = prices_from_dlv_batch(grid, sig)
-            return p[j + 1, i_atm] - bs_atm(spot_vol, grid.maturities[j])
+            return p[j + 1, i_atm] - bs_atm(SPOT_VOL, grid.maturities[j])
 
         levels.append(brentq(err, 1e-4, 5.0, xtol=1e-12))
     return np.repeat(np.asarray(levels)[:, None], n, axis=1)
 
 
-def desk_params(
-    grid,
-    annual_drift=0.20,
-    spot_vol=0.20,
-    base_vols=None,
-    vol_of_vol=0.02,
-    persistence=0.95,
-    spot_vol_corr=-0.5,
-    dt=1.0 / 252.0,
-):
+def desk_params(grid, vol_of_vol=0.02):
     """Stylized VAR(2) parameters for the demo market.
 
     Log vols mean-revert around the calibrated base levels with daily AR
-    coefficient ``persistence``; the spot return has constant drift
-    ``annual_drift``.
+    coefficient PERSISTENCE; the spot return has constant drift
+    ANNUAL_DRIFT.
     """
     d = 1 + grid.n_maturities * grid.n_strikes
     nv = d - 1
-    if base_vols is None:
-        base_vols = calibrated_base_vols(grid, spot_vol)
-    mu_log = np.log(np.asarray(base_vols)).ravel()
+    mu_log = np.log(calibrated_base_vols(grid)).ravel()
 
     a1 = np.zeros((d, d))
     a2 = np.zeros((d, d))
     b = np.zeros(d)
-    b[0] = annual_drift - 0.5 * spot_vol**2
-    c1, c2 = persistence, 0.02
+    b[0] = ANNUAL_DRIFT - 0.5 * SPOT_VOL**2
+    c1, c2 = PERSISTENCE, 0.02
     for k in range(1, d):
-        a1[k, k] = -c1 / dt
-        a2[k, k] = -c2 / dt
-        b[k] = (1.0 - c1 - c2) * mu_log[k - 1] / dt
+        a1[k, k] = -c1 / DT
+        a2[k, k] = -c2 / DT
+        b[k] = (1.0 - c1 - c2) * mu_log[k - 1] / DT
 
     corr = np.full((nv, nv), 0.8)
     np.fill_diagonal(corr, 1.0)
     R = np.empty((d, d))
     R[0, 0] = 1.0
-    R[0, 1:] = spot_vol_corr
-    R[1:, 0] = spot_vol_corr
+    R[0, 1:] = SPOT_VOL_CORR
+    R[1:, 0] = SPOT_VOL_CORR
     R[1:, 1:] = corr
-    stds = np.concatenate(([spot_vol], np.full(nv, vol_of_vol / np.sqrt(dt))))
+    stds = np.concatenate(([SPOT_VOL], np.full(nv, vol_of_vol / np.sqrt(DT))))
     sigma = R * np.outer(stds, stds)
-    return VarParams(dim=d, a1=a1, a2=a2, b=b, chol=_spd_cholesky(sigma), dt=dt)
+    return VarParams(dim=d, a1=a1, a2=a2, b=b, chol=_spd_cholesky(sigma), dt=DT)
 
 
 def stationary_init(params):
@@ -384,11 +380,10 @@ def stationary_init(params):
     return y.copy(), y.copy()
 
 
-def synthetic_history(params, n_obs, seed, init=None):
-    """One long simulated Y trajectory, for fitting tests and the demo."""
-    if init is None:
-        init = stationary_init(params)
-    return iterate_var(params, init, _noise(params, n_obs, seed, [0], 0))[0]
+def synthetic_history(params, n_obs, seed):
+    """One long simulated Y trajectory from ``stationary_init``, for fitting
+    tests and the demo."""
+    return iterate_var(params, stationary_init(params), _noise(params, n_obs, seed, [0], 0))[0]
 
 
 def write_history_csv(path, history, grid):

@@ -308,8 +308,7 @@ def test_a9_robustness(desk):
             desk.u_exp, cfg,
         )
         rep = robustness_eval(
-            desk.bundle, hedge_p, hedge_q, desk.u_exp, [0.0, 0.05, 0.5],
-            direction=direction,
+            hedge_p, hedge_q, desk.u_exp, [0.0, 0.05, 0.5], direction=direction,
         )
         by_c = {e["c"]: e for e in rep["entries"]}
         assert by_c[0.0]["delta_p"] == by_c[0.0]["delta_q"] == 0.0

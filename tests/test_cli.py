@@ -17,6 +17,8 @@ from driftless.var_model import (
     VarParams,
     desk_grid,
     desk_params,
+    simulate,
+    stationary_init,
     synthetic_history,
     write_history_csv,
 )
@@ -432,6 +434,10 @@ def test_make_q_bad_config_value_exit_1(tmp_path, bundle_dir, capsys, doc):
     ("simulate", "params.json", lambda d: {}, "dim"),
     ("simulate", "params.json", lambda d: {**d, "dt": 0}, "dt"),
     ("simulate", "params.json", lambda d: {**d, "dt": -0.004}, "dt"),
+    ("simulate", "params.json", lambda d: {**d, "a1": [*d["a1"][:-1], d["a1"][-1][:-1]]}, "'a1'"),
+    ("simulate", "params.json", lambda d: {**d, "b": ["abc", *d["b"][1:]]}, "'b'"),
+    ("simulate", "params.json", lambda d: {**d, "chol": np.transpose(d["chol"]).tolist()},
+     "'chol'"),
     ("verify", "b/meta.json", lambda d: {**d, "n_paths": "200"}, "n_paths"),
     ("verify", "b/meta.json", lambda d: {**d, "n_steps": 2.5}, "n_steps"),
     ("verify", "b/meta.json", lambda d: {**d, "n_steps": -1}, "n_steps"),
@@ -440,6 +446,7 @@ def test_make_q_bad_config_value_exit_1(tmp_path, bundle_dir, capsys, doc):
 ], ids=["cost_nan_gamma", "cost_string_gamma", "utility_nan_lambda", "utility_string_lambda",
         "payoff_string_strike", "payoff_string_maturity", "payoff_float_side",
         "payoff_string_table", "params_empty", "params_zero_dt", "params_negative_dt",
+        "params_ragged_a1", "params_string_b", "params_upper_chol",
         "meta_string_paths", "meta_float_steps", "meta_negative_steps", "meta_string_seed",
         "meta_string_has_weights"])
 def test_bad_input_value_exit_1(tmp_path, params_file, bundle_dir, capsys, command, name, edit,
@@ -488,6 +495,27 @@ def _custom_payoff(doc):
     return payoff(PayoffSpec.from_dict(doc), SimpleNamespace(n_paths=3))
 
 
+# VAR params of dim 2: the spot return and one log vol
+_PARAMS_2 = {"dim": 2, "dt": 1 / 252, "a1": [[0.0, 0.0], [0.0, 0.0]],
+             "a2": [[0.0, 0.0], [0.0, 0.0]], "b": [0.0, 0.0], "chol": [[0.2, 0.0], [0.0, 0.1]]}
+_GRID_1X1 = DlvGrid(strikes=(1.0,), maturities=(20 / 252,))
+
+
+def _params_from(changes):
+    """VarParams read from a params file: _PARAMS_2 with ``changes``."""
+    with open("params.json", "w") as f:
+        json.dump({**_PARAMS_2, **changes}, f)
+    return VarParams.from_json("params.json")
+
+
+def _simulate(changes):
+    """simulate the _PARAMS_2 market on a 1x1 grid, with ``changes`` to its
+    keyword arguments."""
+    params = _params_from({})
+    kwargs = {"n_paths": 2, "n_steps": 1, "seed": 0, "grid": _GRID_1X1, **changes}
+    return simulate(params, stationary_init(params), **kwargs)
+
+
 @pytest.mark.parametrize("reader, doc", [
     (Utility.from_dict, {"family": "power"}),
     (Utility.from_dict, {"family": "exponential", "lambda": 0.0}),
@@ -503,6 +531,13 @@ def _custom_payoff(doc):
     (_instruments_from, [{"kind": "call", "rel_strike": 0.0, "ttm_days": 20}]),
     (_instruments_from, [{"kind": "put", "rel_strike": 0.95, "ttm_days": 0}]),
     (CostSpec.from_dict, {"gamma": -0.1}),
+    (_params_from, {"chol": [[0.2, 0.1], [0.0, 0.1]]}),
+    (_params_from, {"a1": [[0.0, 0.0], [0.0]]}),
+    (_params_from, {"b": ["abc", 0.0]}),
+    (_params_from, {"b": [float("nan"), 0.0]}),
+    (_params_from, {"dim": 3}),
+    (_simulate, {"n_paths": 0}),
+    (_simulate, {"grid": DlvGrid(strikes=(0.95, 1.05), maturities=(20 / 252,))}),
 ])
 def test_bad_config_raises_package_error(reader, doc, tmp_path, monkeypatch):
     """A config that parses but breaks a domain rule raises a package

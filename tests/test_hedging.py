@@ -91,35 +91,30 @@ class TestPayoff:
 
 class TestTilt:
     def test_zero_entropy_uniform(self):
-        b, _ = one_period_bundle(np.array([0.1, -0.1, 0.2]))
-        assert np.array_equal(tilt(b, np.array([1.0, 2.0, 3.0]), 0.0), np.ones(3))
+        assert np.array_equal(tilt(np.array([1.0, 2.0, 3.0]), 0.0), np.ones(3))
 
     @pytest.mark.parametrize("c", [0.05, 0.5])
     def test_achieved_entropy(self, c):
         rng = np.random.default_rng(0)
         direction = rng.normal(size=2000)
-        b, _ = one_period_bundle(rng.normal(size=2000) * 0.01)
-        w = tilt(b, direction, c)
+        w = tilt(direction, c)
         assert w.mean() == pytest.approx(1.0, abs=1e-12)
         assert float(np.mean(w * np.log(w))) == pytest.approx(c, abs=1e-6)
 
     def test_tilts_against_direction(self):
         rng = np.random.default_rng(1)
         direction = rng.normal(size=500)
-        b, _ = one_period_bundle(np.zeros(500))
-        w = tilt(b, direction, 0.2)
+        w = tilt(direction, 0.2)
         assert np.mean(w * direction) < np.mean(direction)
 
     @pytest.mark.parametrize("c", [float("nan"), -0.1], ids=["nan", "negative"])
     def test_bad_entropy_rejected(self, c):
-        b, _ = one_period_bundle(np.zeros(4))
         with pytest.raises(InputError):
-            tilt(b, np.array([1.0, 2.0, 3.0, 4.0]), c)
+            tilt(np.array([1.0, 2.0, 3.0, 4.0]), c)
 
     def test_constant_direction_rejected(self):
-        b, _ = one_period_bundle(np.zeros(4))
         with pytest.raises(TiltError):
-            tilt(b, np.ones(4), 0.1)
+            tilt(np.ones(4), 0.1)
 
 
 class TestReplication:
@@ -204,7 +199,7 @@ class TestRobustnessEval:
         cfg = TrainConfig(epochs=100, lr=0.02, seed=1, hidden=(8,))
         hp = deep_hedge(bundle, rets, None, z, spec, u, cfg)
         hq = deep_hedge(bundle, rets, None, z, spec, u, cfg)
-        rep = robustness_eval(bundle, hp, hq, u, [0.0])
+        rep = robustness_eval(hp, hq, u, [0.0])
         assert rep["entries"][0]["delta_p"] == pytest.approx(0.0, abs=1e-12)
         assert rep["entries"][0]["delta_q"] == pytest.approx(0.0, abs=1e-12)
 
@@ -217,7 +212,7 @@ class TestRobustnessEval:
         z = np.where(bundle.spots[:, -1] > 1.0, -1.0, 0.0)
         cfg = TrainConfig(epochs=150, lr=0.02, seed=3, hidden=(8,))
         hp = deep_hedge(bundle, rets, None, z, spec, u, cfg)
-        rep = robustness_eval(bundle, hp, hp, u, [0.02, 0.05, 0.2, 0.5])
+        rep = robustness_eval(hp, hp, u, [0.02, 0.05, 0.2, 0.5])
         deltas = [e["delta_p"] for e in rep["entries"]]
         assert all(b >= a - 1e-10 for a, b in zip(deltas, deltas[1:]))
 

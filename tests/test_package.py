@@ -119,3 +119,60 @@ def test_no_unused_private_names():
     unused = [f"{module} {name}" for module, i, name in defined
               if not users.get(name, set()) - {(module, i)}]
     assert unused == []
+
+
+def _defaulted_parameters(tree):
+    """(name, parameter, position) of each defaulted parameter of each
+    function in ``tree``: ``name`` is the class name for an ``__init__``,
+    ``position`` the index among a call's positional arguments, None for a
+    keyword-only parameter."""
+    out = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                pos = a.posonlyargs + a.args
+                if cls and pos and pos[0].arg in ("self", "cls"):
+                    pos = pos[1:]
+                name = cls if child.name == "__init__" else child.name
+                first = len(pos) - len(a.defaults)
+                out.extend((name, p.arg, i) for i, p in enumerate(pos[first:], first))
+                out.extend((name, p.arg, None)
+                           for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+                visit(child, None)
+            else:
+                visit(child, cls)
+
+    visit(tree, None)
+    return out
+
+
+def _sets(call, name, param, position):
+    """True when ``call`` calls ``name`` and sets ``param``: by keyword, by
+    position, or through a ``*args`` or ``**kwargs`` argument."""
+    func = call.func
+    if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) != name:
+        return False
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            k.arg is None for k in call.keywords):
+        return True
+    return (any(k.arg == param for k in call.keywords)
+            or (position is not None and len(call.args) > position))
+
+
+def test_every_default_is_set():
+    """Every defaulted parameter of a package function is set by at least
+    one call in the package or its tests; a default no caller varies is a
+    constant."""
+    params = [(path.name, *p) for path in sorted(SRC.glob("*.py"))
+              for p in _defaulted_parameters(ast.parse(path.read_text()))]
+    tests = pathlib.Path(__file__).parent
+    calls = [n for path in sorted(SRC.glob("*.py")) + sorted(tests.glob("*.py"))
+             for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.Call)]
+    assert params
+    unset = [f"{module} {name}({param})" for module, name, param, position in params
+             if not any(_sets(c, name, param, position) for c in calls)]
+    assert unset == []

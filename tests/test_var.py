@@ -1,12 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from driftless.errors import FitError, SimulationError
+from driftless.surface import prices_from_dlv_batch
 from driftless.var_model import (
     MAX_RETRIES,
     SIGMA_MAX,
+    SPOT_VOL,
     VarParams,
     _BLOCK_PATHS,
+    calibrated_base_vols,
     desk_grid,
     desk_params,
     fit_var,
@@ -152,6 +157,19 @@ class TestStationaryInit:
         y[1:] = p.b[1:] * p.dt / (1.0 + (np.diag(p.a1)[1:] + np.diag(p.a2)[1:]) * p.dt)
         for seed_vector in stationary_init(p):
             assert seed_vector.tobytes() == y.tobytes()
+
+
+class TestDeskCalibration:
+    def test_atm_prices_match_black_scholes(self):
+        """Each maturity row's ATM call under the calibrated DLV levels is
+        the Black-Scholes ATM call at SPOT_VOL (S = K = 1, zero rates)."""
+        grid = desk_grid()
+        prices = prices_from_dlv_batch(grid, calibrated_base_vols(grid))
+        i_atm = 1 + grid.strikes.index(1.0)
+        for j, tau in enumerate(grid.maturities):
+            # N(d) - N(-d) = erf(d / sqrt 2) with d = SPOT_VOL sqrt(tau) / 2
+            bs_atm = math.erf(0.5 * SPOT_VOL * math.sqrt(tau / 2.0))
+            assert abs(prices[j + 1, i_atm] - bs_atm) <= 1e-9
 
 
 class TestSimulate:
