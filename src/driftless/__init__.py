@@ -3,7 +3,7 @@ drift-robust deep hedging."""
 
 from .frictions import CostSpec
 from .market import InstrumentReturn, InstrumentSpec, PathBundle, build_returns
-from .measure import DensityWeights, density, memm_one_period, verify_drift
+from .measure import DensityWeights, density, verify_drift
 from .oce import Utility, closed_form_y, legendre, u_deriv, u_value
 from .surface import DlvGrid, dlv_from_prices, prices_from_dlv_batch
 from .trainer import Mlp, Solution, TrainConfig, train
@@ -29,7 +29,6 @@ __all__ = [
     "dlv_from_prices",
     "fit_var",
     "legendre",
-    "memm_one_period",
     "prices_from_dlv_batch",
     "simulate",
     "train",

@@ -66,10 +66,6 @@ class SingularSystemError(DriftlessError, ValueError):
     """A linear system encountered a zero pivot."""
 
 
-class ClassicArbitrageError(DriftlessError, ValueError):
-    """Outcomes are one-signed: no finite utility maximizer exists."""
-
-
 class FitError(DriftlessError, ValueError):
     """Regression failure (rank-deficient design matrix)."""
 

@@ -54,8 +54,3 @@ class CostSpec:
 def marginal_rate(spec, mids):
     """The marginal rate gamma * |H| at zero trade, the same on both sides."""
     return spec.gamma_prop * np.abs(np.asarray(mids, dtype=float))
-
-
-def marginal_cost(spec, a, mids):
-    """Positively homogeneous first-order cost m(a) = |a| . gamma."""
-    return (np.abs(np.asarray(a, dtype=float)) * marginal_rate(spec, mids)).sum(axis=-1)

@@ -20,10 +20,9 @@ from .errors import (
     check_number,
     check_numbers,
 )
-from .frictions import CostSpec
-from .market import feature_matrix, read_json, write_text
+from .market import read_json, write_text
 from .oce import oce_sup
-from .trainer import forward, train
+from .trainer import train
 
 TILT_TOL = 1e-6  # tolerance of tilt on the achieved relative entropy
 
@@ -131,43 +130,6 @@ def deep_hedge(bundle, returns, weights, z, spec, utility, config):
                        certainty_equivalent=sol.objective_value, pnl=pnl, stats=_pnl_stats(pnl))
 
 
-def decompose_check(bundle, returns, utility, z, config, q_weights):
-    """Check the frictionless hedge decomposition a*_P = a*_Q + a*_0 on
-    trained policies.
-
-    Trains the statistical hedge (P weights, claim), the clean hedge
-    (Q* weights, claim) and the pure statarb policy (P weights, empty
-    portfolio); reports per-state action residuals and the PnL comparison
-    of the clean hedge vs the statistical hedge with statarb subtracted.
-    """
-    spec = CostSpec(gamma_prop=0.0, mode="none")
-    z = np.asarray(z, dtype=float)
-
-    hedge_p = deep_hedge(bundle, returns, None, z, spec, utility, config)
-    hedge_q = deep_hedge(bundle, returns, q_weights, z, spec, utility, config)
-    sol_0 = train(bundle, returns, spec, utility, config)
-
-    feats = feature_matrix(bundle)
-    a_p = forward(hedge_p.policy, feats)
-    a_q = forward(hedge_q.policy, feats)
-    a_0 = forward(sol_0.policy, feats)
-
-    resid = np.linalg.norm(a_p - a_q - a_0, axis=-1)
-    norm_p = np.linalg.norm(a_p, axis=-1)
-
-    pnl_p_minus_0 = hedge_p.pnl - sol_0.gains
-
-    return {
-        "median_residual": float(np.median(resid)),
-        "median_norm_p": float(np.median(norm_p)),
-        "statarb_ce": sol_0.objective_value,
-        "pnl_q": hedge_q.pnl,
-        "pnl_p_minus_statarb": pnl_p_minus_0,
-        "hedge_p": hedge_p,
-        "hedge_q": hedge_q,
-    }
-
-
 def tilt(direction, c):
     """Exponential tilt w ~ exp(-theta direction) hitting relative entropy c
     within TILT_TOL: one weight per entry of ``direction``.
@@ -181,7 +143,7 @@ def tilt(direction, c):
     if c == 0:
         return np.ones(len(d))
     if not np.all(np.isfinite(d)):
-        raise ValueError("tilt direction must be finite")
+        raise InputError("tilt direction must be finite")
     if np.ptp(d) < 1e-14:
         raise TiltError("direction is (nearly) constant: entropy target unreachable")
 

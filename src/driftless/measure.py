@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ClassicArbitrageError, UtilityDomainError
+from .errors import UtilityDomainError
 from .frictions import CostSpec, marginal_rate
 from .market import check_weights, write_csv, write_text
 from .oce import legendre, u_deriv
@@ -116,46 +116,6 @@ def _normalized_density(raw):
         )
     mean_error = abs(float(np.mean(raw)) - 1.0)
     return DensityWeights(weights=raw / raw.mean(), mean_error=mean_error)
-
-
-def memm_one_period(outcomes, probs, lam):
-    """Analytic minimal-entropy measure for a one-period scalar market.
-
-    Solves E[DH exp(-lam a DH)] = 0 for the scalar position a by
-    safeguarded bisection; returns (a*, q*) with q* proportional to
-    p exp(-lam a* x).  Requires outcomes of both signs.
-    """
-    x = np.asarray(outcomes, dtype=float)
-    p = np.asarray(probs, dtype=float)
-    if np.any(p <= 0) or abs(p.sum() - 1.0) > 1e-12:
-        raise ValueError("probs must be positive and sum to 1")
-    if np.all(x >= 0) or np.all(x <= 0):
-        raise ClassicArbitrageError(
-            "outcomes are one-signed: no finite utility maximizer exists"
-        )
-
-    def psi(a):
-        z = -lam * a * x
-        z = z - z.max()  # scale-free in the root equation
-        return float(np.sum(p * x * np.exp(z)))
-
-    lo, hi = -1.0, 1.0
-    while psi(lo) < 0:
-        lo *= 2.0
-    while psi(hi) > 0:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if psi(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    a_star = 0.5 * (lo + hi)
-    logq = np.log(p) - lam * a_star * x
-    logq -= logq.max()
-    q = np.exp(logq)
-    q /= q.sum()
-    return a_star, q
 
 
 def verify_drift(bundle, returns, weights, spec):

@@ -112,16 +112,14 @@ def _layers(weights, biases, h, ws, with_masks=False):
 
 
 def forward(mlp, feats, ws=None):
-    """Deterministic forward pass; ``feats`` is (F,) or (..., F).
+    """Deterministic forward pass; ``feats`` is (..., F) with at least two
+    dimensions.
 
     Rows run in blocks of ``_BLOCK_ROWS`` into one preallocated output,
     through the layer buffers of ``ws`` (a ``_Workspace`` of at least
     min(_BLOCK_ROWS, rows) rows), allocated once per call when it is None.
     """
     h = np.asarray(feats, dtype=float)
-    single = h.ndim == 1
-    if single:
-        h = h[None, :]
     flat = h.reshape(-1, h.shape[-1])
     n_rows = flat.shape[0]
     # the result is allocated before a local workspace, so that freeing
@@ -133,8 +131,7 @@ def forward(mlp, feats, ws=None):
     for start in range(0, n_rows, _BLOCK_ROWS):
         block = flat[start : start + _BLOCK_ROWS]
         out[start : start + _BLOCK_ROWS] = _layers(mlp.weights, mlp.biases, block, ws)
-    out = out.reshape(h.shape[:-1] + (out.shape[1],))
-    return out[0] if single else out
+    return out.reshape(h.shape[:-1] + (out.shape[1],))
 
 
 CLIP_NORM = 10.0  # minibatch gradients are rescaled to at most this norm

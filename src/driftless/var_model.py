@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError, InputError, SimulationError, check_keys, check_number
-from .market import bundle_from_sigmas, read_csv, read_json, write_csv, write_text
+from .market import bundle_from_sigmas, place_rows, read_csv, read_json, write_text
 from .surface import DAYS_PER_YEAR, DlvGrid, prices_from_dlv_batch
 
 SIGMA_MAX = 5.0  # vol ceiling; paths breaching it are resampled
@@ -111,8 +111,9 @@ def fit_var(history, dt):
     every coefficient are stored on the returned params.
     """
     Y = np.asarray(history, dtype=float)
-    if Y.ndim != 2:
-        raise ValueError("history must be a 2-d array")
+    if Y.ndim != 2 or Y.shape[1] < 1:
+        raise FitError(f"history must be a 2-d array with at least one Y column, "
+                       f"got shape {Y.shape}")
     N, d = Y.shape
     if N < 10 * d + 2:
         raise FitError(f"history too short: need at least {10 * d + 2} rows, got {N}")
@@ -287,7 +288,7 @@ def simulate(params, init, n_paths, n_steps, seed, grid):
 
 
 # ---------------------------------------------------------------------------
-# Synthetic history / parameter helpers.  Tests and the demo run on a
+# Desk parameter helpers and the history reader.  Tests and the demo run on a
 # synthetic equity-index-like parametrization with a controllable spot
 # drift, so no market data is needed.
 # ---------------------------------------------------------------------------
@@ -380,21 +381,15 @@ def stationary_init(params):
     return y.copy(), y.copy()
 
 
-def synthetic_history(params, n_obs, seed):
-    """One long simulated Y trajectory from ``stationary_init``, for fitting
-    tests and the demo."""
-    return iterate_var(params, stationary_init(params), _noise(params, n_obs, seed, [0], 0))[0]
-
-
-def write_history_csv(path, history, grid):
-    m, n = grid.n_maturities, grid.n_strikes
-    header = ["r", "dlogS"] + [
-        f"logdlv_{j + 1}_{i + 1}" for j in range(m) for i in range(n)
-    ]
-    write_csv(path, header, [np.arange(len(history)), *np.asarray(history, dtype=float).T])
-
-
 def read_history_csv(path):
-    """Read a Y history written by ``write_history_csv``: a header, then one
-    row per observation (an index column, then the Y components)."""
-    return np.concatenate(list(read_csv(path, "history CSV")))[:, 1:]
+    """Read an (N, d) Y history from a CSV: a header, then one row per
+    observation, each the observation index ``r`` and the d components of
+    Y_r (dlogS, then the log DLVs), as in
+    ``r,dlogS,logdlv_1_1,...,logdlv_m_n``.  Rows are placed by ``r``, which
+    must hold each of 0..N-1 exactly once for N data rows; raises InputError
+    otherwise."""
+    blocks = list(read_csv(path, "history CSV"))
+    history = np.empty((sum(len(b) for b in blocks), blocks[0].shape[1] - 1))
+    for index, block in place_rows(path, blocks, {"r": len(history)}):
+        history[index] = block[:, 1:]
+    return history

@@ -1,0 +1,143 @@
+"""Reference oracles the tests check the package against.
+
+No pipeline stage runs these: the analytic one-period minimal-entropy
+martingale measure, the frictionless hedge decomposition
+a*_P = a*_Q + a*_0, the first-order marginal cost, a one-period toy market
+and a synthetic VAR history with its CSV writer.
+"""
+
+import numpy as np
+
+from driftless.errors import DriftlessError
+from driftless.frictions import CostSpec, marginal_rate
+from driftless.hedging import deep_hedge
+from driftless.market import (
+    InstrumentReturn,
+    InstrumentSpec,
+    bundle_from_sigmas,
+    feature_matrix,
+    write_csv,
+)
+from driftless.surface import DlvGrid
+from driftless.trainer import forward, train
+from driftless.var_model import _noise, iterate_var, stationary_init
+
+
+class ClassicArbitrageError(DriftlessError, ValueError):
+    """Outcomes are one-signed: no finite utility maximizer exists."""
+
+
+def one_period_bundle(outcomes, seed=0):
+    """One step, one node grid; spot moves so DH equals ``outcomes``.
+
+    With equal initial states the policy acts identically on all paths,
+    so training collapses to a single scalar position.
+    """
+    outcomes = np.asarray(outcomes, dtype=float)
+    P = outcomes.shape[0]
+    grid = DlvGrid(strikes=(1.0,), maturities=(20 / 252,), boundary_lo=0.5)
+    spots = np.column_stack([np.ones(P), 1.0 + outcomes])
+    sigmas = np.zeros((P, 2, 1, 1))
+    bundle = bundle_from_sigmas(grid, spots, sigmas, seed=seed)
+    rets = InstrumentReturn(
+        instruments=(InstrumentSpec("spot"),),
+        dh=outcomes.reshape(P, 1, 1),
+        mids=np.ones((P, 1, 1)),
+    )
+    return bundle, rets
+
+
+def memm_one_period(outcomes, probs, lam):
+    """Analytic minimal-entropy measure for a one-period scalar market.
+
+    Solves E[DH exp(-lam a DH)] = 0 for the scalar position a by
+    safeguarded bisection; returns (a*, q*) with q* proportional to
+    p exp(-lam a* x).  Requires outcomes of both signs.
+    """
+    x = np.asarray(outcomes, dtype=float)
+    p = np.asarray(probs, dtype=float)
+    if np.any(p <= 0) or abs(p.sum() - 1.0) > 1e-12:
+        raise ValueError("probs must be positive and sum to 1")
+    if np.all(x >= 0) or np.all(x <= 0):
+        raise ClassicArbitrageError(
+            "outcomes are one-signed: no finite utility maximizer exists"
+        )
+
+    def psi(a):
+        z = -lam * a * x
+        z = z - z.max()  # scale-free in the root equation
+        return float(np.sum(p * x * np.exp(z)))
+
+    lo, hi = -1.0, 1.0
+    while psi(lo) < 0:
+        lo *= 2.0
+    while psi(hi) > 0:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if psi(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    a_star = 0.5 * (lo + hi)
+    logq = np.log(p) - lam * a_star * x
+    logq -= logq.max()
+    q = np.exp(logq)
+    q /= q.sum()
+    return a_star, q
+
+
+def marginal_cost(spec, a, mids):
+    """Positively homogeneous first-order cost m(a) = |a| . gamma."""
+    return (np.abs(np.asarray(a, dtype=float)) * marginal_rate(spec, mids)).sum(axis=-1)
+
+
+def decompose_check(bundle, returns, utility, z, config, q_weights):
+    """Check the frictionless hedge decomposition a*_P = a*_Q + a*_0 on
+    trained policies.
+
+    Trains the statistical hedge (P weights, claim), the clean hedge
+    (Q* weights, claim) and the pure statarb policy (P weights, empty
+    portfolio); reports per-state action residuals and the PnL comparison
+    of the clean hedge vs the statistical hedge with statarb subtracted.
+    """
+    spec = CostSpec(gamma_prop=0.0, mode="none")
+    z = np.asarray(z, dtype=float)
+
+    hedge_p = deep_hedge(bundle, returns, None, z, spec, utility, config)
+    hedge_q = deep_hedge(bundle, returns, q_weights, z, spec, utility, config)
+    sol_0 = train(bundle, returns, spec, utility, config)
+
+    feats = feature_matrix(bundle)
+    a_p = forward(hedge_p.policy, feats)
+    a_q = forward(hedge_q.policy, feats)
+    a_0 = forward(sol_0.policy, feats)
+
+    resid = np.linalg.norm(a_p - a_q - a_0, axis=-1)
+    norm_p = np.linalg.norm(a_p, axis=-1)
+
+    pnl_p_minus_0 = hedge_p.pnl - sol_0.gains
+
+    return {
+        "median_residual": float(np.median(resid)),
+        "median_norm_p": float(np.median(norm_p)),
+        "statarb_ce": sol_0.objective_value,
+        "pnl_q": hedge_q.pnl,
+        "pnl_p_minus_statarb": pnl_p_minus_0,
+        "hedge_p": hedge_p,
+        "hedge_q": hedge_q,
+    }
+
+
+def synthetic_history(params, n_obs, seed):
+    """One long simulated Y trajectory from ``stationary_init``, for fitting
+    tests and the demo."""
+    return iterate_var(params, stationary_init(params), _noise(params, n_obs, seed, [0], 0))[0]
+
+
+def write_history_csv(path, history, grid):
+    m, n = grid.n_maturities, grid.n_strikes
+    header = ["r", "dlogS"] + [
+        f"logdlv_{j + 1}_{i + 1}" for j in range(m) for i in range(n)
+    ]
+    write_csv(path, header, [np.arange(len(history)), *np.asarray(history, dtype=float).T])

@@ -15,14 +15,12 @@ from driftless.measure import (
     bounded_reweight,
     density,
     divergence,
-    memm_one_period,
     verify_drift,
 )
 from driftless.oce import Utility, legendre, oce_sup, u_value
 from driftless.surface import DlvGrid, dlv_from_prices, prices_from_dlv_batch
 from driftless.trainer import (
     TrainConfig,
-    evaluate_policy,
     init_mlp,
     objective_and_grad,
     train,
@@ -33,11 +31,10 @@ from driftless.var_model import (
     fit_var,
     simulate,
     stationary_init,
-    synthetic_history,
 )
 
 import conftest
-from test_trainer import one_period_bundle
+from oracles import memm_one_period, one_period_bundle, synthetic_history
 
 
 def report(name, ok, detail):
@@ -264,12 +261,8 @@ def test_a7_var_recovery():
 def test_a8_duality(desk):
     div = divergence(desk.dw_exp.weights, desk.u_exp)
     obj = desk.sol_exp.objective_value
-    res = evaluate_policy(
-        desk.bundle, desk.returns, DESK_SPEC, desk.u_exp,
-        desk.sol_exp.policy, desk.sol_exp.y_star,
-    )
     per_path = legendre(desk.u_exp, desk.dw_exp.weights) - (
-        u_value(desk.u_exp, res["pre_utility"]) - desk.sol_exp.y_star
+        u_value(desk.u_exp, desk.sol_exp.pre_utility) - desk.sol_exp.y_star
     )
     two_se = 2.0 * per_path.std(ddof=1) / np.sqrt(per_path.size)
     diff = abs(div - obj)
@@ -285,11 +278,7 @@ def test_a9_robustness(desk):
                      side=-1)
     z = payoff(pay, desk.bundle)
     # tilt direction: the drift direction identified by the statarb trader
-    res = evaluate_policy(
-        desk.bundle, desk.returns, DESK_SPEC, desk.u_exp,
-        desk.sol_exp.policy, desk.sol_exp.y_star,
-    )
-    direction = res["gains"] - res["costs"]
+    direction = desk.sol_exp.gains - desk.sol_exp.costs
 
     # training noise dominates MC noise here, so retrain both hedges over
     # independent seeds and compare the mean small-tilt degradation of the

@@ -19,9 +19,9 @@ from driftless.var_model import (
     desk_params,
     simulate,
     stationary_init,
-    synthetic_history,
-    write_history_csv,
 )
+
+from oracles import synthetic_history, write_history_csv
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +29,14 @@ def params_file(tmp_path_factory):
     d = tmp_path_factory.mktemp("params")
     p = d / "params.json"
     desk_params(desk_grid()).to_json(p)
+    return p
+
+
+@pytest.fixture(scope="module")
+def history_file(tmp_path_factory):
+    grid = desk_grid()
+    p = tmp_path_factory.mktemp("history") / "history.csv"
+    write_history_csv(p, synthetic_history(desk_params(grid), 300, seed=1), grid)
     return p
 
 
@@ -148,16 +156,16 @@ def test_make_q_verify_pipeline(tmp_path, bundle_dir):
     ("robustness", ["bundle", "weights", "payoff", "cost", "utility", "train", "instruments"],
      ["--out", "r.json"]),
 ], ids=["fit-var", "simulate", "make-q", "verify", "hedge", "robustness"])
-def test_manifest_hashes_every_input(tmp_path, params_file, bundle_dir, command, names, rest):
+def test_manifest_hashes_every_input(tmp_path, params_file, history_file, bundle_dir, command,
+                                     names, rest):
     """run.json's inputs are exactly the files passed plus the bundle's
     files, each with its sha256."""
     grid = desk_grid()
     files = {"params": params_file, "cost": write_cost(tmp_path),
              "utility": write_utility(tmp_path), "train": write_train(tmp_path, epochs=2),
-             "payoff": write_payoff(tmp_path), "history": tmp_path / "history.csv",
+             "payoff": write_payoff(tmp_path), "history": history_file,
              "grid": tmp_path / "grid.json", "weights": tmp_path / "w.csv",
              "instruments": tmp_path / "instruments.json", "bundle": bundle_dir}
-    write_history_csv(files["history"], synthetic_history(desk_params(grid), 300, seed=1), grid)
     files["grid"].write_text(json.dumps(grid.to_dict()))
     write_weights_csv(files["weights"], np.ones(200))
     files["instruments"].write_text(json.dumps([
@@ -443,24 +451,37 @@ def test_make_q_bad_config_value_exit_1(tmp_path, bundle_dir, capsys, doc):
     ("verify", "b/meta.json", lambda d: {**d, "n_steps": -1}, "n_steps"),
     ("verify", "b/meta.json", lambda d: {**d, "seed": "0"}, "seed"),
     ("verify", "b/meta.json", lambda d: {**d, "has_weights": "no"}, "has_weights"),
+    ("fit-var", "history.csv", lambda t: t.replace("\n1,", "\n0,", 1), "repeated"),
+    ("fit-var", "history.csv",
+     lambda t: "\n".join(line for i, line in enumerate(t.splitlines()) if i != 2), "['r']"),
+    ("fit-var", "history.csv",
+     lambda t: "\n".join(line.split(",")[0] for line in t.splitlines()), "Y column"),
 ], ids=["cost_nan_gamma", "cost_string_gamma", "utility_nan_lambda", "utility_string_lambda",
         "payoff_string_strike", "payoff_string_maturity", "payoff_float_side",
         "payoff_string_table", "params_empty", "params_zero_dt", "params_negative_dt",
         "params_ragged_a1", "params_string_b", "params_upper_chol",
         "meta_string_paths", "meta_float_steps", "meta_negative_steps", "meta_string_seed",
-        "meta_string_has_weights"])
-def test_bad_input_value_exit_1(tmp_path, params_file, bundle_dir, capsys, command, name, edit,
-                                key):
+        "meta_string_has_weights", "history_repeated_r", "history_missing_r",
+        "history_no_y_columns"])
+def test_bad_input_value_exit_1(tmp_path, params_file, history_file, bundle_dir, capsys, command,
+                                name, edit, key):
+    """Each edit of a JSON file or, for the history, of the CSV text exits 1
+    with a message naming ``key``."""
     shutil.copytree(bundle_dir, tmp_path / "b")
     shutil.copy(params_file, tmp_path / "params.json")
+    shutil.copy(history_file, tmp_path / "history.csv")
     cost, util, pay = write_cost(tmp_path), write_utility(tmp_path), write_payoff(tmp_path)
     train_cfg = write_train(tmp_path)
     weights = tmp_path / "w.csv"
     write_weights_csv(weights, np.ones(200))
     f = tmp_path / name
-    f.write_text(json.dumps(edit(json.loads(f.read_text()))))
+    if name.endswith(".json"):
+        f.write_text(json.dumps(edit(json.loads(f.read_text()))))
+    else:
+        f.write_text(edit(f.read_text()))
     b, out = str(tmp_path / "b"), str(tmp_path / "out")
     argv = {
+        "fit-var": ["fit-var", "--history", str(f), "--out", out],
         "simulate": ["simulate", "--params", str(f), "--paths", "5", "--steps", "2",
                      "--out", out],
         "make-q": ["make-q", "--bundle", b, "--cost", str(cost), "--utility", str(util),

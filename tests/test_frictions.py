@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from driftless.errors import InputError
-from driftless.frictions import CostSpec, marginal_cost, marginal_rate
+from driftless.frictions import CostSpec, marginal_rate
+
+from oracles import marginal_cost
 
 
 def test_zero_action_costs_nothing():

@@ -5,17 +5,15 @@ from driftless.errors import GridDomainError, InputError, TiltError
 from driftless.frictions import CostSpec
 from driftless.hedging import (
     PayoffSpec,
-    decompose_check,
     deep_hedge,
     payoff,
     robustness_eval,
     tilt,
 )
-from driftless.measure import density, memm_one_period
 from driftless.oce import Utility
-from driftless.trainer import TrainConfig, evaluate_policy, train
+from driftless.trainer import TrainConfig, evaluate_policy
 
-from test_trainer import one_period_bundle
+from oracles import decompose_check, memm_one_period, one_period_bundle
 
 
 def spots_bundle(final_spots):
@@ -115,6 +113,11 @@ class TestTilt:
     def test_constant_direction_rejected(self):
         with pytest.raises(TiltError):
             tilt(np.ones(4), 0.1)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_direction_rejected(self, bad):
+        with pytest.raises(InputError, match="finite"):
+            tilt(np.array([1.0, bad, 2.0]), 0.1)
 
 
 class TestReplication:

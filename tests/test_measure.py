@@ -1,20 +1,19 @@
 import numpy as np
 import pytest
 
-from driftless.errors import ClassicArbitrageError, InputError, UtilityDomainError
+from driftless.errors import InputError, UtilityDomainError
 from driftless.frictions import CostSpec
 from driftless.measure import (
     DensityWeights,
     bounded_reweight,
     density,
     divergence,
-    memm_one_period,
     verify_drift,
 )
 from driftless.oce import Utility, legendre
 from driftless.trainer import TrainConfig, train
 
-from test_trainer import one_period_bundle
+from oracles import ClassicArbitrageError, memm_one_period, one_period_bundle
 
 
 class TestMemmOnePeriod:

@@ -6,15 +6,9 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from driftless.errors import InputError
-from driftless.frictions import CostSpec, marginal_cost
-from driftless.market import (
-    InstrumentReturn,
-    InstrumentSpec,
-    build_returns,
-    bundle_from_sigmas,
-)
+from driftless.frictions import CostSpec
+from driftless.market import build_returns
 from driftless.oce import Utility, closed_form_y, u_value
-from driftless.surface import DlvGrid
 from driftless.trainer import (
     _BLOCK_ROWS,
     SMOOTH_EPS,
@@ -29,6 +23,7 @@ from driftless.trainer import (
     objective_and_grad,
     train,
 )
+from oracles import marginal_cost, one_period_bundle
 from pergraph import Tensor
 
 
@@ -56,39 +51,19 @@ def graph_objective(prob, param_tensors, y_tensor, idx, smooth_eps):
     return (util * Tensor(prob.weights[idx])).mean() - y_tensor
 
 
-def one_period_bundle(outcomes, seed=0):
-    """One step, one node grid; spot moves so DH equals ``outcomes``.
-
-    With equal initial states the policy acts identically on all paths,
-    so training collapses to a single scalar position.
-    """
-    outcomes = np.asarray(outcomes, dtype=float)
-    P = outcomes.shape[0]
-    grid = DlvGrid(strikes=(1.0,), maturities=(20 / 252,), boundary_lo=0.5)
-    spots = np.column_stack([np.ones(P), 1.0 + outcomes])
-    sigmas = np.zeros((P, 2, 1, 1))
-    bundle = bundle_from_sigmas(grid, spots, sigmas, seed=seed)
-    rets = InstrumentReturn(
-        instruments=(InstrumentSpec("spot"),),
-        dh=outcomes.reshape(P, 1, 1),
-        mids=np.ones((P, 1, 1)),
-    )
-    return bundle, rets
-
-
 class TestForward:
     def test_zero_net_zero_actions(self):
         mlp = Mlp(
             weights=[np.zeros((3, 4)), np.zeros((4, 2))],
             biases=[np.zeros(4), np.zeros(2)],
         )
-        out = forward(mlp, np.array([1.0, -2.0, 0.5]))
+        out = forward(mlp, np.array([1.0, -2.0, 0.5])[None])[0]
         assert np.array_equal(out, np.zeros(2))
 
     def test_single_identity_layer(self):
         mlp = Mlp(weights=[np.eye(3)], biases=[np.zeros(3)])
         x = np.array([0.3, -1.2, 4.0])
-        assert np.array_equal(forward(mlp, x), x)
+        assert np.array_equal(forward(mlp, x[None])[0], x)
 
     def test_blocks_match_unblocked_chain(self):
         rng = np.random.default_rng(8)
@@ -111,7 +86,7 @@ class TestForward:
         batch = forward(mlp, feats)
         for p in range(7):
             for t in range(3):
-                single = forward(mlp, feats[p, t])
+                single = forward(mlp, feats[p, t][None])[0]
                 assert np.allclose(batch[p, t], single, atol=0)
 
 

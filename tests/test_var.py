@@ -20,9 +20,9 @@ from driftless.var_model import (
     simulate,
     stationary_init,
     step_normals,
-    synthetic_history,
-    write_history_csv,
 )
+
+from oracles import synthetic_history, write_history_csv
 
 DT = 1.0 / 252.0
 
@@ -89,6 +89,11 @@ class TestFitVar:
         h[5, 1] = np.nan
         with pytest.raises(FitError):
             fit_var(h, DT)
+
+    @pytest.mark.parametrize("shape", [(200,), (200, 0)], ids=["1d", "no_y_columns"])
+    def test_bad_shape_rejected(self, shape):
+        with pytest.raises(FitError, match="2-d array"):
+            fit_var(np.zeros(shape), DT)
 
 
 def fresh_step_normals(seed, path, step, dim, retry=0):
@@ -335,6 +340,16 @@ class TestHistoryCsv:
         assert np.array_equal(back, hist)
         header = path.read_text().splitlines()[0]
         assert header.startswith("r,dlogS,logdlv_1_1")
+
+    def test_rows_placed_by_index(self, tmp_path):
+        grid = desk_grid()
+        hist = synthetic_history(desk_params(grid), 50, seed=3)
+        path = tmp_path / "hist.csv"
+        write_history_csv(path, hist, grid)
+        header, *rows = path.read_text().splitlines()
+        order = np.random.default_rng(0).permutation(len(rows))
+        path.write_text("\n".join([header, *(rows[i] for i in order)]) + "\n")
+        assert np.array_equal(read_history_csv(path), hist)
 
 
 class TestVarParamsJson:
