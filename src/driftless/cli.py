@@ -1,13 +1,15 @@
 """Command-line pipeline: fit -> simulate -> make-q -> verify -> hedge ->
 robustness, plus an end-to-end demo.
 
-Every subcommand is deterministic given its inputs and seed.  Every file
-it writes goes through ``market.write_text``, so each artifact, run.json
-included, is replaced atomically (temp file + rename); a bundle's meta.json
-is written after its CSVs.  Each subcommand reads and checks every input
-before it starts work, and its run.json manifest records the sha256 of
-exactly the files read, the seed used and versions.  Exit codes: 0
-success, 1 validation error or unreadable file, 2 numerical failure.
+Every subcommand is deterministic given its inputs and seed.  Only the CLI
+reads a JSON config; each class parses it with its ``from_dict``.  Every
+file a subcommand writes goes through ``market.write_text``, so each
+artifact, run.json included, is replaced atomically (temp file + rename); a
+bundle's meta.json is written after its CSVs.  Each subcommand reads and
+checks every input before it starts work, and its run.json manifest
+records the sha256 of exactly the files read, the seed used and versions.
+Exit codes: 0 success, 1 validation error or unreadable file, 2 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -81,10 +83,9 @@ def _manifest(args, read, outputs, seed=None):
     write_text(os.path.join(out_dir, "run.json"), json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _load_instruments(path):
-    doc = read_json(path)
-    if not isinstance(doc, list):
-        raise InputError("instruments JSON must be a list of instrument objects")
+def _instruments(doc):
+    if not isinstance(doc, list) or not doc:
+        raise InputError("instruments JSON must be a non-empty list of instrument objects")
     out = []
     for d in doc:
         check_keys(d, ("kind", "rel_strike", "ttm_days"), "instrument", required=("kind",))
@@ -120,23 +121,22 @@ def _entropies(text):
 
 def _load(args):
     """Check --entropies, then replace each input option recorded by
-    ``_inputs`` with what its reader returns (a grid, instruments or train
-    config not given gets its default), and resolve the seed: an explicit
+    ``_inputs`` with what it holds: a CSV or bundle through its reader, a
+    JSON config through read_json and its parser (a grid, instruments or
+    train config not given gets its default).  Resolve the seed: an explicit
     --seed overrides the train config's, and an unset one means 0.  Returns
     the files read; a bundle contributes its meta.json and paths.csv."""
     if "entropies" in args:
         args.entropies = _entropies(args.entropies)
-    readers = {
-        "history": read_history_csv,
-        "params": VarParams.from_json,
-        "grid": lambda path: DlvGrid.from_dict(read_json(path)),
-        "bundle": read_bundle,
-        "weights": read_weights_csv,
-        "cost": CostSpec.from_json,
-        "utility": Utility.from_json,
-        "payoff": PayoffSpec.from_json,
-        "train": TrainConfig.from_json,
-        "instruments": _load_instruments,
+    readers = {"history": read_history_csv, "bundle": read_bundle, "weights": read_weights_csv}
+    parsers = {
+        "params": VarParams.from_dict,
+        "grid": DlvGrid.from_dict,
+        "cost": CostSpec.from_dict,
+        "utility": Utility.from_dict,
+        "payoff": PayoffSpec.from_dict,
+        "train": TrainConfig.from_dict,
+        "instruments": _instruments,
     }
     defaults = {
         "grid": desk_grid,
@@ -149,7 +149,8 @@ def _load(args):
         if path is None:
             setattr(args, name, defaults[name]() if name in defaults else None)
             continue
-        setattr(args, name, readers[name](path))
+        setattr(args, name, readers[name](path) if name in readers
+                else parsers[name](read_json(path)))
         if name == "bundle":
             read += [os.path.join(path, f) for f in ("meta.json", "paths.csv")]
         else:

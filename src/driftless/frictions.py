@@ -9,13 +9,11 @@ gives the marginal cost m(a) = |a| . gamma >= 0.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, check_keys, check_number
-from .market import read_json, write_text
 
 
 @dataclass(frozen=True)
@@ -38,17 +36,10 @@ class CostSpec:
         if self.mode == "none" and self.gamma_prop > 0:
             raise InputError("cost mode 'none' requires gamma = 0")
 
-    def to_json(self, path):
-        write_text(path, json.dumps({"gamma": self.gamma_prop, "mode": self.mode}, indent=2))
-
     @classmethod
     def from_dict(cls, d):
         check_keys(d, ("gamma", "mode"), "cost spec")
         return cls(gamma_prop=d.get("gamma", 0.0), mode=d.get("mode", "marginal"))
-
-    @classmethod
-    def from_json(cls, path):
-        return cls.from_dict(read_json(path))
 
 
 def marginal_rate(spec, mids):

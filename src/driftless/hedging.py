@@ -20,7 +20,7 @@ from .errors import (
     check_number,
     check_numbers,
 )
-from .market import read_json, write_text
+from .market import write_text
 from .oce import oce_sup
 from .trainer import train
 
@@ -58,10 +58,6 @@ class PayoffSpec:
             side=check_number(d.get("side", -1), "payoff side", integer=True),
             table=tuple(check_numbers(d["table"], "payoff table")) if "table" in d else (),
         )
-
-    @classmethod
-    def from_json(cls, path):
-        return cls.from_dict(read_json(path))
 
 
 def payoff(spec, bundle):

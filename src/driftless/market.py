@@ -331,30 +331,42 @@ def place_rows(path, blocks, keys):
     """Yield ``(index, block)`` for each row block of ``path``, where
     ``index`` is the flat C-order position of each row's key: its leading
     columns, named and sized by the dict ``keys``.  The rows must hold each
-    key exactly once: raises InputError on a key that is not an integer in
-    range, on a repeated key and, after the last block, on a missing one."""
+    key exactly once: raises InputError on a key that is not a non-negative
+    integer or is repeated, then on a missing key (naming the first, which
+    a key beyond the size displaced when the row count sets the size), then
+    on a key beyond its size."""
     names, shape = list(keys), tuple(keys.values())
     count = np.zeros(shape, dtype=int)
+    beyond = None  # the error for the first key beyond its size
     line = 2
     for block in blocks:
         key = block[:, :len(shape)]
-        bad = ~((key == np.floor(key)) & (key >= 0) & (key < shape)).all(axis=1)
+        bad = ~((key == np.floor(key)) & (key >= 0)).all(axis=1)
         if bad.any():
             r = int(np.argmax(bad))
             raise InputError(f"{path} line {line + r}: {names} {key[r].tolist()} are not "
-                             f"integers in range {list(shape)}")
+                             "non-negative integers")
+        inside = (key < shape).all(axis=1)
+        if not inside.all():
+            r = int(np.argmax(~inside))
+            beyond = beyond or InputError(f"{path} line {line + r}: {names} "
+                                          f"{key[r].tolist()} out of range {list(shape)}")
+            key = key[inside]
         index = np.ravel_multi_index(tuple(key.T.astype(np.intp)), shape)
         np.add.at(count.reshape(-1), index, 1)
-        repeated = count.flat[index] > 1
-        if repeated.any():
-            r = int(np.argmax(repeated))
-            raise InputError(f"{path} line {line + r}: row {names} "
-                             f"{[int(k) for k in key[r]]} repeated")
-        yield index, block
+        if beyond is None:  # once a key is beyond, an error is certain: only count
+            repeated = count.flat[index] > 1
+            if repeated.any():
+                r = int(np.argmax(repeated))
+                raise InputError(f"{path} line {line + r}: row {names} "
+                                 f"{[int(k) for k in key[r]]} repeated")
+            yield index, block
         line += len(block)
     if not count.all():
         first = [int(k) for k in np.argwhere(count == 0)[0]]
-        raise InputError(f"{path} lacks {int((count == 0).sum())} row(s), first {names} {first}")
+        raise InputError(f"{path} lacks row {names} {first}")
+    if beyond is not None:
+        raise beyond
 
 
 # Bundle file format: a directory with paths.csv and meta.json, which is

@@ -13,7 +13,6 @@ form -(1/lambda) log E[exp(-lambda X)].
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,6 @@ from scipy.optimize import minimize_scalar
 from scipy.special import logsumexp
 
 from .errors import InputError, UtilityDomainError, check_keys, check_number
-from .market import read_json, write_text
 
 _EXP_CLIP = 700.0  # exp argument clip; keeps float64 finite
 
@@ -44,17 +42,10 @@ class Utility:
         if abs(u_value(self, 0.0)) > 1e-12 or abs(u_deriv(self, 0.0) - 1.0) > 1e-12:
             raise ValueError("utility normalization violated")
 
-    def to_json(self, path):
-        write_text(path, json.dumps({"family": self.family, "lambda": self.lam}, indent=2))
-
     @classmethod
     def from_dict(cls, d):
         check_keys(d, ("family", "lambda"), "utility", required=("family",))
         return cls(family=d["family"], lam=d.get("lambda", 1.0))
-
-    @classmethod
-    def from_json(cls, path):
-        return cls.from_dict(read_json(path))
 
 
 def u_value(u, x):

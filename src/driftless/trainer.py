@@ -38,7 +38,7 @@ from scipy.optimize import minimize_scalar
 from .autograd import Tensor
 from .errors import InputError, TrainingError, check_keys, check_number
 from .frictions import marginal_rate
-from .market import check_weights, feature_matrix, read_json, write_text
+from .market import check_weights, feature_matrix, write_text
 from .oce import Utility, oce_sup, u_deriv, u_value
 
 
@@ -57,10 +57,21 @@ class Mlp:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            weights=[np.asarray(w, dtype=float) for w in d["weights"]],
-            biases=[np.asarray(b, dtype=float) for b in d["biases"]],
-        )
+        """Raises InputError unless ``weights`` and ``biases`` are lists of
+        finite arrays whose shapes chain, (n_k, n_k+1) and (n_k+1,)."""
+        keys = ("weights", "biases")
+        check_keys(d, keys, "policy", required=keys)
+        try:
+            weights, biases = ([np.asarray(a, dtype=float) for a in d[k]] for k in keys)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"policy arrays must be numeric: {exc}") from None
+        if not (weights and all(w.ndim == 2 for w in weights)
+                and [b.shape for b in biases] == [w.shape[1:] for w in weights]
+                and all(v.shape[1] == w.shape[0] for v, w in zip(weights, weights[1:]))
+                and all(np.isfinite(a).all() for a in weights + biases)):
+            raise InputError("policy arrays must be finite with shapes that chain, got weights "
+                             f"{[w.shape for w in weights]} and biases {[b.shape for b in biases]}")
+        return cls(weights=weights, biases=biases)
 
 
 def init_mlp(widths, rng):
@@ -176,16 +187,12 @@ class TrainConfig:
                              integer=key in ("epochs", "batch_size", "seed"))
         return cls(**d)
 
-    @classmethod
-    def from_json(cls, path):
-        return cls.from_dict(read_json(path))
-
 
 @dataclass
 class Solution:
     """A trained policy and cash offset; from ``train``, also the per-path
     training-sample ``gains``, ``costs`` and ``pre_utility`` at them, which
-    are not written to file (``from_json`` leaves them None)."""
+    are not written to file (``from_dict`` leaves them None)."""
 
     policy: Mlp
     y_star: float
@@ -206,13 +213,15 @@ class Solution:
         write_text(path, json.dumps(doc))
 
     @classmethod
-    def from_json(cls, path):
-        doc = read_json(path)
+    def from_dict(cls, doc):
+        """Parse a ``to_json`` document; raises InputError if it is malformed."""
+        keys = ("policy", "y_star", "objective_value", "config")
+        check_keys(doc, keys, "solution", required=keys[:3])
         cfg = TrainConfig.from_dict(doc["config"]) if doc.get("config") else None
         return cls(
             policy=Mlp.from_dict(doc["policy"]),
-            y_star=doc["y_star"],
-            objective_value=doc["objective_value"],
+            y_star=check_number(doc["y_star"], "solution 'y_star'"),
+            objective_value=check_number(doc["objective_value"], "solution 'objective_value'"),
             config=cfg,
         )
 

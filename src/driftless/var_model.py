@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError, InputError, SimulationError, check_keys, check_number
-from .market import bundle_from_sigmas, place_rows, read_csv, read_json, write_text
+from .market import bundle_from_sigmas, place_rows, read_csv, write_text
 from .surface import DAYS_PER_YEAR, DlvGrid, prices_from_dlv_batch
 
 SIGMA_MAX = 5.0  # vol ceiling; paths breaching it are resampled
@@ -81,8 +81,7 @@ class VarParams:
         write_text(path, json.dumps(doc, indent=2, sort_keys=True))
 
     @classmethod
-    def from_json(cls, path):
-        doc = read_json(path)
+    def from_dict(cls, doc):
         keys = ("dim", "dt", "a1", "a2", "b", "chol")
         check_keys(doc, keys, "VAR params", required=keys)
         return cls(

@@ -6,11 +6,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from driftless.cli import _load_instruments, main
+from driftless.cli import _instruments, main
 from driftless.errors import DriftlessError
 from driftless.frictions import CostSpec
 from driftless.hedging import PayoffSpec, payoff
-from driftless.market import read_weights_csv, write_weights_csv
+from driftless.market import read_json, read_weights_csv, write_weights_csv
 from driftless.oce import Utility
 from driftless.surface import DlvGrid
 from driftless.var_model import (
@@ -83,7 +83,7 @@ def test_fit_var_round_trip(tmp_path):
     write_history_csv(hfile, hist, desk_grid())
     out = tmp_path / "fitted.json"
     assert main(["fit-var", "--history", str(hfile), "--out", str(out)]) == 0
-    fitted = VarParams.from_json(out)
+    fitted = VarParams.from_dict(read_json(out))
     assert fitted.a1.shape == params.a1.shape
     manifest = json.loads((tmp_path / "run.json").read_text())
     assert manifest["stage"] == "fit-var"
@@ -400,7 +400,8 @@ def test_simulate_bad_grid_exit_1(tmp_path, params_file, capsys, change):
     [{"kind": "spot", "strike": 1.0}],
     {"kind": "spot"},
     [{"kind": "call", "rel_strike": "1.0", "ttm_days": 20}],
-], ids=["unknown_key", "not_a_list", "string_strike"])
+    [],
+], ids=["unknown_key", "not_a_list", "string_strike", "empty"])
 def test_verify_bad_instruments_exit_1(tmp_path, bundle_dir, capsys, doc):
     cost = write_cost(tmp_path)
     weights = tmp_path / "w.csv"
@@ -453,7 +454,8 @@ def test_make_q_bad_config_value_exit_1(tmp_path, bundle_dir, capsys, doc):
     ("verify", "b/meta.json", lambda d: {**d, "has_weights": "no"}, "has_weights"),
     ("fit-var", "history.csv", lambda t: t.replace("\n1,", "\n0,", 1), "repeated"),
     ("fit-var", "history.csv",
-     lambda t: "\n".join(line for i, line in enumerate(t.splitlines()) if i != 2), "['r']"),
+     lambda t: "\n".join(line for i, line in enumerate(t.splitlines()) if i != 2),
+     "lacks row ['r'] [1]"),
     ("fit-var", "history.csv",
      lambda t: "\n".join(line.split(",")[0] for line in t.splitlines()), "Y column"),
 ], ids=["cost_nan_gamma", "cost_string_gamma", "utility_nan_lambda", "utility_string_lambda",
@@ -497,6 +499,40 @@ def test_bad_input_value_exit_1(tmp_path, params_file, history_file, bundle_dir,
     assert key in err
 
 
+@pytest.mark.parametrize("command, option, doc, kind", [
+    ("simulate", "params", [], "VAR params"),
+    ("simulate", "grid", [], "grid"),
+    ("verify", "cost", [], "cost spec"),
+    ("make-q", "utility", [], "utility"),
+    ("hedge", "payoff", [], "payoff"),
+    ("make-q", "train", [], "train config"),
+    ("verify", "instruments", {}, "instruments"),
+])
+def test_json_input_of_wrong_type_exit_1(tmp_path, params_file, bundle_dir, capsys, command,
+                                         option, doc, kind):
+    """A JSON input that holds the wrong JSON type exits 1 with a message
+    naming the input's kind, and writes nothing."""
+    weights = tmp_path / "w.csv"
+    write_weights_csv(weights, np.ones(200))
+    files = {"params": params_file, "bundle": bundle_dir, "weights": weights,
+             "cost": write_cost(tmp_path), "utility": write_utility(tmp_path),
+             "payoff": write_payoff(tmp_path), "train": write_train(tmp_path),
+             option: tmp_path / "bad.json"}
+    files[option].write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    options, rest = {
+        "simulate": (("params", "grid"), ["--paths", "5", "--steps", "2", "--out", out / "b"]),
+        "verify": (("bundle", "weights", "cost", "instruments"), ["--report", out / "r"]),
+        "make-q": (("bundle", "cost", "utility", "train"), ["--out", out / "w.csv"]),
+        "hedge": (("bundle", "payoff", "cost", "utility"), ["--out", out / "h.json"]),
+    }[command]
+    argv = [command, *(a for n in options if n in files for a in (f"--{n}", files[n])), *rest]
+    assert main([str(a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert f"error in {command}" in err and kind in err
+    assert not out.exists()
+
+
 def test_verify_unreadable_weights_exit_1(tmp_path, bundle_dir, capsys):
     rc = main([
         "verify", "--bundle", str(bundle_dir), "--weights", str(tmp_path),
@@ -507,9 +543,8 @@ def test_verify_unreadable_weights_exit_1(tmp_path, bundle_dir, capsys):
 
 
 def _instruments_from(doc):
-    with open("instruments.json", "w") as f:
-        json.dump(doc, f)
-    return _load_instruments("instruments.json")
+    """The instruments that ``--instruments`` parses from ``doc``."""
+    return _instruments(doc)
 
 
 def _custom_payoff(doc):
@@ -523,10 +558,8 @@ _GRID_1X1 = DlvGrid(strikes=(1.0,), maturities=(20 / 252,))
 
 
 def _params_from(changes):
-    """VarParams read from a params file: _PARAMS_2 with ``changes``."""
-    with open("params.json", "w") as f:
-        json.dump({**_PARAMS_2, **changes}, f)
-    return VarParams.from_json("params.json")
+    """VarParams parsed from _PARAMS_2 with ``changes``."""
+    return VarParams.from_dict({**_PARAMS_2, **changes})
 
 
 def _simulate(changes):
@@ -560,9 +593,8 @@ def _simulate(changes):
     (_simulate, {"n_paths": 0}),
     (_simulate, {"grid": DlvGrid(strikes=(0.95, 1.05), maturities=(20 / 252,))}),
 ])
-def test_bad_config_raises_package_error(reader, doc, tmp_path, monkeypatch):
+def test_bad_config_raises_package_error(reader, doc):
     """A config that parses but breaks a domain rule raises a package
     error (an InputError, so the CLI exits 1), not a bare ValueError."""
-    monkeypatch.chdir(tmp_path)
     with pytest.raises(DriftlessError):
         reader(doc)

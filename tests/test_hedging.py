@@ -10,6 +10,7 @@ from driftless.hedging import (
     robustness_eval,
     tilt,
 )
+from driftless.market import read_json
 from driftless.oce import Utility
 from driftless.trainer import TrainConfig, evaluate_policy
 
@@ -78,7 +79,7 @@ class TestPayoff:
             "kind": "digital_call", "rel_strike": 1.02,
             "maturity_steps": 5, "side": -1,
         }))
-        assert PayoffSpec.from_json(f) == spec
+        assert PayoffSpec.from_dict(read_json(f)) == spec
 
     def test_from_dict_rejects_bad_keys(self):
         with pytest.raises(InputError, match="strike"):

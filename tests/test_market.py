@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import stat
 
 import numpy as np
@@ -212,19 +213,20 @@ class TestBundleIo:
         assert np.array_equal(read_weights_csv(f), w)
 
     @pytest.mark.parametrize(
-        "rows",
+        "rows, match",
         [
-            ["0,0.5", "1,1.5", "1,1.0"],  # duplicate
-            ["0,0.5", "2,1.5"],  # missing path 1
-            ["0,0.5", "1,1.5", "7,1.0"],  # out of range
-            ["0,0.5", "-1,1.5"],  # negative
-            ["0,0.5", "1"],  # short row
+            (["0,0.5", "1,1.5", "1,1.0"], "repeated"),  # duplicate
+            (["0,0.5", "2,1.5"], "lacks row ['path'] [1]"),  # missing path 1
+            (["0,0.5", "1,1.5", "7,1.0"], "lacks row ['path'] [2]"),  # out of range
+            (["0,0.5", "-1,1.5"], "non-negative integers"),  # negative
+            (["0,0.5", "1"], "block from line 2"),  # short row
         ],
+        ids=[f"rows{i}" for i in range(5)],
     )
-    def test_weights_csv_bad_path_index_rejected(self, tmp_path, rows):
+    def test_weights_csv_bad_path_index_rejected(self, tmp_path, rows, match):
         f = tmp_path / "w.csv"
         f.write_text("\n".join(["path,weight"] + rows) + "\n")
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=re.escape(match)):
             read_weights_csv(f)
 
     @staticmethod

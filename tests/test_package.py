@@ -60,6 +60,25 @@ def test_one_file_writer_and_no_csv_module():
     assert writers == [("market.py", "write_text")]
 
 
+def test_configs_are_read_only_by_the_cli():
+    """A config file is read in one place: no class defines ``from_json``,
+    and read_json is called only by the CLI's ``_load`` and by
+    ``read_bundle`` for a bundle's meta.json.  Every other module parses a
+    config from the dict it is given."""
+    from_json, readers = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.ClassDef):
+                    from_json += [f"{path.name} {node.name}" for f in node.body
+                                  if isinstance(f, ast.FunctionDef) and f.name == "from_json"]
+                func = getattr(node, "func", None)
+                if getattr(func, "id", getattr(func, "attr", None)) == "read_json":
+                    readers.append((path.name, getattr(top, "name", "<module>")))
+    assert from_json == []
+    assert readers == [("cli.py", "_load"), ("market.py", "read_bundle")]
+
+
 def test_no_unused_imports():
     """Every name a module imports is used in that module."""
     unused = []

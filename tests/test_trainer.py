@@ -7,12 +7,13 @@ from scipy.optimize import minimize_scalar
 
 from driftless.errors import InputError
 from driftless.frictions import CostSpec
-from driftless.market import build_returns
+from driftless.market import build_returns, read_json
 from driftless.oce import Utility, closed_form_y, u_value
 from driftless.trainer import (
     _BLOCK_ROWS,
     SMOOTH_EPS,
     Mlp,
+    Solution,
     TrainConfig,
     _objective,
     _Problem,
@@ -399,9 +400,7 @@ class TestTrain:
         sol = train(bundle, rets, CostSpec(mode="none"), u, cfg)
         p = tmp_path / "sol.json"
         sol.to_json(p)
-        from driftless.trainer import Solution
-
-        back = Solution.from_json(p)
+        back = Solution.from_dict(read_json(p))
         assert back.y_star == sol.y_star
         assert back.objective_value == sol.objective_value
         for w1, w2 in zip(back.policy.weights, sol.policy.weights):
@@ -422,11 +421,26 @@ class TestTrain:
         sol.to_json(p)
         doc = json.loads(p.read_text())
         doc["config"][key] = 1.0
-        p.write_text(json.dumps(doc))
-        from driftless.trainer import Solution
-
         with pytest.raises(InputError, match=key):
-            Solution.from_json(p)
+            Solution.from_dict(doc)
+
+    @pytest.mark.parametrize("doc, match", [
+        ([], "solution must be a JSON object"),
+        ({}, "solution lacks"),
+        ({"policy": 3, "y_star": 0.0, "objective_value": 0.0}, "policy must be a JSON object"),
+        ({"policy": {"weights": [[[1.0]]], "biases": [[0.0]]}, "y_star": "x",
+          "objective_value": 0.0}, "y_star"),
+        ({"policy": {"weights": [[[1.0, 2.0]], [[1.0, 2.0]]], "biases": [[0.0, 0.0], [0.0, 0.0]]},
+          "y_star": 0.0, "objective_value": 0.0}, "chain"),
+        ({"policy": {"weights": [[[1.0]]], "biases": []}, "y_star": 0.0,
+          "objective_value": 0.0}, "chain"),
+        ({"policy": {"weights": [[["a"]]], "biases": [[0.0]]}, "y_star": 0.0,
+          "objective_value": 0.0}, "numeric"),
+    ], ids=["list", "empty", "int_policy", "string_y_star", "unchained_weights",
+            "missing_bias", "string_weight"])
+    def test_malformed_solution_rejected(self, doc, match):
+        with pytest.raises(InputError, match=match):
+            Solution.from_dict(doc)
 
     @pytest.mark.parametrize("case", ["plain", "payoff_weights", "inv_scale"])
     def test_solution_carries_its_evaluation(self, case):

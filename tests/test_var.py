@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from driftless.errors import FitError, SimulationError
+from driftless.market import read_json
 from driftless.surface import prices_from_dlv_batch
 from driftless.var_model import (
     MAX_RETRIES,
@@ -357,7 +358,7 @@ class TestVarParamsJson:
         p = desk_params(desk_grid())
         f = tmp_path / "params.json"
         p.to_json(f)
-        back = VarParams.from_json(f)
+        back = VarParams.from_dict(read_json(f))
         assert back.dim == p.dim
         assert np.array_equal(back.a1, p.a1)
         assert np.array_equal(back.chol, p.chol)
