@@ -1,13 +1,14 @@
 """Command-line pipeline: fit -> simulate -> make-q -> verify -> hedge ->
 robustness, plus an end-to-end demo.
 
-Every subcommand is deterministic given its inputs and seed.  Only the CLI
-reads a JSON config; each class parses it with its ``from_dict``.  Every
-file a subcommand writes goes through ``market.write_text``, so each
-artifact, run.json included, is replaced atomically (temp file + rename); a
-bundle's meta.json is written after its CSVs.  Each subcommand reads and
-checks every input before it starts work, and its run.json manifest
-records the sha256 of exactly the files read, the seed used and versions.
+Every subcommand is deterministic given its inputs and seed, for a fixed
+BLAS build and thread count.  Only the CLI reads a JSON config; each class
+parses it with its ``from_dict``.  Every file a subcommand writes goes
+through ``market.write_text``, so each artifact, run.json included, is
+replaced atomically (temp file + rename); a bundle's meta.json is written
+after its CSVs.  Each subcommand reads and checks every input before it
+starts work, and its run.json manifest records the sha256 of exactly the
+files read, the seed used and versions.
 Exit codes: 0 success, 1 validation error or unreadable file, 2 numerical
 failure.
 """

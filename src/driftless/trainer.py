@@ -15,7 +15,11 @@ plain arrays; its forward pass keeps each layer's output and ReLU mask,
 and it returns one ``autograd.Tensor`` whose ``backward`` returns the
 gradient.  The tests keep a per-op graph of the same objective as the
 bit-for-bit reference.  The full-sample forward pass runs in fixed row
-blocks.
+blocks.  In full-batch training each epoch's gradient pass runs the whole
+sample in order at the parameters that ended the previous epoch, so its
+actions double as that epoch's evaluation, and ``forward`` runs only after
+the last epoch.  That pass is one unblocked product, which gives the
+blocked trace bit for bit under the condition at ``_BLOCK_ROWS``.
 
 ``train`` allocates its large buffers once per call, in one
 ``_Workspace``: the gathered minibatch rows, one output buffer per layer
@@ -87,7 +91,11 @@ def init_mlp(widths, rng):
 # rows per block of the full-sample forward pass.  At this block size
 # OpenBLAS 0.3.31 (Haswell kernels, 1 and 2 threads) gives rows
 # bit-identical to one unblocked product, checked on 2x10^4 and 10^5 rows
-# of the desk network; blocks of 1024 to 8192 rows do not.
+# of the desk network; blocks of 1024 to 8192 rows do not.  So a
+# full-batch gradient pass on P*T rows, one unblocked product, gives the
+# blocked evaluation bit for bit when P*T <= _BLOCK_ROWS, or when P*T is a
+# multiple of it on such a network: the desk (64, 64) one, or (8,) and
+# (8, 8), but not (16, 16).  Elsewhere the last bits may differ.
 _BLOCK_ROWS = 10_000
 
 
@@ -346,9 +354,11 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
           weights=None):
     """Maximize the OCE objective over network parameters and y.
 
-    Deterministic given the config seed; returns the best-seen parameters
-    by full-sample objective (exact-abs costs), with their training-sample
-    evaluation: the y refit reruns only the head on its gains and costs.
+    Deterministic given the config seed, for a fixed BLAS build and thread
+    count; returns the best-seen parameters by full-sample objective
+    (exact-abs costs), with their training-sample evaluation, kept from
+    the epoch that set them: the y refit reruns only the head on its gains
+    and costs.
     """
     prob = _make_problem(bundle, returns, spec, utility, payoff, inv_scale, weights)
     P, T, F = prob.feats.shape
@@ -380,17 +390,32 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
     best_obj = -np.inf
     best = snapshot()
     trace = []
-    last_finite = None
+
+    def record(actions):
+        """Append the full-sample objective of ``actions`` at the current
+        parameters to the trace; keep the best-seen parameters, and their
+        gains and costs in the leading rows of ``evaluation``."""
+        nonlocal best_obj, best
+        gains, costs = _gains_costs(prob, actions)
+        full = _head(prob, gains, costs, float(params[-1]))[1]
+        trace.append(full)
+        if full > best_obj:
+            best_obj, best = full, snapshot()
+            evaluation[0], evaluation[1] = gains, costs
 
     for epoch in range(config.epochs):
         perm = rng.permutation(P) if batch < P else np.arange(P)
         for start in range(0, P, batch):
             idx = perm[start : start + batch]
             obj = _objective(prob, params[:-1], params[-1], idx, ws)
+            if batch == P and epoch > 0:
+                # a full batch runs the sample in order at the parameters
+                # that ended the last epoch: its actions are that epoch's
+                record(ws.layers[-1][: P * T].reshape(P, T, n_inst))
             if not np.isfinite(obj.data):
                 raise TrainingError(
                     f"objective diverged at epoch {epoch}; last finite trace: "
-                    f"{last_finite}"
+                    f"{trace[-1] if trace else None}"
                 )
             grads, y_grad = obj.backward()
             grads.append(y_grad)
@@ -410,18 +435,14 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
                 vhat = v / (1 - beta2**step)
                 p -= lr * mhat / (np.sqrt(vhat) + eps)
 
-        net, y_now = snapshot()
-        # one expression, so no array of it lives on through the next epoch
-        full = _head(prob, *_gains_costs(prob, forward(net, prob.feats, ws)), y_now)[1]
-        last_finite = full
-        trace.append(full)
-        if full > best_obj:
-            best_obj = full
-            best = (net, y_now)
+        if batch < P or epoch == config.epochs - 1:
+            record(forward(Mlp(weights=params[:-1:2], biases=params[1:-1:2]), prob.feats, ws))
         lr *= config.lr_decay
 
     net, y_star = best
-    gains, costs = _gains_costs(prob, forward(net, prob.feats, ws))
+    if best_obj == -np.inf:  # no epoch won: evaluate the initial policy
+        evaluation[0], evaluation[1] = _gains_costs(prob, forward(net, prob.feats, ws))
+    gains, costs = evaluation[0], evaluation[1]
     pre_utility, objective_value = _head(prob, gains, costs, y_star)
     # y enters as a plain concave 1-d sup; close it exactly so the
     # first-order condition E_w[u'(.) dx/dy] = 1 holds at the returned
@@ -443,7 +464,7 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
     if val >= objective_value:
         y_star = y_opt
         pre_utility, objective_value = _head(prob, gains, costs, y_star)
-    evaluation[:] = gains, costs, pre_utility
+    evaluation[2] = pre_utility
     return Solution(
         policy=net,
         y_star=y_star,

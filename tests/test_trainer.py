@@ -298,13 +298,13 @@ class TestTrain:
             assert np.array_equal(w1, w2)
 
     @staticmethod
-    def desk_sample(n_paths):
+    def desk_sample(n_paths, n_steps=3):
         from driftless.cli import default_instruments
         from driftless.var_model import desk_grid, desk_params, simulate, stationary_init
 
         grid = desk_grid()
         params = desk_params(grid)
-        bundle = simulate(params, stationary_init(params), n_paths, 3, seed=1, grid=grid)
+        bundle = simulate(params, stationary_init(params), n_paths, n_steps, seed=1, grid=grid)
         return bundle, build_returns(bundle, default_instruments())
 
     def test_batch_larger_than_sample_equals_full_batch(self):
@@ -464,8 +464,8 @@ class TestTrain:
         assert sol.objective_value == res["objective"]
 
     def test_train_runs_the_full_sample_once_per_epoch_and_once_more(self, monkeypatch):
-        """One full-sample forward pass per epoch, one at the best epoch's
-        policy, and none for the y refit."""
+        """With minibatches, one full-sample forward pass per epoch, none
+        more at the best epoch's policy, and none for the y refit."""
         import driftless.trainer as trainer
 
         calls, real_forward = [], trainer.forward
@@ -479,7 +479,64 @@ class TestTrain:
         cfg = TrainConfig(epochs=5, batch_size=12, lr=0.01, seed=2, hidden=(8,))
         train(bundle, rets, CostSpec(gamma_prop=0.002, mode="marginal"),
               Utility("exponential", 1.0), cfg)
-        assert len(calls) == cfg.epochs + 1
+        assert len(calls) == cfg.epochs
+
+    @pytest.mark.parametrize("n_paths, n_steps", [(30, 3), (2000, 10)])
+    def test_full_batch_pass_is_the_last_epochs_evaluation(self, monkeypatch, n_paths,
+                                                           n_steps):
+        """In full batch, each epoch's trace entry equals, bit for bit, a
+        fresh full-sample evaluation at the parameters that end the epoch,
+        on one product's rows (30 x 3) and on two ``_BLOCK_ROWS`` blocks
+        (2000 x 10, the CLI's network).  Each epoch runs ``_objective``
+        once, and ``forward`` runs once, for the last epoch."""
+        import driftless.trainer as trainer
+
+        real_objective, real_forward = trainer._objective, trainer.forward
+        starts, live, forwards = [], [], []
+
+        def spy_objective(prob, params, y, idx, ws):
+            starts.append([p.copy() for p in params] + [y.copy()])
+            live[:] = [prob, params + [y]]  # Adam updates these in place
+            return real_objective(prob, params, y, idx, ws)
+
+        def spy_forward(*args):
+            forwards.append(None)
+            return real_forward(*args)
+
+        monkeypatch.setattr(trainer, "_objective", spy_objective)
+        monkeypatch.setattr(trainer, "forward", spy_forward)
+        bundle, rets = self.desk_sample(n_paths, n_steps)
+        assert n_paths * n_steps in (90, 2 * _BLOCK_ROWS)
+        cfg = TrainConfig(epochs=5, lr=0.01, seed=2, hidden=(64, 64))
+        sol = train(bundle, rets, CostSpec(gamma_prop=0.002, mode="marginal"),
+                    Utility("adjusted_mean_vol", 1.0), cfg)
+        assert len(starts) == cfg.epochs and len(forwards) == 1
+        prob, final = live
+        ends = starts[1:] + [final]
+        fresh = []
+        for end in ends:
+            actions = real_forward(Mlp(weights=end[:-1:2], biases=end[1:-1:2]), prob.feats)
+            gains, costs = trainer._gains_costs(prob, actions)
+            fresh.append(trainer._head(prob, gains, costs, float(end[-1]))[1])
+        assert sol.trace == fresh
+
+    def test_no_winning_epoch_evaluates_the_initial_policy(self):
+        """If no epoch's full-sample objective beats -inf (here one huge
+        step makes it NaN), ``train`` returns the initial policy with its
+        own evaluation."""
+        bundle, rets = self.desk_sample(30)
+        u, spec = Utility("exponential", 1.0), CostSpec(gamma_prop=0.002, mode="marginal")
+        cfg = TrainConfig(epochs=1, lr=1e200, seed=2, hidden=(8,))
+        with np.errstate(over="ignore", invalid="ignore"):
+            sol = train(bundle, rets, spec, u, cfg)
+        assert len(sol.trace) == 1 and np.isnan(sol.trace[0])
+        F = 2 + bundle.grid.n_maturities * bundle.grid.n_strikes
+        init = init_mlp([F, *cfg.hidden, rets.dh.shape[2]], np.random.default_rng(cfg.seed))
+        for w, w0 in zip(sol.policy.weights + sol.policy.biases, init.weights + init.biases):
+            assert np.array_equal(w, w0)
+        res = evaluate_policy(bundle, rets, spec, u, sol.policy, sol.y_star)
+        for key in ("gains", "costs", "pre_utility"):
+            assert np.array_equal(getattr(sol, key), res[key]), key
 
 
 def test_config_rejects_unknown_key():
