@@ -67,7 +67,8 @@ class SingularSystemError(DriftlessError, ValueError):
 
 
 class FitError(DriftlessError, ValueError):
-    """Regression failure (rank-deficient design matrix)."""
+    """Regression or calibration failure (rank-deficient design matrix, a
+    root search that meets NaN or does not converge)."""
 
 
 class SimulationError(DriftlessError, RuntimeError):

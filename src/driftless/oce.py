@@ -13,15 +13,18 @@ form -(1/lambda) log E[exp(-lambda X)].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import logsumexp
 
 from .errors import InputError, UtilityDomainError, check_keys, check_number
 
 _EXP_CLIP = 700.0  # exp argument clip; keeps float64 finite
+# the bounded search for y stops at this absolute tolerance, or after
+# MIN_MAXFUN evaluations
+MIN_XTOL = 1e-12
+MIN_MAXFUN = 500
 
 
 def _safe_exp(x):
@@ -113,7 +116,96 @@ def closed_form_y(u, x, weights=None):
         logw = np.zeros(n)
     else:
         logw = np.log(np.asarray(weights, dtype=float))
-    return float((logsumexp(-u.lam * x + logw) - np.log(n)) / u.lam)
+    return float((_logsumexp(-u.lam * x + logw) - np.log(n)) / u.lam)
+
+
+def _logsumexp(a):
+    """log(sum(exp(a))) of a 1-d float array, shifted by its maximum.
+
+    A port of the 1-d path of scipy.special.logsumexp with no ``b``
+    (scipy/special/_logsumexp.py), operation for operation, so it returns
+    the same float: every entry tied at the maximum is masked out of the
+    shifted sum and counted in m, the result is log1p(s / m) + log(m) +
+    max, and where that is not finite it is log(sum(exp(a))).
+    """
+    a_max = np.max(a)
+    i_max = a == a_max
+    m = np.sum(i_max, dtype=a.dtype)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.sum(np.exp(np.where(i_max, -np.inf, a) - a_max))
+        s = s if s == 0 else s / m
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.sum(np.exp(a)))
+    return out
+
+
+def minimize_bounded(f, lo, hi):
+    """(x, f(x)) at a local minimum of the scalar function ``f`` on
+    [lo, hi], to MIN_XTOL, by Brent's method: golden sections and
+    parabolic steps.
+
+    A port of scipy's bounded ``minimize_scalar``
+    (``_minimize_scalar_bounded`` in scipy/optimize/_optimize.py, with
+    xatol=MIN_XTOL and maxiter=MIN_MAXFUN), step for step, so it returns
+    the same floats.  Non-finite or reversed bounds, as a NaN or infinite
+    sample gives, raise ``InputError``.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
+        raise InputError(f"search bounds ({lo}, {hi}) must be finite with lo <= hi")
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    xf = nfc = fulc = a + golden_mean * (b - a)
+    fx = fnfc = ffulc = f(xf)
+    num = 1
+    rat = e = 0.0
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + MIN_XTOL / 3.0
+        tol2 = 2.0 * tol1
+        if num >= MIN_MAXFUN or not abs(xf - xm) > tol2 - 0.5 * (b - a):
+            return xf, fx
+        golden = True
+        if abs(e) > tol1:  # try a parabolic step
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
 
 
 def oce_sup(x, weights, u):
@@ -126,10 +218,5 @@ def oce_sup(x, weights, u):
     x = np.asarray(x, dtype=float)
     lo = -float(np.max(x)) - 1.0
     hi = -float(np.min(x)) + 1.0
-    res = minimize_scalar(
-        lambda y: -oce_value(x, weights, u, y),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return -float(res.fun), float(res.x)
+    y, neg = minimize_bounded(lambda y: -oce_value(x, weights, u, y), lo, hi)
+    return -float(neg), float(y)

@@ -37,13 +37,12 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .autograd import Tensor
 from .errors import InputError, TrainingError, check_keys, check_number
 from .frictions import marginal_rate
 from .market import check_weights, feature_matrix, write_text
-from .oce import Utility, oce_sup, u_deriv, u_value
+from .oce import Utility, minimize_bounded, oce_sup, u_deriv, u_value
 
 
 @dataclass
@@ -458,9 +457,8 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
             return -(float(np.mean(prob.weights * vals)) - y)
 
         span = float(np.max(np.abs(base))) + 1.0
-        opt = minimize_scalar(neg, bounds=(y_star - span, y_star + span), method="bounded",
-                              options={"xatol": 1e-12})
-        val, y_opt = -float(opt.fun), float(opt.x)
+        y_opt, neg_val = minimize_bounded(neg, y_star - span, y_star + span)
+        val, y_opt = -float(neg_val), float(y_opt)
     if val >= objective_value:
         y_star = y_opt
         pre_utility, objective_value = _head(prob, gains, costs, y_star)

@@ -138,6 +138,14 @@ class TestOceSup:
         grid_best = max(float(np.mean(u_value(u, y + x)) - y) for y in ys)
         assert val >= grid_best - 1e-8
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pnl_raises(self, bad):
+        """A NaN or infinite P&L makes the search bounds non-finite; the
+        bounded search refuses them rather than return NaN."""
+        x = np.array([0.1, -0.2, bad, 0.3])
+        with pytest.raises(InputError, match=r"search bounds \(.*\) must be finite"):
+            oce_sup(x, None, Utility("adjusted_mean_vol", 1.0))
+
 
 class TestOceAxioms:
     @pytest.mark.parametrize("family", FAMILIES)

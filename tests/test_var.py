@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from driftless.errors import FitError, SimulationError
+from driftless.errors import FitError, InputError, SimulationError
 from driftless.market import read_json
-from driftless.surface import prices_from_dlv_batch
+from driftless.surface import DlvGrid, prices_from_dlv_batch
 from driftless.var_model import (
     MAX_RETRIES,
     SIGMA_MAX,
@@ -176,6 +176,14 @@ class TestDeskCalibration:
             # N(d) - N(-d) = erf(d / sqrt 2) with d = SPOT_VOL sqrt(tau) / 2
             bs_atm = math.erf(0.5 * SPOT_VOL * math.sqrt(tau / 2.0))
             assert abs(prices[j + 1, i_atm] - bs_atm) <= 1e-9
+
+    def test_bracket_without_a_root_raises(self):
+        """Boundaries 1% from spot cap the 5-year ATM call below its
+        Black-Scholes price at both ends of the bracket (1e-4, 5), so the
+        root search has no sign change to start from."""
+        grid = DlvGrid(strikes=(1.0,), maturities=(5.0,), boundary_lo=0.99, boundary_hi=1.01)
+        with pytest.raises(InputError, match=r"f\(0.0001\) = .* and f\(5.0\) = .* same sign"):
+            desk_params(grid)
 
 
 class TestSimulate:
