@@ -9,8 +9,8 @@ replaced atomically (temp file + rename); a bundle's meta.json is written
 after its CSVs.  Each subcommand reads and checks every input before it
 starts work, and its run.json manifest records the sha256 of exactly the
 files read, the seed used and versions.
-Exit codes: 0 success, 1 validation error or unreadable file, 2 numerical
-failure.
+Exit codes: 0 success; 1 validation error, unreadable file, or sizes too
+large to allocate (MemoryError); 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -340,7 +340,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args, _load(args))
-    except (OSError, ValueError, DriftlessError) as exc:
+    except (OSError, ValueError, MemoryError, DriftlessError) as exc:
         if isinstance(exc, (SimulationError, TrainingError)):
             print(f"numerical failure in {args.command}: {exc}", file=sys.stderr)
             return 2

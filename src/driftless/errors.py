@@ -67,8 +67,8 @@ class SingularSystemError(DriftlessError, ValueError):
 
 
 class FitError(DriftlessError, ValueError):
-    """Regression or calibration failure (rank-deficient design matrix, a
-    root search that meets NaN or does not converge)."""
+    """Regression failure (a history too short or non-finite, a
+    rank-deficient design matrix)."""
 
 
 class SimulationError(DriftlessError, RuntimeError):

@@ -397,7 +397,8 @@ def read_bundle(directory):
     integer, or a ``has_weights`` other than false (the key bundles once
     carried), or when paths.csv does not hold each (path, step) row of the
     declared sizes exactly once, with one finite spot > 0 and m*n finite
-    DLVs >= 0 per row."""
+    DLVs >= 0 per row.  Sizes that paths.csv is too small to hold are
+    refused before any array is allocated."""
     meta = read_json(os.path.join(directory, "meta.json"))
     check_keys(meta, ("grid", "n_paths", "n_steps", "seed", "provenance", "has_weights"),
                "bundle meta", required=("grid", "n_paths", "n_steps"))
@@ -412,9 +413,15 @@ def read_bundle(directory):
                          "carries no weights; pass them as a weights CSV with --weights")
 
     m, n = grid.n_maturities, grid.n_strikes
+    path = os.path.join(directory, "paths.csv")
+    # each of a row's 3 + m*n fields takes a character and a separator at
+    # least, so a file smaller than this cannot hold the declared rows
+    size, least = os.path.getsize(path), P * (T + 1) * (3 + m * n) * 2
+    if size < least:
+        raise InputError(f"{path} has {size} bytes, fewer than the {least} that the "
+                         f"{P} x {T + 1} (path, step) rows of bundle meta need")
     spots = np.empty((P, T + 1))
     sigmas = np.empty((P, T + 1, m, n))
-    path = os.path.join(directory, "paths.csv")
     rows = read_csv(path, "bundle paths CSV", width=3 + m * n)
     line = 2
     for index, block in place_rows(path, rows, {"path": P, "step": T + 1}):

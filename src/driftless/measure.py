@@ -111,7 +111,7 @@ def _normalized_density(raw):
     """DensityWeights from a raw path density, which must be positive and
     finite; it is normalized to mean one."""
     if np.any(raw <= 0) or not np.all(np.isfinite(raw)):
-        raise ValueError(
+        raise UtilityDomainError(
             "non-positive density value: broken solution or u' range violation"
         )
     mean_error = abs(float(np.mean(raw)) - 1.0)

@@ -43,7 +43,7 @@ class Utility:
             raise InputError("risk aversion lambda must be positive")
         # normalization check: u(0) = 0, u'(0) = 1
         if abs(u_value(self, 0.0)) > 1e-12 or abs(u_deriv(self, 0.0) - 1.0) > 1e-12:
-            raise ValueError("utility normalization violated")
+            raise UtilityDomainError("utility normalization violated")
 
     @classmethod
     def from_dict(cls, d):
@@ -109,7 +109,7 @@ def closed_form_y(u, x, weights=None):
     """Optimal cash offset for the exponential family via log-sum-exp:
     y* = (1/lambda) log E[exp(-lambda X)]."""
     if u.family != "exponential":
-        raise ValueError("closed_form_y applies to the exponential family only")
+        raise InputError("closed_form_y applies to the exponential family only")
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     if weights is None:
@@ -209,8 +209,11 @@ def minimize_bounded(f, lo, hi):
 
 
 def oce_sup(x, weights, u):
-    """sup_y of the weighted objective, and the maximizing y."""
+    """sup_y of the weighted objective, and the maximizing y.  A NaN or
+    infinite entry of ``x`` raises InputError."""
     if u.family == "exponential":
+        if not np.all(np.isfinite(x)):
+            raise InputError("the P&L sample must be finite for the exponential OCE")
         y = closed_form_y(u, x, weights)
         return oce_value(x, weights, u, y), y
     # the first-order condition E_w[u'(y + X)] = 1 pins y* inside the

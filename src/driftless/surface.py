@@ -105,8 +105,9 @@ def solve_tridiagonal(lower, diag, upper, rhs):
     """Solve tridiagonal systems by the Thomas forward/backward sweep.
 
     Inputs are batches (..., n) for ``diag``/``rhs`` and (..., n - 1) for
-    ``lower``/``upper``; a 1-D input is a batch of one.  Raises
-    SingularSystemError on a zero pivot in any system of the batch.
+    ``lower``/``upper``; a 1-D input is a batch of one.  Raises InputError
+    on other shapes, and SingularSystemError on a zero pivot in any system
+    of the batch.
     """
     lower = np.asarray(lower, dtype=float)
     diag = np.asarray(diag, dtype=float)
@@ -114,7 +115,7 @@ def solve_tridiagonal(lower, diag, upper, rhs):
     rhs = np.asarray(rhs, dtype=float)
     n = diag.shape[-1]
     if lower.shape[-1] != n - 1 or upper.shape[-1] != n - 1 or rhs.shape[-1] != n:
-        raise ValueError("inconsistent tridiagonal dimensions")
+        raise InputError("inconsistent tridiagonal dimensions")
 
     c = np.empty_like(diag)
     d = np.empty_like(rhs)
@@ -149,13 +150,14 @@ def prices_from_dlv_batch(grid, sigma):
 
     with the boundary columns pinned at intrinsic value (low strike) and
     zero (high strike).  The system matrix is strictly diagonally dominant
-    for finite sigma and positive strike spacings.  Raises
-    InvalidSurfaceError on a non-finite or negative sigma.
+    for finite sigma and positive strike spacings.  Raises InputError on a
+    ``sigma`` of another shape, and InvalidSurfaceError on a non-finite or
+    negative sigma.
     """
     sigma = np.asarray(sigma, dtype=float)
     m, n = grid.n_maturities, grid.n_strikes
     if sigma.shape[-2:] != (m, n):
-        raise ValueError(f"sigma must end in shape {(m, n)}")
+        raise InputError(f"sigma must end in shape {(m, n)}")
     if not np.all(np.isfinite(sigma)):
         raise InvalidSurfaceError("local vol surface contains non-finite entries")
     if np.any(sigma < 0):
@@ -195,13 +197,13 @@ def dlv_from_prices(grid, prices):
     sigma^2 = 2 Theta / (x^2 Gamma) with Theta the calendar difference
     quotient and Gamma the butterfly second difference.  A 0/0 node maps
     to sigma = 0; negative Theta or Gamma (static arbitrage) raises
-    ArbitrageError naming the offending node, and a non-finite price
-    InvalidSurfaceError.
+    ArbitrageError naming the offending node, a non-finite price
+    InvalidSurfaceError, and ``prices`` of another shape InputError.
     """
     m, n = grid.n_maturities, grid.n_strikes
     C = np.asarray(prices, dtype=float)
     if C.shape != (m + 1, n + 2):
-        raise ValueError(f"prices must have shape {(m + 1, n + 2)}, got {C.shape}")
+        raise InputError(f"prices must have shape {(m + 1, n + 2)}, got {C.shape}")
     if not np.all(np.isfinite(C)):
         raise InvalidSurfaceError("call grid contains non-finite entries")
     xs = grid.all_strikes

@@ -16,14 +16,13 @@ output does not depend on the blocking or the order of the rounds.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FitError, InputError, SimulationError, check_keys, check_number
 from .market import bundle_from_sigmas, place_rows, read_csv, write_text
-from .surface import DAYS_PER_YEAR, DlvGrid, prices_from_dlv_batch
+from .surface import DAYS_PER_YEAR, DlvGrid
 
 SIGMA_MAX = 5.0  # vol ceiling; paths breaching it are resampled
 MAX_RETRIES = 100
@@ -303,170 +302,27 @@ def desk_grid():
     )
 
 
-# the calibration's root search stops at these tolerances, or fails after
-# ROOT_MAXITER steps; ROOT_RTOL is the smallest relative tolerance Brent's
-# method accepts
-ROOT_XTOL = 1e-12
-ROOT_RTOL = 4 * np.finfo(float).eps
-ROOT_MAXITER = 100
-
-
-def _brentq(f, xa, xb):
-    """A root of ``f`` in [xa, xb] by Brent's method, to ROOT_XTOL +
-    ROOT_RTOL |x|.
-
-    A port of scipy's ``brentq`` (the loop of scipy/optimize/Zeros/brentq.c,
-    with the NaN check of scipy/optimize/_zeros_py.py), step for step, so it
-    returns the same float.  Raises ``InputError`` when f(xa) and f(xb)
-    have the same sign, and ``FitError`` when f is NaN or the search has not
-    converged after ROOT_MAXITER steps.
-    """
-    def call(x):
-        fx = f(x)
-        if np.isnan(fx):
-            raise FitError(f"root search: the function is NaN at x={x}")
-        return fx
-
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise InputError(f"root search: f({xa}) = {fpre} and f({xb}) = {fcur} "
-                         "have the same sign")
-    for _ in range(ROOT_MAXITER):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (ROOT_XTOL + ROOT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = call(xcur)
-    raise FitError(f"root search: no convergence after {ROOT_MAXITER} steps, x={xcur}")
-
-
-# cephes' rational approximations of erf and erfc (scipy's vendored xsf,
-# cephes/ndtr.h): erf(x) = x T(x^2) / U(x^2) for |x| <= 1, and
-# erfc(x) = exp(-x^2) P(x) / Q(x) for 1 <= x < 8, R(x) / S(x) beyond
-_NDTR_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
-           7.00332514112805075473E3, 5.55923013010394962768E4)
-_NDTR_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
-           2.26290000613890934246E4, 4.92673942608635921086E4)
-_NDTR_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
-           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
-           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
-_NDTR_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
-           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
-           1.65666309194161350182E3, 5.57535340817727675546E2)
-_NDTR_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
-           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
-_NDTR_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
-           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
-_MAXLOG = 7.09782712893383996843E2  # log of the largest double
-_SQRT1_2 = 0.70710678118654752440
-
-
-def _poly(x, coef, monic=False):
-    """Horner's rule on ``coef`` (highest power first), with a leading 1
-    when ``monic``: cephes' polevl and p1evl."""
-    acc = x + coef[0] if monic else coef[0]
-    for c in coef[1:]:
-        acc = acc * x + c
-    return acc
-
-
-def _erf(x):
-    """cephes erf for |x| <= 1."""
-    z = x * x
-    return x * _poly(z, _NDTR_T) / _poly(z, _NDTR_U, monic=True)
-
-
-def _ndtr(a):
-    """The standard normal CDF of the float ``a``: a port of cephes ndtr,
-    with the erfc it calls for z >= 0, as vendored in scipy (xsf,
-    cephes/ndtr.h), operation for operation, so it equals
-    ``scipy.special.ndtr`` bit for bit."""
-    if math.isnan(a):
-        return math.nan
-    x = a * _SQRT1_2
-    z = abs(x)
-    if z < _SQRT1_2:
-        return 0.5 + 0.5 * _erf(x)
-    if z < 1.0:
-        y = 1.0 - _erf(z)
-    elif z * z > _MAXLOG:  # exp(-z^2) underflows
-        y = 0.0
-    elif z < 8.0:
-        y = math.exp(-z * z) * _poly(z, _NDTR_P) / _poly(z, _NDTR_Q, monic=True)
-    else:
-        y = math.exp(-z * z) * _poly(z, _NDTR_R) / _poly(z, _NDTR_S, monic=True)
-    y = 0.5 * y
-    return 1.0 - y if x > 0 else y
-
-
-def calibrated_base_vols(grid):
-    """Flat-in-strike DLV level per maturity matching Black-Scholes ATM at
-    SPOT_VOL.
-
-    DLVs are defined by the grid finite differences, so the level that
-    reproduces a given implied vol depends on the grid; this keeps the
-    simulated option prices consistent with the realized spot vol.
-    """
-    # the normal CDF and the root search are ports of scipy's, so a
-    # process that calibrates imports no scipy
-    def bs_atm(vol, tau):
-        st = vol * np.sqrt(tau)
-        d1 = 0.5 * st
-        return _ndtr(d1) - _ndtr(d1 - st)
-
-    m, n = grid.n_maturities, grid.n_strikes
-    i_atm = int(np.argmin(np.abs(np.asarray(grid.strikes) - 1.0))) + 1
-    levels = []
-    for j in range(m):
-        def err(s):
-            sig = np.ones((m, n)) * 0.2
-            for k, lv in enumerate(levels):
-                sig[k] = lv
-            sig[j] = s
-            p = prices_from_dlv_batch(grid, sig)
-            return p[j + 1, i_atm] - bs_atm(SPOT_VOL, grid.maturities[j])
-
-        levels.append(_brentq(err, 1e-4, 5.0))
-    return np.repeat(np.asarray(levels)[:, None], n, axis=1)
+# the base DLV level per maturity of desk_grid(), flat in strike: the level
+# at which each maturity row's ATM call equals the Black-Scholes ATM call at
+# SPOT_VOL (S = K = 1, zero rates).  DLVs are defined by the grid's finite
+# differences, so the level that reproduces a given implied vol depends on
+# the grid; tests/oracles.py holds the root search that derives these.
+DESK_DLV_LEVELS = (1.0591410529030905, 0.7748403704791065, 0.7256578424968061)
 
 
 def desk_params(grid, vol_of_vol=0.02):
-    """Stylized VAR(2) parameters for the demo market.
+    """Stylized VAR(2) parameters for the demo market on ``grid``, which
+    must be desk_grid(): raises InputError otherwise.
 
-    Log vols mean-revert around the calibrated base levels with daily AR
-    coefficient PERSISTENCE; the spot return has constant drift
-    ANNUAL_DRIFT.
+    Log vols mean-revert around DESK_DLV_LEVELS with daily AR coefficient
+    PERSISTENCE; the spot return has constant drift ANNUAL_DRIFT.
     """
+    if grid != desk_grid():
+        raise InputError(f"desk_params needs desk_grid(), whose DLV levels are "
+                         f"DESK_DLV_LEVELS; got {grid}")
     d = 1 + grid.n_maturities * grid.n_strikes
     nv = d - 1
-    mu_log = np.log(calibrated_base_vols(grid)).ravel()
+    mu_log = np.log(np.repeat(DESK_DLV_LEVELS, grid.n_strikes))
 
     a1 = np.zeros((d, d))
     a2 = np.zeros((d, d))

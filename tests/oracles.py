@@ -2,11 +2,14 @@
 
 No pipeline stage runs these: the analytic one-period minimal-entropy
 martingale measure, the frictionless hedge decomposition
-a*_P = a*_Q + a*_0, the first-order marginal cost, a one-period toy market
-and a synthetic VAR history with its CSV writer.
+a*_P = a*_Q + a*_0, the first-order marginal cost, a one-period toy market,
+a synthetic VAR history with its CSV writer, and the calibration of the
+desk market's DLV levels.
 """
 
 import numpy as np
+from scipy.optimize import brentq
+from scipy.special import ndtr
 
 from driftless.errors import DriftlessError
 from driftless.frictions import CostSpec, marginal_rate
@@ -18,9 +21,9 @@ from driftless.market import (
     feature_matrix,
     write_csv,
 )
-from driftless.surface import DlvGrid
+from driftless.surface import DlvGrid, prices_from_dlv_batch
 from driftless.trainer import forward, train
-from driftless.var_model import _noise, iterate_var, stationary_init
+from driftless.var_model import SPOT_VOL, _noise, iterate_var, stationary_init
 
 
 class ClassicArbitrageError(DriftlessError, ValueError):
@@ -141,3 +144,35 @@ def write_history_csv(path, history, grid):
         f"logdlv_{j + 1}_{i + 1}" for j in range(m) for i in range(n)
     ]
     write_csv(path, header, [np.arange(len(history)), *np.asarray(history, dtype=float).T])
+
+
+def calibrated_base_vols(grid):
+    """Flat-in-strike DLV level per maturity, (m, n), at which each
+    maturity row's ATM call matches the Black-Scholes ATM call at SPOT_VOL
+    (S = K = 1, zero rates): Brent's root search per maturity, in order,
+    with the earlier rows at their levels and the later ones at 0.2.
+
+    DLVs are defined by the grid finite differences, so the level that
+    reproduces a given implied vol depends on the grid.  On desk_grid()
+    this derives var_model.DESK_DLV_LEVELS.
+    """
+    def bs_atm(vol, tau):
+        st = vol * np.sqrt(tau)
+        d1 = 0.5 * st
+        return ndtr(d1) - ndtr(d1 - st)
+
+    m, n = grid.n_maturities, grid.n_strikes
+    i_atm = int(np.argmin(np.abs(np.asarray(grid.strikes) - 1.0))) + 1
+    levels = []
+    for j in range(m):
+        def err(s):
+            sig = np.ones((m, n)) * 0.2
+            for k, lv in enumerate(levels):
+                sig[k] = lv
+            sig[j] = s
+            p = prices_from_dlv_batch(grid, sig)
+            return p[j + 1, i_atm] - bs_atm(SPOT_VOL, grid.maturities[j])
+
+        levels.append(brentq(err, 1e-4, 5.0, xtol=1e-12, rtol=4 * np.finfo(float).eps,
+                             maxiter=100))
+    return np.repeat(np.asarray(levels)[:, None], n, axis=1)

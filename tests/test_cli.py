@@ -227,6 +227,32 @@ def test_verify_missing_weights_is_validation_error(tmp_path, bundle_dir, capsys
     assert str(missing) in capsys.readouterr().err
 
 
+def test_verify_oversized_bundle_exit_1(tmp_path, bundle_dir, capsys):
+    b = tmp_path / "b"
+    shutil.copytree(bundle_dir, b)
+    meta = b / "meta.json"
+    meta.write_text(json.dumps({**json.loads(meta.read_text()), "n_paths": 10**12}))
+    weights = tmp_path / "w.csv"
+    write_weights_csv(weights, np.ones(200))
+    rc = main([
+        "verify", "--bundle", str(b), "--weights", str(weights),
+        "--cost", str(write_cost(tmp_path)), "--report", str(tmp_path / "r"),
+    ])
+    assert rc == 1
+    assert "fewer than the" in capsys.readouterr().err
+
+
+def test_simulate_too_many_paths_exit_1(tmp_path, params_file, capsys):
+    """10^12 paths fail at their first allocation: a MemoryError is a clean
+    exit 1, and nothing is written."""
+    out = tmp_path / "o"
+    rc = main(["simulate", "--params", str(params_file), "--paths", str(10**12),
+               "--steps", "10", "--out", str(out)])
+    assert rc == 1
+    assert "error in simulate" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "rows",
     [

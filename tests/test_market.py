@@ -281,6 +281,16 @@ class TestBundleIo:
         with pytest.raises(InputError, match="--weights"):
             read_bundle(d)
 
+    def test_sizes_the_file_cannot_hold_rejected_before_allocating(self, tmp_path):
+        """A meta.json declaring 10^12 paths is refused from the size of
+        paths.csv alone, before the 10^12-row arrays are allocated."""
+        d = self._bundle_dir(tmp_path)
+        f = d / "meta.json"
+        f.write_text(json.dumps({**json.loads(f.read_text()), "n_paths": 10**12}))
+        with pytest.raises(InputError, match=r"paths.csv has \d+ bytes, fewer than the "
+                                             r"\d+ that the 1000000000000 x 4"):
+            read_bundle(d)
+
     def test_exact_bytes(self, tmp_path):
         grid = DlvGrid(strikes=(0.9, 1.1), maturities=(0.1,))
         spots = np.array([[1.0, 1.1], [1.0, 1 / 3]])

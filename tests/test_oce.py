@@ -146,6 +146,14 @@ class TestOceSup:
         with pytest.raises(InputError, match=r"search bounds \(.*\) must be finite"):
             oce_sup(x, None, Utility("adjusted_mean_vol", 1.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pnl_raises_exponential(self, bad):
+        """The closed form of the exponential family refuses a NaN or
+        infinite P&L rather than return NaN or an infinite y."""
+        x = np.array([0.1, -0.2, bad, 0.3])
+        with pytest.raises(InputError, match="P&L sample must be finite"):
+            oce_sup(x, None, Utility("exponential", 1.0))
+
 
 class TestOceAxioms:
     @pytest.mark.parametrize("family", FAMILIES)

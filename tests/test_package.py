@@ -1,10 +1,12 @@
 import ast
+import builtins
 import os
 import pathlib
 import subprocess
 import sys
 
 import driftless
+from driftless import errors
 
 SRC = pathlib.Path(driftless.__file__).parent
 
@@ -14,22 +16,12 @@ def test_all_exports_resolve():
     assert missing == []
 
 
-def test_desk_calibration_does_not_import_scipy_stats():
-    """The desk calibration's normal CDF comes from scipy.special; importing
-    scipy.stats would add about 0.6 s to every process start."""
-    code = ("import sys; from driftless.var_model import desk_grid, desk_params; "
-            "desk_params(desk_grid()); print('scipy.stats' in sys.modules)")
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
-
-
 def test_runs_without_importing_scipy():
-    """The CLI, the desk calibration, both OCE families and a training run
-    with the inv_scale y refit load no scipy module: the package uses its
-    own ports of the four scipy routines it needs, saving about 0.8 s and
-    40 MB per process."""
+    """The CLI, the desk market, both OCE families and a training run with
+    the inv_scale y refit load no scipy module: the desk market's DLV levels
+    are constants, and oce ports the two scipy routines it needs (the
+    bounded minimizer and log-sum-exp), saving about 0.8 s and 40 MB per
+    process."""
     code = """
 import sys
 import numpy as np
@@ -57,6 +49,28 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_raises_only_package_errors():
+    """Every ``raise X(...)`` in the package names a DriftlessError
+    subclass, and none raises a builtin exception class, so a caller
+    catches every package error as DriftlessError."""
+    foreign = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            if isinstance(node.exc, ast.Call):
+                func = node.exc.func
+                name = func.attr if isinstance(func, ast.Attribute) else func.id
+                cls = getattr(errors, name, None)
+                ok = isinstance(cls, type) and issubclass(cls, errors.DriftlessError)
+            else:  # a bare name: an exception instance, unless a builtin class
+                name = getattr(node.exc, "id", None)
+                ok = not isinstance(getattr(builtins, name or "", None), type)
+            if not ok:
+                foreign.append(f"{path.name}:{node.lineno} {name}")
+    assert foreign == []
 
 
 def _may_write(call):

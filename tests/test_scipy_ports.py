@@ -1,27 +1,30 @@
-"""The package's ports of four scipy routines against scipy, bit for bit.
-
-``var_model`` ports the normal CDF and Brent's root search of the desk
-calibration; ``oce`` ports the bounded Brent minimizer and log-sum-exp.
-scipy is a test-only oracle: the package never imports it.
+"""The package against scipy, bit for bit: ``oce``'s ports of the
+bounded Brent minimizer and log-sum-exp, and the desk market's DLV levels,
+``var_model.DESK_DLV_LEVELS``, against their calibration with scipy's
+root search and normal CDF.  scipy is a test-only oracle: the package
+never imports it.
 """
 
-import math
-
 import numpy as np
-import pytest
-from scipy.optimize import brentq, minimize_scalar
-from scipy.special import logsumexp, ndtr
+from scipy.optimize import minimize_scalar
+from scipy.special import logsumexp
 
 import driftless.oce as oce
 import driftless.trainer as trainer
-import driftless.var_model as var_model
 from driftless.cli import default_instruments
-from driftless.errors import FitError
 from driftless.frictions import CostSpec
 from driftless.market import build_returns
 from driftless.oce import Utility, oce_sup
 from driftless.trainer import TrainConfig, train
-from driftless.var_model import desk_grid, desk_params, simulate, stationary_init
+from driftless.var_model import (
+    DESK_DLV_LEVELS,
+    desk_grid,
+    desk_params,
+    simulate,
+    stationary_init,
+)
+
+from oracles import calibrated_base_vols
 
 
 def bits(x):
@@ -30,67 +33,22 @@ def bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
 
 
-def scipy_brentq(f, a, b):
-    return brentq(f, a, b, xtol=var_model.ROOT_XTOL, rtol=var_model.ROOT_RTOL,
-                  maxiter=var_model.ROOT_MAXITER)
-
-
 def scipy_minimize_bounded(f, lo, hi):
     res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
                           options={"xatol": oce.MIN_XTOL, "maxiter": oce.MIN_MAXFUN})
     return res.x, res.fun
 
 
-def test_ndtr_matches_scipy():
-    rng = np.random.default_rng(3)
-    xs = np.concatenate([
-        rng.uniform(-1.5, 1.5, 40_000),  # the erf branch, |a| < 1, and erfc's 1 - erf
-        rng.uniform(-12.0, 12.0, 40_000),  # erfc's P/Q (|a| < 8 sqrt 2) and R/S
-        rng.uniform(-40.0, 40.0, 20_000),  # R/S and the underflow to 0 and 1
-        [0.0, -0.0, 1.0, -1.0, 8.0, -8.0, 8 * math.sqrt(2), 38.5, -38.5,
-         np.nan, np.inf, -np.inf],
-    ])
-    ours = np.array([var_model._ndtr(float(a)) for a in xs])
-    assert np.array_equal(bits(ours), bits(ndtr(xs)))
-    z = np.abs(xs) * math.sqrt(0.5)
-    assert np.sum(z < math.sqrt(0.5)) > 10_000 and np.sum(z >= 8.0) > 10_000
-
-
-def test_desk_calibration_matches_scipy(monkeypatch):
+def test_desk_calibration_matches_scipy():
+    """scipy's brentq (xtol 1e-12, rtol 4 eps, maxiter 100) over
+    prices_from_dlv_batch on desk_grid() finds DESK_DLV_LEVELS bit for bit,
+    and desk_params mean-reverts to them."""
     grid = desk_grid()
-    ours = var_model.calibrated_base_vols(grid)
-    monkeypatch.setattr(var_model, "_brentq", scipy_brentq)
-    monkeypatch.setattr(var_model, "_ndtr", ndtr)
-    assert np.array_equal(bits(ours), bits(var_model.calibrated_base_vols(grid)))
-
-
-def test_brentq_matches_scipy_on_random_brackets():
-    """Roots of expm1(c (x - r)) + d (x - r)^3 and of a cubic with one
-    root in the bracket: flat, steep and lopsided brackets."""
-    rng = np.random.default_rng(11)
-    for k in range(300):
-        r, c, d = rng.normal(), rng.uniform(0.01, 20.0), rng.uniform(0.0, 5.0)
-        lo, hi = r - rng.uniform(1e-3, 6.0), r + rng.uniform(1e-3, 6.0)
-        if k % 2:
-            def f(x):
-                return math.expm1(c * (x - r)) + d * (x - r) ** 3
-        else:
-            def f(x):
-                return (x - r) * ((x - r - 0.5 * c) ** 2 + d)
-        assert bits(var_model._brentq(f, lo, hi)) == bits(scipy_brentq(f, lo, hi)), k
-
-
-def test_brentq_raises_where_scipy_does(monkeypatch):
-    """A NaN value, and no convergence after ROOT_MAXITER steps."""
-    with pytest.raises(FitError, match="NaN at x=1.0"):
-        var_model._brentq(lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0)
-    with pytest.raises(ValueError, match="NaN"):
-        scipy_brentq(lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0)
-    monkeypatch.setattr(var_model, "ROOT_MAXITER", 3)
-    with pytest.raises(FitError, match="after 3 steps"):
-        var_model._brentq(lambda x: x**3 - 2.0, 0.0, 10.0)
-    with pytest.raises(RuntimeError, match="after 3 iterations"):
-        scipy_brentq(lambda x: x**3 - 2.0, 0.0, 10.0)
+    levels = calibrated_base_vols(grid)
+    assert bits(levels).tolist() == bits(np.repeat(
+        np.asarray(DESK_DLV_LEVELS)[:, None], grid.n_strikes, axis=1)).tolist()
+    log_vol_mean = stationary_init(desk_params(grid))[1][1:]
+    assert np.allclose(np.exp(log_vol_mean), levels.ravel(), rtol=1e-12, atol=0)
 
 
 def spy_minimizer(monkeypatch, module):

@@ -7,12 +7,12 @@ from driftless.errors import FitError, InputError, SimulationError
 from driftless.market import read_json
 from driftless.surface import DlvGrid, prices_from_dlv_batch
 from driftless.var_model import (
+    DESK_DLV_LEVELS,
     MAX_RETRIES,
     SIGMA_MAX,
     SPOT_VOL,
     VarParams,
     _BLOCK_PATHS,
-    calibrated_base_vols,
     desk_grid,
     desk_params,
     fit_var,
@@ -167,22 +167,23 @@ class TestStationaryInit:
 
 class TestDeskCalibration:
     def test_atm_prices_match_black_scholes(self):
-        """Each maturity row's ATM call under the calibrated DLV levels is
-        the Black-Scholes ATM call at SPOT_VOL (S = K = 1, zero rates)."""
+        """Each maturity row's ATM call under DESK_DLV_LEVELS is the
+        Black-Scholes ATM call at SPOT_VOL (S = K = 1, zero rates)."""
         grid = desk_grid()
-        prices = prices_from_dlv_batch(grid, calibrated_base_vols(grid))
+        sigma = np.repeat(np.asarray(DESK_DLV_LEVELS)[:, None], grid.n_strikes, axis=1)
+        prices = prices_from_dlv_batch(grid, sigma)
         i_atm = 1 + grid.strikes.index(1.0)
         for j, tau in enumerate(grid.maturities):
             # N(d) - N(-d) = erf(d / sqrt 2) with d = SPOT_VOL sqrt(tau) / 2
             bs_atm = math.erf(0.5 * SPOT_VOL * math.sqrt(tau / 2.0))
             assert abs(prices[j + 1, i_atm] - bs_atm) <= 1e-9
 
-    def test_bracket_without_a_root_raises(self):
-        """Boundaries 1% from spot cap the 5-year ATM call below its
-        Black-Scholes price at both ends of the bracket (1e-4, 5), so the
-        root search has no sign change to start from."""
+    def test_foreign_grid_raises(self):
+        """DESK_DLV_LEVELS hold for desk_grid() only: any other grid, such
+        as one node with boundaries 1% from spot at a 5-year maturity, is
+        an InputError rather than a market on the wrong levels."""
         grid = DlvGrid(strikes=(1.0,), maturities=(5.0,), boundary_lo=0.99, boundary_hi=1.01)
-        with pytest.raises(InputError, match=r"f\(0.0001\) = .* and f\(5.0\) = .* same sign"):
+        with pytest.raises(InputError, match=r"desk_params needs desk_grid\(\)"):
             desk_params(grid)
 
 
