@@ -31,7 +31,6 @@ from .errors import (
     SimulationError,
     TrainingError,
     check_keys,
-    check_number,
 )
 from .frictions import CostSpec
 from .hedging import PayoffSpec, deep_hedge, payoff, robustness_eval
@@ -92,8 +91,8 @@ def _instruments(doc):
         check_keys(d, ("kind", "rel_strike", "ttm_days"), "instrument", required=("kind",))
         out.append(InstrumentSpec(
             kind=d["kind"],
-            rel_strike=check_number(d.get("rel_strike", 0.0), "instrument rel_strike"),
-            ttm_days=check_number(d.get("ttm_days", 0), "instrument ttm_days", integer=True),
+            rel_strike=d.get("rel_strike", 0.0),
+            ttm_days=d.get("ttm_days", 0),
         ))
     return out
 

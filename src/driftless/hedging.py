@@ -39,8 +39,15 @@ class PayoffSpec:
     table: tuple = ()
 
     def __post_init__(self):
+        check_number(self.rel_strike, "payoff rel_strike")
+        check_number(self.maturity_steps, "payoff maturity_steps", integer=True)
+        check_number(self.side, "payoff side", integer=True)
         if self.kind not in ("digital_call", "vanilla_call", "vanilla_put", "custom_table"):
             raise InputError(f"unknown payoff kind {self.kind!r}")
+        if self.kind == "custom_table":
+            object.__setattr__(self, "table", tuple(check_numbers(self.table, "payoff table")))
+        elif self.table:
+            raise InputError(f"payoff kind {self.kind!r} takes no table")
         if self.kind != "custom_table" and self.rel_strike <= 0:
             raise InputError("strike must be positive")
         if self.side not in (-1, 1):
@@ -52,11 +59,10 @@ class PayoffSpec:
                    required=("kind",))
         return cls(
             kind=d["kind"],
-            rel_strike=check_number(d.get("rel_strike", 1.0), "payoff rel_strike"),
-            maturity_steps=check_number(d.get("maturity_steps", 0), "payoff maturity_steps",
-                                        integer=True),
-            side=check_number(d.get("side", -1), "payoff side", integer=True),
-            table=tuple(check_numbers(d["table"], "payoff table")) if "table" in d else (),
+            rel_strike=d.get("rel_strike", 1.0),
+            maturity_steps=d.get("maturity_steps", 0),
+            side=d.get("side", -1),
+            table=d.get("table", ()),
         )
 
 

@@ -49,6 +49,8 @@ class InstrumentSpec:
     ttm_days: int = 0
 
     def __post_init__(self):
+        check_number(self.rel_strike, "instrument rel_strike")
+        check_number(self.ttm_days, "instrument ttm_days", integer=True)
         if self.kind not in ("spot", "call", "put"):
             raise InputError(f"unknown instrument kind {self.kind!r}")
         if self.kind != "spot":
@@ -124,102 +126,59 @@ def bundle_from_sigmas(grid, spots, sigmas, seed=0, provenance=""):
     )
 
 
-def _interp_price(grid, prices, x, tau):
-    """Bilinear interpolation of spot-relative call prices.
-
-    ``prices`` is (..., m+1, n+2); interpolates linearly in strike along the
-    full strike axis and linearly in maturity between grid rows (row 0 is
-    tau = 0 intrinsic).  ``x`` and ``tau`` may broadcast against the batch.
-    """
-    xs = grid.all_strikes
-    taus = grid.all_taus
-    x = np.asarray(x, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    if np.any(x < xs[0] - 1e-12) or np.any(x > xs[-1] + 1e-12):
-        raise GridDomainError("relative strike outside the grid span")
-    if np.any(tau < -1e-12) or np.any(tau > taus[-1] + 1e-12):
-        raise GridDomainError("maturity outside the grid span")
-
-    batch_shape = prices.shape[:-2]
-    x = np.broadcast_to(x, batch_shape)
-    tau = np.broadcast_to(tau, batch_shape)
+def _interp_price(grid, prices, steps, x, tau):
+    """Spot-relative call prices from the bundle grids ``prices`` (P, T+1,
+    m+1, n+2) as a (P, K) array: at steps ``steps`` and maturities ``tau``,
+    scalars or (K,), and relative strikes ``x``, a scalar or (P, K), all
+    inside the grid span.  Linear in strike along the full strike axis and
+    in maturity between grid rows (row 0 is tau = 0 intrinsic)."""
+    xs, taus = grid.all_strikes, grid.all_taus
     ix = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
     wx = (x - xs[ix]) / (xs[ix + 1] - xs[ix])
     it = np.clip(np.searchsorted(taus, tau, side="right") - 1, 0, len(taus) - 2)
     wt = (tau - taus[it]) / (taus[it + 1] - taus[it])
-
-    flat = prices.reshape((-1,) + prices.shape[-2:])
-    b = np.arange(flat.shape[0])
-    itf, ixf = it.ravel(), ix.ravel()
-    p00 = flat[b, itf, ixf].reshape(batch_shape)
-    p01 = flat[b, itf, ixf + 1].reshape(batch_shape)
-    p10 = flat[b, itf + 1, ixf].reshape(batch_shape)
-    p11 = flat[b, itf + 1, ixf + 1].reshape(batch_shape)
+    p = np.arange(len(prices))[:, None]
+    p00, p01, p10, p11 = (prices[p, steps, it + i, ix + j] for i in (0, 1) for j in (0, 1))
     return (1 - wt) * ((1 - wx) * p00 + wx * p01) + wt * ((1 - wx) * p10 + wx * p11)
 
 
 def build_returns(bundle, instruments):
     """Hold-to-horizon returns DH = H_T - H_t for each instrument.
 
-    Options maturing inside the horizon are settled at payoff; options
-    maturing after T are valued at the time-T surface with their remaining
-    maturity, interpolated linearly in strike and maturity.  Puts price via
-    parity P = C - S (1 - k) at zero rates.
+    Each option is valued over all steps at once.  Bought at step t, its
+    mid is the time-t surface at its relative strike and maturity.  If it
+    expires by T it settles at payoff from the spot at expiry; otherwise it
+    is valued at the time-T surface at its strike relative to S_T (clipped
+    to the grid span) and its remaining maturity.  Surfaces interpolate
+    linearly in strike and maturity, and puts price via parity
+    P = C - S (1 - k) at zero rates.  A strike outside the grid span or a
+    maturity beyond the grid's last raises GridDomainError.
     """
-    grid = bundle.grid
-    P, T = bundle.n_paths, bundle.n_steps
+    grid, spots, T = bundle.grid, bundle.spots, bundle.n_steps
     instruments = tuple(instruments)
-    n_inst = len(instruments)
-    dh = np.empty((P, T, n_inst))
-    mids = np.empty((P, T, n_inst))
-
-    spots = bundle.spots
-    s_T = spots[:, T]
+    s_t, s_T = spots[:, :T], spots[:, T:]
+    dh = np.empty(s_t.shape + (len(instruments),))
+    mids = np.empty_like(dh)
     for k, inst in enumerate(instruments):
         if inst.kind == "spot":
-            for t in range(T):
-                mids[:, t, k] = spots[:, t]
-                dh[:, t, k] = s_T - spots[:, t]
+            mids[:, :, k] = s_t
+            dh[:, :, k] = s_T - s_t
             continue
-
-        tau_years = inst.ttm_days / DAYS_PER_YEAR
-        if not (grid.boundary_lo <= inst.rel_strike <= grid.boundary_hi):
-            raise GridDomainError(
-                f"strike {inst.rel_strike} outside [{grid.boundary_lo}, {grid.boundary_hi}]"
-            )
-        if tau_years > grid.maturities[-1] + 1e-12:
-            raise GridDomainError(
-                f"maturity {inst.ttm_days}d beyond the grid span"
-            )
-        for t in range(T):
-            s_t = spots[:, t]
-            c_rel = _interp_price(
-                grid, bundle.prices[:, t], np.full(P, inst.rel_strike), tau_years
-            )
-            if inst.kind == "call":
-                mid_rel = c_rel
-            else:
-                mid_rel = c_rel - (1.0 - inst.rel_strike)
-            mids[:, t, k] = s_t * mid_rel
-
-            expiry = t + inst.ttm_days
-            if expiry <= T:
-                ratio = spots[:, expiry] / s_t
-                if inst.kind == "call":
-                    terminal = s_t * np.maximum(ratio - inst.rel_strike, 0.0)
-                else:
-                    terminal = s_t * np.maximum(inst.rel_strike - ratio, 0.0)
-            else:
-                rem_tau = (expiry - T) / DAYS_PER_YEAR
-                x_T = inst.rel_strike * s_t / s_T
-                np.clip(x_T, grid.boundary_lo, grid.boundary_hi, out=x_T)
-                c_T = _interp_price(grid, bundle.prices[:, T], x_T, rem_tau)
-                if inst.kind == "call":
-                    terminal = s_T * c_T
-                else:
-                    terminal = s_T * (c_T - (1.0 - x_T))
-            dh[:, t, k] = terminal - mids[:, t, k]
-
+        x, days, put = inst.rel_strike, inst.ttm_days, inst.kind == "put"
+        if not (grid.boundary_lo <= x <= grid.boundary_hi):
+            raise GridDomainError(f"strike {x} outside [{grid.boundary_lo}, {grid.boundary_hi}]")
+        if days / DAYS_PER_YEAR > grid.maturities[-1] + 1e-12:
+            raise GridDomainError(f"maturity {days}d beyond the grid span")
+        c = _interp_price(grid, bundle.prices, np.arange(T), x, days / DAYS_PER_YEAR)
+        mids[:, :, k] = s_t * (c - (1.0 - x) if put else c)
+        n = max(T - days + 1, 0)  # the steps whose option expires by T
+        ratio = spots[:, days:days + n] / s_t[:, :n]
+        dh[:, :n, k] = s_t[:, :n] * np.maximum(x - ratio if put else ratio - x, 0.0)
+        x_T = np.clip(x * s_t[:, n:] / s_T, grid.boundary_lo, grid.boundary_hi)
+        rem_tau = (np.arange(n, T) + days - T) / DAYS_PER_YEAR
+        c_T = _interp_price(grid, bundle.prices, T, x_T, rem_tau)
+        dh[:, n:, k] = s_T * (c_T - (1.0 - x_T) if put else c_T)
+        dh[:, :, k] -= mids[:, :, k]
     return InstrumentReturn(instruments=instruments, dh=dh, mids=mids)
 
 
@@ -450,4 +409,6 @@ def read_weights_csv(path):
 
 
 def write_weights_csv(path, weights):
+    """Write per-path weights, validated by check_weights, as a weights CSV."""
+    weights = check_weights(weights, np.size(weights))
     write_csv(path, ["path", "weight"], [np.arange(len(weights)), weights])

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UtilityDomainError
+from .errors import InputError, UtilityDomainError
 from .frictions import CostSpec, marginal_rate
 from .market import check_weights, write_csv, write_text
 from .oce import legendre, u_deriv
@@ -126,8 +126,11 @@ def verify_drift(bundle, returns, weights, spec):
     sign of the last spot return and the ATM-vol tercile to approximate
     the conditional statement.
     """
-    w = check_weights(weights, bundle.n_paths)
     P, T, n_inst = returns.dh.shape
+    if (P, T) != (bundle.n_paths, bundle.n_steps):
+        raise InputError(f"returns of (paths, steps) {(P, T)} are not from "
+                         f"this bundle's {(bundle.n_paths, bundle.n_steps)}")
+    w = check_weights(weights, P)
     rows = []
     bucket_rows = []
 
@@ -183,13 +186,16 @@ def _atm_series(bundle):
 
 
 def divergence(weights, utility):
-    """Sample u~-divergence of mean-1 weights from the uniform measure."""
+    """Sample u~-divergence of mean-1 weights from the uniform measure.
+    Raises UtilityDomainError on adjusted mean-vol weights >= 2, then
+    InputError on weights that check_weights refuses."""
     d = np.asarray(weights, dtype=float)
     if utility.family == "adjusted_mean_vol" and np.any(d >= 2.0):
         bad = np.nonzero(d >= 2.0)[0]
         raise UtilityDomainError(
             f"{bad.size} weight(s) outside the u~ domain [first at path {bad[0]}]"
         )
+    d = check_weights(d, np.size(d))
     return float(np.mean(legendre(utility, d)))
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, UtilityDomainError, check_keys, check_number
+from .market import check_weights
 
 _EXP_CLIP = 700.0  # exp argument clip; keeps float64 finite
 # the bounded search for y stops at this absolute tolerance, or after
@@ -99,23 +100,22 @@ def legendre(u, y):
 
 
 def oce_value(x, weights, u, y):
-    """Weighted sample objective E_w[u(y + x)] - y."""
+    """Weighted sample objective E_w[u(y + x)] - y; weights other than None
+    go through check_weights."""
     x = np.asarray(x, dtype=float)
-    w = np.ones_like(x) if weights is None else np.asarray(weights, dtype=float)
+    w = np.ones_like(x) if weights is None else check_weights(weights, len(x))
     return float(np.mean(w * u_value(u, y + x)) - y)
 
 
 def closed_form_y(u, x, weights=None):
     """Optimal cash offset for the exponential family via log-sum-exp:
-    y* = (1/lambda) log E[exp(-lambda X)]."""
+    y* = (1/lambda) log E[exp(-lambda X)]; weights other than None go
+    through check_weights."""
     if u.family != "exponential":
         raise InputError("closed_form_y applies to the exponential family only")
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
-    if weights is None:
-        logw = np.zeros(n)
-    else:
-        logw = np.log(np.asarray(weights, dtype=float))
+    logw = np.zeros(n) if weights is None else np.log(check_weights(weights, n))
     return float((_logsumexp(-u.lam * x + logw) - np.log(n)) / u.lam)
 
 
@@ -210,7 +210,8 @@ def minimize_bounded(f, lo, hi):
 
 def oce_sup(x, weights, u):
     """sup_y of the weighted objective, and the maximizing y.  A NaN or
-    infinite entry of ``x`` raises InputError."""
+    infinite entry of ``x``, or weights that check_weights refuses, raise
+    InputError."""
     if u.family == "exponential":
         if not np.all(np.isfinite(x)):
             raise InputError("the P&L sample must be finite for the exponential OCE")

@@ -249,6 +249,9 @@ class _Problem:
 def _make_problem(bundle, returns, spec, utility, payoff=None, inv_scale=None,
                   weights=None):
     P = bundle.n_paths
+    if returns.dh.shape[:2] != (P, bundle.n_steps):
+        raise InputError(f"returns of (paths, steps) {returns.dh.shape[:2]} are not from "
+                         f"this bundle's {(P, bundle.n_steps)}")
     return _Problem(
         feats=feature_matrix(bundle),
         dh=returns.dh,

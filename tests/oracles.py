@@ -3,15 +3,16 @@
 No pipeline stage runs these: the analytic one-period minimal-entropy
 martingale measure, the frictionless hedge decomposition
 a*_P = a*_Q + a*_0, the first-order marginal cost, a one-period toy market,
-a synthetic VAR history with its CSV writer, and the calibration of the
-desk market's DLV levels.
+a synthetic VAR history with its CSV writer, the calibration of the desk
+market's DLV levels, and build_returns as it was written before it
+valued each option over all steps at once: one step at a time.
 """
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
-from driftless.errors import DriftlessError
+from driftless.errors import DriftlessError, GridDomainError
 from driftless.frictions import CostSpec, marginal_rate
 from driftless.hedging import deep_hedge
 from driftless.market import (
@@ -21,7 +22,7 @@ from driftless.market import (
     feature_matrix,
     write_csv,
 )
-from driftless.surface import DlvGrid, prices_from_dlv_batch
+from driftless.surface import DAYS_PER_YEAR, DlvGrid, prices_from_dlv_batch
 from driftless.trainer import forward, train
 from driftless.var_model import SPOT_VOL, _noise, iterate_var, stationary_init
 
@@ -176,3 +177,103 @@ def calibrated_base_vols(grid):
         levels.append(brentq(err, 1e-4, 5.0, xtol=1e-12, rtol=4 * np.finfo(float).eps,
                              maxiter=100))
     return np.repeat(np.asarray(levels)[:, None], n, axis=1)
+
+
+def interp_price_general(grid, prices, x, tau):
+    """Bilinear interpolation of spot-relative call prices.
+
+    ``prices`` is (..., m+1, n+2); interpolates linearly in strike along the
+    full strike axis and linearly in maturity between grid rows (row 0 is
+    tau = 0 intrinsic).  ``x`` and ``tau`` may broadcast against the batch.
+    """
+    xs = grid.all_strikes
+    taus = grid.all_taus
+    x = np.asarray(x, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    if np.any(x < xs[0] - 1e-12) or np.any(x > xs[-1] + 1e-12):
+        raise GridDomainError("relative strike outside the grid span")
+    if np.any(tau < -1e-12) or np.any(tau > taus[-1] + 1e-12):
+        raise GridDomainError("maturity outside the grid span")
+
+    batch_shape = prices.shape[:-2]
+    x = np.broadcast_to(x, batch_shape)
+    tau = np.broadcast_to(tau, batch_shape)
+    ix = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
+    wx = (x - xs[ix]) / (xs[ix + 1] - xs[ix])
+    it = np.clip(np.searchsorted(taus, tau, side="right") - 1, 0, len(taus) - 2)
+    wt = (tau - taus[it]) / (taus[it + 1] - taus[it])
+
+    flat = prices.reshape((-1,) + prices.shape[-2:])
+    b = np.arange(flat.shape[0])
+    itf, ixf = it.ravel(), ix.ravel()
+    p00 = flat[b, itf, ixf].reshape(batch_shape)
+    p01 = flat[b, itf, ixf + 1].reshape(batch_shape)
+    p10 = flat[b, itf + 1, ixf].reshape(batch_shape)
+    p11 = flat[b, itf + 1, ixf + 1].reshape(batch_shape)
+    return (1 - wt) * ((1 - wx) * p00 + wx * p01) + wt * ((1 - wx) * p10 + wx * p11)
+
+
+def build_returns_per_step(bundle, instruments):
+    """Hold-to-horizon returns DH = H_T - H_t for each instrument, one
+    step at a time: the reference market.build_returns is pinned to.
+
+    Options maturing inside the horizon are settled at payoff; options
+    maturing after T are valued at the time-T surface with their remaining
+    maturity, interpolated linearly in strike and maturity.  Puts price via
+    parity P = C - S (1 - k) at zero rates.
+    """
+    grid = bundle.grid
+    P, T = bundle.n_paths, bundle.n_steps
+    instruments = tuple(instruments)
+    n_inst = len(instruments)
+    dh = np.empty((P, T, n_inst))
+    mids = np.empty((P, T, n_inst))
+
+    spots = bundle.spots
+    s_T = spots[:, T]
+    for k, inst in enumerate(instruments):
+        if inst.kind == "spot":
+            for t in range(T):
+                mids[:, t, k] = spots[:, t]
+                dh[:, t, k] = s_T - spots[:, t]
+            continue
+
+        tau_years = inst.ttm_days / DAYS_PER_YEAR
+        if not (grid.boundary_lo <= inst.rel_strike <= grid.boundary_hi):
+            raise GridDomainError(
+                f"strike {inst.rel_strike} outside [{grid.boundary_lo}, {grid.boundary_hi}]"
+            )
+        if tau_years > grid.maturities[-1] + 1e-12:
+            raise GridDomainError(
+                f"maturity {inst.ttm_days}d beyond the grid span"
+            )
+        for t in range(T):
+            s_t = spots[:, t]
+            c_rel = interp_price_general(
+                grid, bundle.prices[:, t], np.full(P, inst.rel_strike), tau_years
+            )
+            if inst.kind == "call":
+                mid_rel = c_rel
+            else:
+                mid_rel = c_rel - (1.0 - inst.rel_strike)
+            mids[:, t, k] = s_t * mid_rel
+
+            expiry = t + inst.ttm_days
+            if expiry <= T:
+                ratio = spots[:, expiry] / s_t
+                if inst.kind == "call":
+                    terminal = s_t * np.maximum(ratio - inst.rel_strike, 0.0)
+                else:
+                    terminal = s_t * np.maximum(inst.rel_strike - ratio, 0.0)
+            else:
+                rem_tau = (expiry - T) / DAYS_PER_YEAR
+                x_T = inst.rel_strike * s_t / s_T
+                np.clip(x_T, grid.boundary_lo, grid.boundary_hi, out=x_T)
+                c_T = interp_price_general(grid, bundle.prices[:, T], x_T, rem_tau)
+                if inst.kind == "call":
+                    terminal = s_T * c_T
+                else:
+                    terminal = s_T * (c_T - (1.0 - x_T))
+            dh[:, t, k] = terminal - mids[:, t, k]
+
+    return InstrumentReturn(instruments=instruments, dh=dh, mids=mids)

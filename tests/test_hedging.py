@@ -81,6 +81,23 @@ class TestPayoff:
         }))
         assert PayoffSpec.from_dict(read_json(f)) == spec
 
+    @pytest.mark.parametrize("kind, kwargs, field", [
+        ("vanilla_call", {"maturity_steps": 2.5}, "maturity_steps"),
+        ("vanilla_call", {"rel_strike": float("nan")}, "rel_strike"),
+        ("vanilla_call", {"side": 1.0}, "side"),
+        ("custom_table", {"table": (float("nan"), 1.0)}, "table"),
+        ("custom_table", {"table": ("1", "2")}, "table"),
+        ("custom_table", {}, "table"),
+        ("vanilla_call", {"table": (1.0, 2.0)}, "table"),
+    ], ids=["fractional_maturity", "nan_strike", "float_side", "nan_table", "string_table",
+            "no_table", "table_on_vanilla"])
+    def test_numeric_fields_checked(self, kind, kwargs, field):
+        """A non-finite or (for maturity_steps and side) non-integer field,
+        a custom table that is empty or not all finite numbers, or a table on
+        another kind, is refused with an InputError that names the field."""
+        with pytest.raises(InputError, match=field):
+            PayoffSpec(kind, **kwargs)
+
     def test_from_dict_rejects_bad_keys(self):
         with pytest.raises(InputError, match="strike"):
             PayoffSpec.from_dict({"kind": "digital_call", "strike": 1.02})

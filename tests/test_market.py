@@ -24,6 +24,8 @@ from driftless.market import (
 from driftless.surface import DlvGrid, intrinsic_row
 from driftless.var_model import desk_grid, desk_params, simulate, stationary_init
 
+from oracles import build_returns_per_step
+
 
 def flat_bundle(n_paths=4, n_steps=3, sigma=0.2, spot_path=None):
     grid = desk_grid()
@@ -75,10 +77,41 @@ def test_deferred_option_bracketed_by_grid_maturities():
     terminal = rets.dh[:, t, 0] + rets.mids[:, t, 0]
     from driftless.market import _interp_price
 
-    lo = s_T * _interp_price(grid, bundle.prices[:, 10], x_T, 20 / 252)
-    hi = s_T * _interp_price(grid, bundle.prices[:, 10], x_T, 40 / 252)
+    lo = s_T * _interp_price(grid, bundle.prices, 10, x_T[:, None], 20 / 252)[:, 0]
+    hi = s_T * _interp_price(grid, bundle.prices, 10, x_T[:, None], 40 / 252)[:, 0]
     assert np.all(terminal >= np.minimum(lo, hi) - 1e-12)
     assert np.all(terminal <= np.maximum(lo, hi) + 1e-12)
+
+
+def _pinned_instruments(T):
+    """Spot; options that settle inside the horizon, two with ttm == T;
+    deferred options whose remaining maturity at T lies below the first
+    (20d) grid row or between rows; and strikes at the grid boundaries,
+    where the strike relative to S_T clips."""
+    return [
+        InstrumentSpec("spot"),
+        InstrumentSpec("call", 1.0, T), InstrumentSpec("put", 1.05, T),
+        InstrumentSpec("call", 0.95, 1), InstrumentSpec("put", 1.0, 3),
+        InstrumentSpec("call", 1.0, T + 5), InstrumentSpec("put", 0.95, T + 5),
+        InstrumentSpec("call", 1.05, 59), InstrumentSpec("put", 1.0, 50),
+        InstrumentSpec("call", 0.5, 45), InstrumentSpec("put", 1.6, 45),
+    ]
+
+
+@pytest.mark.parametrize("seed", [7, 2029])
+@pytest.mark.parametrize("T", [5, 10, 30])
+def test_build_returns_matches_per_step_oracle(seed, T):
+    """All steps at once give the per-step reference's dh and mids bit for
+    bit, on every kind of option valuation."""
+    grid = desk_grid()
+    p = desk_params(grid)
+    bundle = simulate(p, stationary_init(p), 200, T, seed=seed, grid=grid)
+    moves = bundle.spots[:, :T] / bundle.spots[:, T:]
+    assert (0.5 * moves < grid.boundary_lo).any() and (1.6 * moves > grid.boundary_hi).any()
+    got = build_returns(bundle, _pinned_instruments(T))
+    ref = build_returns_per_step(bundle, _pinned_instruments(T))
+    assert np.array_equal(got.dh, ref.dh)
+    assert np.array_equal(got.mids, ref.mids)
 
 
 def test_put_parity_and_nonnegativity():
@@ -185,6 +218,21 @@ class TestGridDomainErrors:
         b = flat_bundle()
         with pytest.raises(GridDomainError):
             build_returns(b, [InstrumentSpec("call", 1.0, 120)])
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"rel_strike": 1.0, "ttm_days": float("nan")}, "ttm_days"),
+    ({"rel_strike": 1.0, "ttm_days": 2.5}, "ttm_days"),
+    ({"rel_strike": 1.0, "ttm_days": True}, "ttm_days"),
+    ({"rel_strike": float("nan"), "ttm_days": 20}, "rel_strike"),
+    ({"rel_strike": float("inf"), "ttm_days": 20}, "rel_strike"),
+    ({"rel_strike": "1.0", "ttm_days": 20}, "rel_strike"),
+], ids=["nan_ttm", "fractional_ttm", "bool_ttm", "nan_strike", "inf_strike", "string_strike"])
+def test_instrument_numeric_fields_checked(kwargs, field):
+    """A non-numeric, non-finite or (for ttm_days) non-integer field is
+    refused with an InputError that names it, before any returns are built."""
+    with pytest.raises(InputError, match=field):
+        InstrumentSpec("call", **kwargs)
 
 
 class TestBundleIo:

@@ -3,6 +3,7 @@ import pytest
 
 from driftless.errors import InputError, UtilityDomainError
 from driftless.frictions import CostSpec
+from driftless.market import InstrumentReturn
 from driftless.measure import (
     DensityWeights,
     bounded_reweight,
@@ -11,7 +12,7 @@ from driftless.measure import (
     verify_drift,
 )
 from driftless.oce import Utility, legendre
-from driftless.trainer import TrainConfig, train
+from driftless.trainer import TrainConfig, evaluate_policy, train
 
 from oracles import ClassicArbitrageError, memm_one_period, one_period_bundle
 
@@ -137,6 +138,27 @@ class TestVerifyDrift:
         lines = f.read_text().splitlines()
         assert lines[0] == "t,instrument,mean_dh,se,band_lo,band_hi,pass"
         assert len(lines) == 1 + len(rep.rows)
+
+
+@pytest.mark.parametrize("paths, steps", [(2, 1), (4, 1), (3, 2)],
+                         ids=["fewer_paths", "more_paths", "more_steps"])
+def test_returns_from_another_bundle_refused(paths, steps):
+    """train, evaluate_policy, density and verify_drift refuse returns whose
+    (paths, steps) are not the bundle's, before any work."""
+    bundle, rets = one_period_bundle(np.array([0.2, -0.1, 0.3]))
+    spec, u = CostSpec(0.001), Utility("exponential", 1.0)
+    sol = train(bundle, rets, spec, u, TrainConfig(epochs=2, seed=0, hidden=(2,)))
+    other = InstrumentReturn(instruments=rets.instruments, dh=np.zeros((paths, steps, 1)),
+                             mids=np.ones((paths, steps, 1)))
+    calls = [
+        lambda: train(bundle, other, spec, u, TrainConfig(epochs=2, seed=0, hidden=(2,))),
+        lambda: evaluate_policy(bundle, other, spec, u, sol.policy, sol.y_star),
+        lambda: density(sol, bundle, other, spec, u),
+        lambda: verify_drift(bundle, other, np.ones(3), spec),
+    ]
+    for call in calls:
+        with pytest.raises(InputError, match="not from this bundle"):
+            call()
 
 
 class TestDivergence:

@@ -278,3 +278,86 @@ def test_every_default_is_set():
     unset = [f"{module} {name}({param})" for module, name, param, position in params
              if not any(_sets(c, name, param, position) for c in calls)]
     assert unset == []
+
+
+# public functions and classes with a ``weights`` parameter that is not a
+# vector of path weights, each with the reason
+NOT_PATH_WEIGHTS = {
+    "Mlp": "its weights are the policy network's layer matrices",
+}
+
+
+def _weights_takers():
+    """Names of the public module-level functions with a ``weights``
+    parameter and of the public classes with a ``weights`` field or
+    ``__init__`` parameter."""
+    names = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                params = [a.arg for a in node.args.args + node.args.kwonlyargs]
+            elif isinstance(node, ast.ClassDef):
+                params = [s.target.id for s in node.body if isinstance(s, ast.AnnAssign)]
+                params += [a.arg for s in node.body if isinstance(s, ast.FunctionDef)
+                           and s.name == "__init__" for a in s.args.args]
+            else:
+                continue
+            if "weights" in params and not node.name.startswith("_"):
+                names.append(node.name)
+    return names
+
+
+def test_every_weights_parameter_is_checked(tmp_path):
+    """Every public function or class that takes path weights refuses
+    negative, NaN, mean != 1 and wrong-length weights with InputError, and
+    takes uniform ones.  A new weights-taking name that the sweep below does
+    not call makes this test fail.  Functions given no path count have no
+    wrong length; for them a two-dimensional array is the wrong shape."""
+    import numpy as np
+
+    from driftless.frictions import CostSpec
+    from driftless.hedging import deep_hedge
+    from driftless.market import check_weights, write_weights_csv
+    from driftless.measure import DensityWeights, divergence, verify_drift
+    from driftless.oce import Utility, closed_form_y, oce_sup, oce_value
+    from driftless.trainer import TrainConfig, evaluate_policy, init_mlp, train
+    from oracles import one_period_bundle
+
+    bundle, rets = one_period_bundle(np.array([0.2, -0.1, 0.3]))
+    spec, u = CostSpec(0.001), Utility("exponential", 1.0)
+    amv = Utility("adjusted_mean_vol", 1.0)
+    cfg = TrainConfig(epochs=1, seed=0, hidden=(2,))
+    mlp = init_mlp([3, 2, 1], np.random.default_rng(0))
+    x = np.array([0.1, -0.2, 0.3])
+    sweep = [  # (name, call with the weights, whether the call gives a path count)
+        ("check_weights", lambda w: check_weights(w, 3), True),
+        ("write_weights_csv", lambda w: write_weights_csv(tmp_path / "w.csv", w), False),
+        ("DensityWeights", lambda w: DensityWeights(weights=w, mean_error=0.0), False),
+        ("verify_drift", lambda w: verify_drift(bundle, rets, w, spec), True),
+        ("divergence", lambda w: divergence(w, u), False),
+        ("oce_value", lambda w: oce_value(x, w, u, 0.0), True),
+        ("closed_form_y", lambda w: closed_form_y(u, x, w), True),
+        ("oce_sup", lambda w: oce_sup(x, w, u), True),
+        ("oce_sup", lambda w: oce_sup(x, w, amv), True),
+        ("deep_hedge", lambda w: deep_hedge(bundle, rets, w, np.zeros(3), spec, u, cfg), True),
+        ("train", lambda w: train(bundle, rets, spec, u, cfg, weights=w), True),
+        ("evaluate_policy", lambda w: evaluate_policy(bundle, rets, spec, u, mlp, 0.0,
+                                                      weights=w), True),
+    ]
+    swept = {name for name, _, _ in sweep}
+    assert sorted(_weights_takers()) == sorted(swept | set(NOT_PATH_WEIGHTS))
+
+    bad = {"negative": [2.5, -0.5, 1.0], "nan": [1.0, np.nan, 1.0], "mean_not_one": [5.0] * 3,
+           "wrong_length": [1.0, 1.0], "two_dimensional": [[1.0], [1.0], [1.0]]}
+    accepted = []
+    for name, call, sized in sweep:
+        call(np.ones(3))
+        for case, w in bad.items():
+            if case == "wrong_length" and not sized:
+                continue
+            try:
+                call(np.array(w))
+            except errors.InputError:
+                continue
+            accepted.append(f"{name} {case}")
+    assert accepted == []
