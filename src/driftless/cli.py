@@ -141,7 +141,7 @@ def _load(args):
     defaults = {
         "grid": desk_grid,
         "instruments": default_instruments,
-        "train": lambda: TrainConfig(epochs=300, lr=0.01, lr_decay=0.995),
+        "train": TrainConfig,
     }
     read = []
     for name in args.inputs:
@@ -244,7 +244,7 @@ def cmd_demo(args, read):
     out = args.out
     grid = desk_grid()
     params = desk_params(grid)
-    cfg = TrainConfig(epochs=args.epochs, lr=0.01, lr_decay=0.995, seed=args.seed)
+    cfg = TrainConfig(epochs=args.epochs, seed=args.seed)
     bundle = simulate(
         params, stationary_init(params), args.paths, args.steps, args.seed, grid
     )

@@ -62,10 +62,6 @@ class ArbitrageError(DriftlessError, ValueError):
         self.node = node
 
 
-class SingularSystemError(DriftlessError, ValueError):
-    """A linear system encountered a zero pivot."""
-
-
 class FitError(DriftlessError, ValueError):
     """Regression failure (a history too short or non-finite, a
     rank-deficient design matrix)."""

@@ -53,11 +53,13 @@ class InstrumentSpec:
         check_number(self.ttm_days, "instrument ttm_days", integer=True)
         if self.kind not in ("spot", "call", "put"):
             raise InputError(f"unknown instrument kind {self.kind!r}")
-        if self.kind != "spot":
-            if self.rel_strike <= 0:
-                raise InputError("options need a positive relative strike")
-            if self.ttm_days <= 0:
-                raise InputError("options need a positive time to maturity")
+        if self.kind == "spot":
+            if self.rel_strike or self.ttm_days:
+                raise InputError("instrument kind 'spot' takes no rel_strike or ttm_days")
+        elif self.rel_strike <= 0:
+            raise InputError("options need a positive relative strike")
+        elif self.ttm_days <= 0:
+            raise InputError("options need a positive time to maturity")
 
     def label(self):
         if self.kind == "spot":

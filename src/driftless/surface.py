@@ -18,7 +18,6 @@ from .errors import (
     ArbitrageError,
     InputError,
     InvalidSurfaceError,
-    SingularSystemError,
     check_keys,
     check_number,
     check_numbers,
@@ -101,45 +100,12 @@ class DlvGrid:
         )
 
 
-def solve_tridiagonal(lower, diag, upper, rhs):
-    """Solve tridiagonal systems by the Thomas forward/backward sweep.
-
-    Inputs are batches (..., n) for ``diag``/``rhs`` and (..., n - 1) for
-    ``lower``/``upper``; a 1-D input is a batch of one.  Raises InputError
-    on other shapes, and SingularSystemError on a zero pivot in any system
-    of the batch.
-    """
-    lower = np.asarray(lower, dtype=float)
-    diag = np.asarray(diag, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    n = diag.shape[-1]
-    if lower.shape[-1] != n - 1 or upper.shape[-1] != n - 1 or rhs.shape[-1] != n:
-        raise InputError("inconsistent tridiagonal dimensions")
-
-    c = np.empty_like(diag)
-    d = np.empty_like(rhs)
-    c[..., 0] = diag[..., 0]
-    d[..., 0] = rhs[..., 0]
-    for i in range(n):
-        if i > 0:
-            w = lower[..., i - 1] / c[..., i - 1]
-            c[..., i] = diag[..., i] - w * upper[..., i - 1]
-            d[..., i] = rhs[..., i] - w * d[..., i - 1]
-        if not np.all(c[..., i]):
-            raise SingularSystemError(f"zero pivot at row {i}")
-    x = np.empty_like(rhs)
-    x[..., -1] = d[..., -1] / c[..., -1]
-    for i in range(n - 2, -1, -1):
-        x[..., i] = (d[..., i] - upper[..., i] * x[..., i + 1]) / c[..., i]
-    return x
-
-
 def intrinsic_row(grid):
     """tau = 0 call prices: (1 - x)^+ over all strikes incl. boundaries."""
     return np.maximum(1.0 - grid.all_strikes, 0.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises InvalidSurfaceError
 def prices_from_dlv_batch(grid, sigma):
     """Reconstruct call grids from a batch of local vol surfaces.
 
@@ -149,10 +115,14 @@ def prices_from_dlv_batch(grid, sigma):
         (C_j - C_{j-1}) / dtau = 1/2 x^2 sigma^2 Gamma(C_j)
 
     with the boundary columns pinned at intrinsic value (low strike) and
-    zero (high strike).  The system matrix is strictly diagonally dominant
-    for finite sigma and positive strike spacings.  Raises InputError on a
-    ``sigma`` of another shape, and InvalidSurfaceError on a non-finite or
-    negative sigma.
+    zero (high strike): row i reads -alpha_i C[i-1] + (1 + alpha_i +
+    beta_i) C[i] - beta_i C[i+1] = C_{j-1}[i].  One Thomas sweep solves it
+    for the whole batch.  The matrix is strictly diagonally dominant for
+    finite sigma and positive strike spacings, so every pivot exceeds 1 and
+    the sweep needs no pivot check.  Raises InputError on a ``sigma`` of
+    another shape, and InvalidSurfaceError on a non-finite or negative
+    sigma, or on one so large (from about 1.4e154) that the coefficients or
+    prices overflow.
     """
     sigma = np.asarray(sigma, dtype=float)
     m, n = grid.n_maturities, grid.n_strikes
@@ -173,20 +143,26 @@ def prices_from_dlv_batch(grid, sigma):
     prices = np.empty(batch + (m + 1, n + 2))
     prices[..., 0, :] = intrinsic_row(grid)
     lo_pin = 1.0 - grid.boundary_lo
+    prices[..., 1:, 0] = lo_pin
+    prices[..., 1:, -1] = 0.0  # no rhs contribution from the high boundary
     for j in range(1, m + 1):
         dtau = taus[j] - taus[j - 1]
         half = 0.5 * dtau * xi**2 * sigma[..., j - 1, :] ** 2
         alpha = half / dx_lo
         beta = half / dx_hi
-        diag = 1.0 + alpha + beta
-        lower = -alpha[..., 1:]
-        upper = -beta[..., :-1]
-        rhs = prices[..., j - 1, 1:-1].copy()
-        rhs[..., 0] += alpha[..., 0] * lo_pin
-        # high-strike boundary is pinned at zero: no rhs contribution
-        prices[..., j, 0] = lo_pin
-        prices[..., j, -1] = 0.0
-        prices[..., j, 1:-1] = solve_tridiagonal(lower, diag, upper, rhs)
+        pivot = 1.0 + alpha + beta
+        x = prices[..., j - 1, 1:-1].copy()  # the rhs, then the solution
+        x[..., 0] += alpha[..., 0] * lo_pin
+        for i in range(1, n):
+            w = alpha[..., i] / pivot[..., i - 1]
+            pivot[..., i] -= w * beta[..., i - 1]
+            x[..., i] += w * x[..., i - 1]
+        x[..., -1] /= pivot[..., -1]
+        for i in range(n - 2, -1, -1):
+            x[..., i] = (x[..., i] + beta[..., i] * x[..., i + 1]) / pivot[..., i]
+        if not all(np.all(np.isfinite(v)) for v in (alpha, beta, x)):
+            raise InvalidSurfaceError(f"price solve overflows at maturity {j}: local vol too large")
+        prices[..., j, 1:-1] = x
     return prices
 
 

@@ -160,8 +160,8 @@ SMOOTH_EPS = 1e-8  # |a| ~ sqrt(a^2 + eps^2) in the gradient of the cost term
 class TrainConfig:
     epochs: int = 300
     batch_size: int = 0  # 0 means full batch
-    lr: float = 1e-3
-    lr_decay: float = 1.0  # per-epoch multiplicative factor
+    lr: float = 0.01
+    lr_decay: float = 0.995  # per-epoch multiplicative factor
     seed: int = 0
     hidden: tuple = (64, 64)
 

@@ -4,15 +4,18 @@ No pipeline stage runs these: the analytic one-period minimal-entropy
 martingale measure, the frictionless hedge decomposition
 a*_P = a*_Q + a*_0, the first-order marginal cost, a one-period toy market,
 a synthetic VAR history with its CSV writer, the calibration of the desk
-market's DLV levels, and build_returns as it was written before it
-valued each option over all steps at once: one step at a time.
+market's DLV levels, build_returns as it was written before it
+valued each option over all steps at once (one step at a time), and the
+DLV-to-price solve as it was written before prices_from_dlv_batch folded
+the Thomas sweep into its row loop: a general batched tridiagonal solver
+called once per maturity row.
 """
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
-from driftless.errors import DriftlessError, GridDomainError
+from driftless.errors import DriftlessError, GridDomainError, InputError, InvalidSurfaceError
 from driftless.frictions import CostSpec, marginal_rate
 from driftless.hedging import deep_hedge
 from driftless.market import (
@@ -22,13 +25,17 @@ from driftless.market import (
     feature_matrix,
     write_csv,
 )
-from driftless.surface import DAYS_PER_YEAR, DlvGrid, prices_from_dlv_batch
+from driftless.surface import DAYS_PER_YEAR, DlvGrid, intrinsic_row, prices_from_dlv_batch
 from driftless.trainer import forward, train
 from driftless.var_model import SPOT_VOL, _noise, iterate_var, stationary_init
 
 
 class ClassicArbitrageError(DriftlessError, ValueError):
     """Outcomes are one-signed: no finite utility maximizer exists."""
+
+
+class SingularSystemError(DriftlessError, ValueError):
+    """A linear system encountered a zero pivot."""
 
 
 def one_period_bundle(outcomes, seed=0):
@@ -277,3 +284,77 @@ def build_returns_per_step(bundle, instruments):
             dh[:, t, k] = terminal - mids[:, t, k]
 
     return InstrumentReturn(instruments=instruments, dh=dh, mids=mids)
+
+
+def solve_tridiagonal(lower, diag, upper, rhs):
+    """Solve tridiagonal systems by the Thomas forward/backward sweep.
+
+    Inputs are batches (..., n) for ``diag``/``rhs`` and (..., n - 1) for
+    ``lower``/``upper``; a 1-D input is a batch of one.  Raises InputError
+    on other shapes, and SingularSystemError on a zero pivot in any system
+    of the batch.
+    """
+    lower = np.asarray(lower, dtype=float)
+    diag = np.asarray(diag, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    n = diag.shape[-1]
+    if lower.shape[-1] != n - 1 or upper.shape[-1] != n - 1 or rhs.shape[-1] != n:
+        raise InputError("inconsistent tridiagonal dimensions")
+
+    c = np.empty_like(diag)
+    d = np.empty_like(rhs)
+    c[..., 0] = diag[..., 0]
+    d[..., 0] = rhs[..., 0]
+    for i in range(n):
+        if i > 0:
+            w = lower[..., i - 1] / c[..., i - 1]
+            c[..., i] = diag[..., i] - w * upper[..., i - 1]
+            d[..., i] = rhs[..., i] - w * d[..., i - 1]
+        if not np.all(c[..., i]):
+            raise SingularSystemError(f"zero pivot at row {i}")
+    x = np.empty_like(rhs)
+    x[..., -1] = d[..., -1] / c[..., -1]
+    for i in range(n - 2, -1, -1):
+        x[..., i] = (d[..., i] - upper[..., i] * x[..., i + 1]) / c[..., i]
+    return x
+
+
+def prices_from_dlv_solver(grid, sigma):
+    """Call grids (..., m+1, n+2) from local vols (..., m, n), one maturity
+    row at a time through solve_tridiagonal: the reference
+    surface.prices_from_dlv_batch is pinned to."""
+    sigma = np.asarray(sigma, dtype=float)
+    m, n = grid.n_maturities, grid.n_strikes
+    if sigma.shape[-2:] != (m, n):
+        raise InputError(f"sigma must end in shape {(m, n)}")
+    if not np.all(np.isfinite(sigma)):
+        raise InvalidSurfaceError("local vol surface contains non-finite entries")
+    if np.any(sigma < 0):
+        raise InvalidSurfaceError("local vol surface contains negative entries")
+
+    xs = grid.all_strikes
+    taus = grid.all_taus
+    xi = xs[1:-1]
+    dx_lo = xi - xs[:-2]  # x_i - x_{i-1}
+    dx_hi = xs[2:] - xi  # x_{i+1} - x_i
+
+    batch = sigma.shape[:-2]
+    prices = np.empty(batch + (m + 1, n + 2))
+    prices[..., 0, :] = intrinsic_row(grid)
+    lo_pin = 1.0 - grid.boundary_lo
+    for j in range(1, m + 1):
+        dtau = taus[j] - taus[j - 1]
+        half = 0.5 * dtau * xi**2 * sigma[..., j - 1, :] ** 2
+        alpha = half / dx_lo
+        beta = half / dx_hi
+        diag = 1.0 + alpha + beta
+        lower = -alpha[..., 1:]
+        upper = -beta[..., :-1]
+        rhs = prices[..., j - 1, 1:-1].copy()
+        rhs[..., 0] += alpha[..., 0] * lo_pin
+        # high-strike boundary is pinned at zero: no rhs contribution
+        prices[..., j, 0] = lo_pin
+        prices[..., j, -1] = 0.0
+        prices[..., j, 1:-1] = solve_tridiagonal(lower, diag, upper, rhs)
+    return prices

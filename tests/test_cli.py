@@ -299,6 +299,12 @@ def test_verify_negative_dlv_exit_1(tmp_path, bundle_dir, capsys):
     assert "least DLV -0.2" in err
 
 
+def test_verify_overflowing_dlv_exit_1(tmp_path, bundle_dir, capsys):
+    """A finite DLV whose square overflows is refused, not priced as NaN."""
+    assert _verify_edited_bundle(tmp_path, bundle_dir, -1, "1e200") == 1
+    assert "price solve overflows" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["-1.0", "0.0", "nan", "inf"])
 def test_verify_bad_spot_exit_1(tmp_path, bundle_dir, capsys, value):
     assert _verify_edited_bundle(tmp_path, bundle_dir, 2, value) == 1
@@ -427,7 +433,9 @@ def test_simulate_bad_grid_exit_1(tmp_path, params_file, capsys, change):
     {"kind": "spot"},
     [{"kind": "call", "rel_strike": "1.0", "ttm_days": 20}],
     [],
-], ids=["unknown_key", "not_a_list", "string_strike", "empty"])
+    [{"kind": "spot", "rel_strike": 1.05, "ttm_days": 20}],
+    [{"kind": "spot", "ttm_days": 20}],
+], ids=["unknown_key", "not_a_list", "string_strike", "empty", "spot_strike_ttm", "spot_ttm"])
 def test_verify_bad_instruments_exit_1(tmp_path, bundle_dir, capsys, doc):
     cost = write_cost(tmp_path)
     weights = tmp_path / "w.csv"

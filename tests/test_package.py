@@ -73,6 +73,21 @@ def test_raises_only_package_errors():
     assert foreign == []
 
 
+def test_every_error_class_is_raised():
+    """Every DriftlessError subclass in errors.py is raised somewhere in
+    the package, so an error class goes with its last raise site."""
+    raised = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                func = node.exc.func
+                raised.add(func.attr if isinstance(func, ast.Attribute) else func.id)
+    classes = {name for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, errors.DriftlessError)
+               and cls is not errors.DriftlessError}
+    assert sorted(classes - raised) == []
+
+
 def _may_write(call):
     """True for an ``open``/``fdopen`` call whose mode has ``w``, ``a``,
     ``x`` or ``+``, or is not a literal."""

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from driftless.errors import ArbitrageError, InvalidSurfaceError, SingularSystemError
+from driftless.errors import ArbitrageError, InvalidSurfaceError
 from driftless.surface import (
     DlvGrid,
     dlv_from_prices,
     intrinsic_row,
     prices_from_dlv_batch,
-    solve_tridiagonal,
 )
+from driftless.var_model import desk_grid
+
+from oracles import SingularSystemError, prices_from_dlv_solver, solve_tridiagonal
 
 
 def small_grid():
@@ -190,6 +192,48 @@ class TestPricesFromDlv:
         sigma[1, 2, 0] = bad
         with pytest.raises(InvalidSurfaceError):
             prices_from_dlv_batch(small_grid(), sigma)
+
+    def test_largest_finite_solve_stays_finite(self):
+        """At 1.3e154 sigma**2 is still finite, and so are the prices."""
+        sigma = np.full((3, 3), 0.2)
+        sigma[1, 1] = 1.3e154
+        prices = prices_from_dlv_batch(desk_grid(), sigma)
+        assert np.all(np.isfinite(prices))
+        with np.errstate(over="ignore"):
+            assert np.array_equal(prices, prices_from_dlv_solver(desk_grid(), sigma))
+
+    @pytest.mark.parametrize("big", [1.4e154, 1e200])
+    def test_overflowing_sigma_rejected(self, big):
+        """A finite DLV whose square overflows would give NaN prices."""
+        sigma = np.full((2, 3, 3), 0.2)
+        sigma[1, 1, 1] = big
+        with pytest.raises(InvalidSurfaceError, match="overflows"):
+            prices_from_dlv_batch(desk_grid(), sigma)
+
+
+@pytest.mark.parametrize("case", [
+    "desk_unbatched", "desk_50x11", "desk_20000x11", "one_by_one", "five_by_seven_zeros",
+    "desk_zero",
+])
+def test_sweep_equals_solver_oracle_bit_for_bit(case):
+    """The in-place Thomas sweep gives the prices of the general
+    tridiagonal solver it replaced, bit for bit."""
+    rng = np.random.default_rng(20)
+    shapes = {"desk_unbatched": (3, 3), "desk_50x11": (50, 11, 3, 3),
+              "desk_20000x11": (20000, 11, 3, 3)}
+    if case in shapes:
+        grid, sigma = desk_grid(), rng.uniform(0.0, 2.0, size=shapes[case])
+    elif case == "one_by_one":
+        grid = DlvGrid(strikes=(1.0,), maturities=(20 / 252,))
+        sigma = rng.uniform(0.0, 2.0, size=(7, 1, 1))
+    elif case == "five_by_seven_zeros":
+        grid = DlvGrid(strikes=(0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4),
+                       maturities=tuple(np.arange(1, 6) * 20 / 252))
+        sigma = rng.uniform(0.0, 2.0, size=(9, 5, 7))
+        sigma[rng.random(sigma.shape) < 0.3] = 0.0
+    else:
+        grid, sigma = desk_grid(), np.zeros((4, 3, 3))
+    assert np.array_equal(prices_from_dlv_batch(grid, sigma), prices_from_dlv_solver(grid, sigma))
 
 
 class TestDlvFromPrices:
