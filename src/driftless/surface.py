@@ -119,10 +119,10 @@ def prices_from_dlv_batch(grid, sigma):
     beta_i) C[i] - beta_i C[i+1] = C_{j-1}[i].  One Thomas sweep solves it
     for the whole batch.  The matrix is strictly diagonally dominant for
     finite sigma and positive strike spacings, so every pivot exceeds 1 and
-    the sweep needs no pivot check.  Raises InputError on a ``sigma`` of
+    the sweep needs no zero-pivot check.  Raises InputError on a ``sigma`` of
     another shape, and InvalidSurfaceError on a non-finite or negative
-    sigma, or on one so large (from about 1.4e154) that the coefficients or
-    prices overflow.
+    sigma, or on one so large that a pivot or price overflows (about 1e154
+    on the desk grid; an infinite pivot would give arbitrage prices).
     """
     sigma = np.asarray(sigma, dtype=float)
     m, n = grid.n_maturities, grid.n_strikes
@@ -160,7 +160,7 @@ def prices_from_dlv_batch(grid, sigma):
         x[..., -1] /= pivot[..., -1]
         for i in range(n - 2, -1, -1):
             x[..., i] = (x[..., i] + beta[..., i] * x[..., i + 1]) / pivot[..., i]
-        if not all(np.all(np.isfinite(v)) for v in (alpha, beta, x)):
+        if not (np.all(np.isfinite(pivot)) and np.all(np.isfinite(x))):
             raise InvalidSurfaceError(f"price solve overflows at maturity {j}: local vol too large")
         prices[..., j, 1:-1] = x
     return prices

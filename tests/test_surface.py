@@ -194,17 +194,21 @@ class TestPricesFromDlv:
             prices_from_dlv_batch(small_grid(), sigma)
 
     def test_largest_finite_solve_stays_finite(self):
-        """At 1.3e154 sigma**2 is still finite, and so are the prices."""
+        """At 1e154 every pivot is finite, and the prices are finite and
+        free of static arbitrage."""
         sigma = np.full((3, 3), 0.2)
-        sigma[1, 1] = 1.3e154
+        sigma[1, 1] = 1e154
         prices = prices_from_dlv_batch(desk_grid(), sigma)
-        assert np.all(np.isfinite(prices))
-        with np.errstate(over="ignore"):
-            assert np.array_equal(prices, prices_from_dlv_solver(desk_grid(), sigma))
+        assert np.array_equal(prices, prices_from_dlv_solver(desk_grid(), sigma))
+        gamma = np.diff(np.diff(prices) / np.diff(desk_grid().all_strikes), axis=-1)
+        assert gamma.min() >= -1e-12
+        assert np.diff(prices, axis=0).min() >= -1e-12
 
-    @pytest.mark.parametrize("big", [1.4e154, 1e200])
+    @pytest.mark.parametrize("big", [1.3e154, 1.4e154, 1e200])
     def test_overflowing_sigma_rejected(self, big):
-        """A finite DLV whose square overflows would give NaN prices."""
+        """A finite DLV whose pivot 1 + alpha + beta overflows: from about
+        1.1e154 the solver gave finite prices with butterfly and calendar
+        arbitrage, and from 1.4e154, where sigma**2 overflows, NaN prices."""
         sigma = np.full((2, 3, 3), 0.2)
         sigma[1, 1, 1] = big
         with pytest.raises(InvalidSurfaceError, match="overflows"):
