@@ -3,12 +3,12 @@ robustness, plus an end-to-end demo.
 
 Every subcommand is deterministic given its inputs and seed, for a fixed
 BLAS build and thread count.  Only the CLI reads a JSON config; each class
-parses it with its ``from_dict``.  Every file a subcommand writes goes
-through ``market.write_text``, so each artifact, run.json included, is
-replaced atomically (temp file + rename); a bundle's meta.json is written
-after its CSVs.  Each subcommand reads and checks every input before it
-starts work, and its run.json manifest records the sha256 of exactly the
-files read, the seed used and versions.
+parses it with its ``from_dict`` (instruments with ``errors.from_config``).
+Every file a subcommand writes goes through ``market.write_text``, so each
+artifact, run.json included, is replaced atomically (temp file + rename); a
+bundle's meta.json is written after its CSVs.  Each subcommand reads and
+checks every input before it starts work, and its run.json manifest records
+the sha256 of exactly the files read, the seed used and versions.
 Exit codes: 0 success; 1 validation error, unreadable file, or sizes too
 large to allocate (MemoryError); 2 numerical failure.
 """
@@ -30,7 +30,7 @@ from .errors import (
     InputError,
     SimulationError,
     TrainingError,
-    check_keys,
+    from_config,
 )
 from .frictions import CostSpec
 from .hedging import PayoffSpec, deep_hedge, payoff, robustness_eval
@@ -86,15 +86,7 @@ def _manifest(args, read, outputs, seed=None):
 def _instruments(doc):
     if not isinstance(doc, list) or not doc:
         raise InputError("instruments JSON must be a non-empty list of instrument objects")
-    out = []
-    for d in doc:
-        check_keys(d, ("kind", "rel_strike", "ttm_days"), "instrument", required=("kind",))
-        out.append(InstrumentSpec(
-            kind=d["kind"],
-            rel_strike=d.get("rel_strike", 0.0),
-            ttm_days=d.get("ttm_days", 0),
-        ))
-    return out
+    return [from_config(InstrumentSpec, d, "instrument") for d in doc]
 
 
 def default_instruments():

@@ -1,5 +1,6 @@
 """Exception types shared across the package."""
 
+import dataclasses
 import math
 import numbers
 
@@ -23,6 +24,19 @@ def check_keys(d, allowed, what, required=()):
     unknown = sorted(set(d) - set(allowed))
     if unknown:
         raise InputError(f"unknown {what} key(s) {unknown}; allowed: {sorted(allowed)}")
+
+
+_JSON_KEY = {"gamma_prop": "gamma", "lam": "lambda"}  # config fields renamed in JSON
+
+
+def from_config(cls, d, what):
+    """The config dataclass ``cls`` from the mapping ``d``: one key per field
+    (its name, or its _JSON_KEY), required when the field has no default,
+    and a key left out takes the field's default.  ``cls`` checks values."""
+    fields = {_JSON_KEY.get(f.name, f.name): f for f in dataclasses.fields(cls)}
+    check_keys(d, fields, what,
+               required=[k for k, f in fields.items() if f.default is dataclasses.MISSING])
+    return cls(**{fields[k].name: v for k, v in d.items()})
 
 
 def check_number(value, what, integer=False):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, check_keys, check_number
+from .errors import InputError, check_number, from_config
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,7 @@ class CostSpec:
 
     @classmethod
     def from_dict(cls, d):
-        check_keys(d, ("gamma", "mode"), "cost spec")
-        return cls(gamma_prop=d.get("gamma", 0.0), mode=d.get("mode", "marginal"))
+        return from_config(cls, d, "cost spec")
 
 
 def marginal_rate(spec, mids):

@@ -16,9 +16,9 @@ from .errors import (
     GridDomainError,
     InputError,
     TiltError,
-    check_keys,
     check_number,
     check_numbers,
+    from_config,
 )
 from .market import write_text
 from .oce import oce_sup
@@ -55,15 +55,7 @@ class PayoffSpec:
 
     @classmethod
     def from_dict(cls, d):
-        check_keys(d, ("kind", "rel_strike", "maturity_steps", "side", "table"), "payoff",
-                   required=("kind",))
-        return cls(
-            kind=d["kind"],
-            rel_strike=d.get("rel_strike", 1.0),
-            maturity_steps=d.get("maturity_steps", 0),
-            side=d.get("side", -1),
-            table=d.get("table", ()),
-        )
+        return from_config(cls, d, "payoff")
 
 
 def payoff(spec, bundle):

@@ -18,22 +18,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridDomainError, InputError, check_keys, check_number
-from .surface import DAYS_PER_YEAR, DlvGrid, prices_from_dlv_batch
+from .surface import DAYS_PER_YEAR, SIGMA_MAX, DlvGrid, prices_from_dlv_batch
 
 SIGMA_FLOOR = 1e-6  # floor before log features; keeps sigma = 0 nodes finite
+
+
+def check_per_path(values, n_paths, what, positive=False):
+    """``values`` as a float array: one per path, finite, and > 0 when
+    ``positive``.  Raises InputError naming ``what`` otherwise."""
+    v = np.asarray(values, dtype=float)
+    if v.shape != (n_paths,):
+        raise InputError(f"{what} must be one per path: got shape {v.shape}, "
+                         f"expected ({n_paths},)")
+    if not np.all(np.isfinite(v)):
+        raise InputError(f"{what} must be finite")
+    if positive and np.any(v <= 0):
+        raise InputError(f"{what} must be positive")
+    return v
 
 
 def check_weights(weights, n_paths):
     """Per-path weights as a float array: one per path, finite, positive,
     with mean 1 within 1e-9.  Raises InputError otherwise."""
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (n_paths,):
-        raise InputError(f"weights must be one per path: got shape {w.shape}, "
-                         f"expected ({n_paths},)")
-    if not np.all(np.isfinite(w)):
-        raise InputError("weights must be finite")
-    if np.any(w <= 0):
-        raise InputError("weights must be positive")
+    w = check_per_path(weights, n_paths, "weights", positive=True)
     if not abs(w.mean() - 1.0) <= 1e-9:
         raise InputError(f"weights must have mean 1, got {w.mean():.17g}")
     return w
@@ -354,12 +361,13 @@ def write_bundle(bundle, directory):
 
 def read_bundle(directory):
     """Read a bundle directory.  Raises InputError when meta.json lacks a
-    required key, has an unknown one or a size that is not a positive
-    integer, or a ``has_weights`` other than false (the key bundles once
-    carried), or when paths.csv does not hold each (path, step) row of the
-    declared sizes exactly once, with one finite spot > 0 and m*n finite
-    DLVs >= 0 per row.  Sizes that paths.csv is too small to hold are
-    refused before any array is allocated."""
+    required key, has an unknown one, a size that is not a positive
+    integer, a ``provenance`` that is not a string, or a ``has_weights``
+    other than false (the key bundles once carried), or when paths.csv does
+    not hold each (path, step) row of the declared sizes exactly once, with
+    one finite spot > 0 and m*n DLVs in [0, SIGMA_MAX] per row.  Sizes that
+    paths.csv is too small to hold are refused before any array is
+    allocated."""
     meta = read_json(os.path.join(directory, "meta.json"))
     check_keys(meta, ("grid", "n_paths", "n_steps", "seed", "provenance", "has_weights"),
                "bundle meta", required=("grid", "n_paths", "n_steps"))
@@ -369,6 +377,9 @@ def read_bundle(directory):
     if P < 1 or T < 1:
         raise InputError(f"bundle meta sizes must be positive, got n_paths {P}, n_steps {T}")
     seed = check_number(meta.get("seed", 0), "bundle meta 'seed'", integer=True)
+    provenance = meta.get("provenance", "")
+    if not isinstance(provenance, str):
+        raise InputError(f"bundle meta 'provenance' must be a string, got {provenance!r}")
     if meta.get("has_weights", False) is not False:
         raise InputError(f"bundle meta 'has_weights' is {meta['has_weights']!r}: a bundle "
                          "carries no weights; pass them as a weights CSV with --weights")
@@ -386,18 +397,20 @@ def read_bundle(directory):
     rows = read_csv(path, "bundle paths CSV", width=3 + m * n)
     line = 2
     for index, block in place_rows(path, rows, {"path": P, "step": T + 1}):
-        bad = ~(((block[:, 2:] >= 0) & (block[:, 2:] < np.inf)).all(axis=1) & (block[:, 2] > 0))
+        dlvs = block[:, 3:]
+        bad = ~(((dlvs >= 0) & (dlvs <= SIGMA_MAX)).all(axis=1)
+                & (block[:, 2] > 0) & (block[:, 2] < np.inf))
         if bad.any():
             r = int(np.argmax(bad))
             raise InputError(f"{path} line {line + r}: the spot must be finite and > 0 and each "
-                             f"DLV finite and >= 0, got spot {float(block[r, 2])!r}, "
-                             f"least DLV {float(block[r, 3:].min())!r}")
+                             f"DLV in [0, {SIGMA_MAX}], got spot {float(block[r, 2])!r}, "
+                             f"least DLV {float(dlvs[r].min())!r}, "
+                             f"largest DLV {float(dlvs[r].max())!r}")
         spots.flat[index] = block[:, 2]
         sigmas.reshape(P * (T + 1), m * n)[index] = block[:, 3:]
         line += len(block)
 
-    return bundle_from_sigmas(grid, spots, sigmas, seed=seed,
-                              provenance=meta.get("provenance", ""))
+    return bundle_from_sigmas(grid, spots, sigmas, seed=seed, provenance=provenance)
 
 
 def read_weights_csv(path):

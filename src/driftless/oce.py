@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, UtilityDomainError, check_keys, check_number
+from .errors import InputError, UtilityDomainError, check_number, from_config
 from .market import check_weights
 
 _EXP_CLIP = 700.0  # exp argument clip; keeps float64 finite
@@ -48,8 +48,7 @@ class Utility:
 
     @classmethod
     def from_dict(cls, d):
-        check_keys(d, ("family", "lambda"), "utility", required=("family",))
-        return cls(family=d["family"], lam=d.get("lambda", 1.0))
+        return from_config(cls, d, "utility")
 
 
 def u_value(u, x):

@@ -24,6 +24,9 @@ from .errors import (
 )
 
 DAYS_PER_YEAR = 252.0
+# the DLV domain is [0, SIGMA_MAX]: prices_from_dlv_batch refuses a DLV
+# above it, and simulate resamples a path that breaches it
+SIGMA_MAX = 5.0
 
 # 0/0 in the local-vol definition: both theta and gamma below this are
 # treated as a zero-vol node; theta above it with vanishing gamma is arbitrage.
@@ -45,8 +48,10 @@ class DlvGrid:
     boundary_hi: float = 0.0  # 0.0 means "use 1 + 2 * max strike"
 
     def __post_init__(self):
-        strikes = tuple(float(x) for x in self.strikes)
-        mats = tuple(float(t) for t in self.maturities)
+        strikes = tuple(float(x) for x in check_numbers(self.strikes, "grid strikes"))
+        mats = tuple(float(t) for t in check_numbers(self.maturities, "grid maturities"))
+        check_number(self.boundary_lo, "grid boundary_lo")
+        check_number(self.boundary_hi, "grid boundary_hi")
         object.__setattr__(self, "strikes", strikes)
         object.__setattr__(self, "maturities", mats)
         if self.boundary_hi == 0.0:
@@ -90,14 +95,9 @@ class DlvGrid:
     def from_dict(cls, d):
         check_keys(d, ("strikes", "maturities_days", "boundary_lo", "boundary_hi"),
                    "grid", required=("strikes", "maturities_days"))
-        strikes = check_numbers(d["strikes"], "grid strikes")
-        days = check_numbers(d["maturities_days"], "grid maturities_days")
-        return cls(
-            strikes=tuple(strikes),
-            maturities=tuple(t / DAYS_PER_YEAR for t in days),
-            boundary_lo=check_number(d.get("boundary_lo", 0.5), "grid boundary_lo"),
-            boundary_hi=check_number(d.get("boundary_hi", 0.0), "grid boundary_hi"),
-        )
+        d = dict(d)
+        days = check_numbers(d.pop("maturities_days"), "grid maturities_days")
+        return cls(maturities=tuple(t / DAYS_PER_YEAR for t in days), **d)
 
 
 def intrinsic_row(grid):
@@ -120,18 +120,19 @@ def prices_from_dlv_batch(grid, sigma):
     for the whole batch.  The matrix is strictly diagonally dominant for
     finite sigma and positive strike spacings, so every pivot exceeds 1 and
     the sweep needs no zero-pivot check.  Raises InputError on a ``sigma`` of
-    another shape, and InvalidSurfaceError on a non-finite or negative
-    sigma, or on one so large that a pivot or price overflows (about 1e154
-    on the desk grid; an infinite pivot would give arbitrage prices).
+    another shape, and InvalidSurfaceError on a sigma outside the domain
+    [0, SIGMA_MAX], or on a grid so wide that a pivot or price still
+    overflows there: DlvGrid(strikes=(1.0, 1.0001), maturities=(1e306,))
+    does at sigma = 5 (an infinite pivot would give arbitrage prices).
     """
     sigma = np.asarray(sigma, dtype=float)
     m, n = grid.n_maturities, grid.n_strikes
     if sigma.shape[-2:] != (m, n):
         raise InputError(f"sigma must end in shape {(m, n)}")
-    if not np.all(np.isfinite(sigma)):
-        raise InvalidSurfaceError("local vol surface contains non-finite entries")
-    if np.any(sigma < 0):
-        raise InvalidSurfaceError("local vol surface contains negative entries")
+    if not np.all((sigma >= 0) & (sigma <= SIGMA_MAX)):  # NaN fails both
+        bad = ("non-finite entries" if not np.all(np.isfinite(sigma)) else "negative entries"
+               if np.any(sigma < 0) else f"entries above SIGMA_MAX = {SIGMA_MAX}")
+        raise InvalidSurfaceError(f"local vol surface contains {bad}")
 
     xs = grid.all_strikes
     taus = grid.all_taus

@@ -39,9 +39,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autograd import Tensor
-from .errors import InputError, TrainingError, check_keys, check_number
+from .errors import InputError, TrainingError, check_keys, check_number, from_config
 from .frictions import marginal_rate
-from .market import check_weights, feature_matrix, write_text
+from .market import check_per_path, check_weights, feature_matrix, write_text
 from .oce import Utility, minimize_bounded, oce_sup, u_deriv, u_value
 
 
@@ -166,6 +166,15 @@ class TrainConfig:
     hidden: tuple = (64, 64)
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "lr", "lr_decay", "seed"):
+            check_number(getattr(self, name), f"train config {name!r}",
+                         integer=name in ("epochs", "batch_size", "seed"))
+        if not isinstance(self.hidden, (list, tuple)) or any(
+                check_number(h, "train config 'hidden' width", integer=True) <= 0
+                for h in self.hidden):
+            raise InputError("train config 'hidden' must be a list of positive integers, "
+                             f"got {self.hidden!r}")
+        self.hidden = tuple(self.hidden)
         if self.epochs <= 0 or self.lr <= 0 or self.lr_decay <= 0 or self.batch_size < 0:
             raise InputError("train config: epochs, lr and lr_decay must be positive and "
                              f"batch_size >= 0, got {self.epochs}, {self.lr}, "
@@ -178,21 +187,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d):
-        check_keys(d, cls.__dataclass_fields__, "train config")
-        d = dict(d)
-        for key, value in d.items():
-            if key == "hidden":
-                if not isinstance(value, (list, tuple)) or any(
-                    check_number(h, "train config 'hidden' width", integer=True) <= 0
-                    for h in value
-                ):
-                    raise InputError("train config 'hidden' must be a list of "
-                                     f"positive integers, got {value!r}")
-                d[key] = tuple(value)
-            else:
-                check_number(value, f"train config {key!r}",
-                             integer=key in ("epochs", "batch_size", "seed"))
-        return cls(**d)
+        return from_config(cls, d, "train config")
 
 
 @dataclass
@@ -248,6 +243,8 @@ class _Problem:
 
 def _make_problem(bundle, returns, spec, utility, payoff=None, inv_scale=None,
                   weights=None):
+    """The problem arrays; InputError on returns from another bundle, or on
+    weights, ``payoff`` or ``inv_scale`` that fail check_per_path."""
     P = bundle.n_paths
     if returns.dh.shape[:2] != (P, bundle.n_steps):
         raise InputError(f"returns of (paths, steps) {returns.dh.shape[:2]} are not from "
@@ -257,8 +254,9 @@ def _make_problem(bundle, returns, spec, utility, payoff=None, inv_scale=None,
         dh=returns.dh,
         rates=marginal_rate(spec, returns.mids),
         weights=np.ones(P) if weights is None else check_weights(weights, P),
-        payoff=np.zeros(P) if payoff is None else np.asarray(payoff, dtype=float),
-        inv_scale=None if inv_scale is None else np.asarray(inv_scale, dtype=float),
+        payoff=np.zeros(P) if payoff is None else check_per_path(payoff, P, "payoff"),
+        inv_scale=(None if inv_scale is None
+                   else check_per_path(inv_scale, P, "inv_scale", positive=True)),
         utility=utility,
     )
 

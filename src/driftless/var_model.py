@@ -22,10 +22,10 @@ import numpy as np
 
 from .errors import FitError, InputError, SimulationError, check_keys, check_number
 from .market import bundle_from_sigmas, place_rows, read_csv, write_text
-from .surface import DAYS_PER_YEAR, DlvGrid
+from .surface import DAYS_PER_YEAR, SIGMA_MAX, DlvGrid
 
-SIGMA_MAX = 5.0  # vol ceiling; paths breaching it are resampled
 MAX_RETRIES = 100
+_PARAMS_KEYS = ("dim", "dt", "a1", "a2", "b", "chol")  # the JSON keys; no se_* field
 RIDGE = 1e-10
 
 # the desk market of desk_params: annual spot drift and vol, daily AR
@@ -51,7 +51,9 @@ class VarParams:
     se_a2: np.ndarray | None = None
 
     def __post_init__(self):
-        d = self.dim
+        d = check_number(self.dim, "VAR params 'dim'", integer=True)
+        if not check_number(self.dt, "VAR params 'dt'") > 0:
+            raise InputError(f"VAR params 'dt' must be positive, got {self.dt!r}")
         for name in ("a1", "a2", "b", "chol"):
             try:
                 value = np.asarray(getattr(self, name), dtype=float)
@@ -64,34 +66,17 @@ class VarParams:
             if not np.all(np.isfinite(value)):
                 raise InputError(f"VAR params {name!r} must be finite")
             setattr(self, name, value)
-        if not self.dt > 0:
-            raise InputError(f"VAR params 'dt' must be positive, got {self.dt!r}")
         if np.any(np.diag(self.chol) <= 0) or np.any(np.triu(self.chol, 1) != 0):
             raise InputError("VAR params 'chol' must be lower-triangular with positive diagonal")
 
     def to_json(self, path):
-        doc = {
-            "dim": self.dim,
-            "dt": self.dt,
-            "a1": self.a1.tolist(),
-            "a2": self.a2.tolist(),
-            "b": self.b.tolist(),
-            "chol": self.chol.tolist(),
-        }
+        doc = {k: np.asarray(getattr(self, k)).tolist() for k in _PARAMS_KEYS}
         write_text(path, json.dumps(doc, indent=2, sort_keys=True))
 
     @classmethod
     def from_dict(cls, doc):
-        keys = ("dim", "dt", "a1", "a2", "b", "chol")
-        check_keys(doc, keys, "VAR params", required=keys)
-        return cls(
-            dim=check_number(doc["dim"], "VAR params 'dim'", integer=True),
-            a1=doc["a1"],
-            a2=doc["a2"],
-            b=doc["b"],
-            chol=doc["chol"],
-            dt=check_number(doc["dt"], "VAR params 'dt'"),
-        )
+        check_keys(doc, _PARAMS_KEYS, "VAR params", required=_PARAMS_KEYS)
+        return cls(**doc)
 
 
 def _spd_cholesky(cov):

@@ -300,9 +300,13 @@ def test_verify_negative_dlv_exit_1(tmp_path, bundle_dir, capsys):
 
 
 def test_verify_overflowing_dlv_exit_1(tmp_path, bundle_dir, capsys):
-    """A finite DLV whose square overflows is refused, not priced as NaN."""
+    """A finite DLV whose square overflows is refused by the reader's domain
+    check, which names the file, the line and the DLV, before any price
+    solve."""
     assert _verify_edited_bundle(tmp_path, bundle_dir, -1, "1e200") == 1
-    assert "price solve overflows" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "paths.csv line 8" in err
+    assert "largest DLV 1e+200" in err
 
 
 @pytest.mark.parametrize("value", ["-1.0", "0.0", "nan", "inf"])

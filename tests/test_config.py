@@ -1,0 +1,86 @@
+"""Each config dataclass is its own schema: its constructor refuses what its
+JSON reader refuses, and a key left out of the JSON takes the field's
+default."""
+
+import pytest
+
+from driftless.cli import _instruments
+from driftless.errors import InputError
+from driftless.frictions import CostSpec
+from driftless.hedging import PayoffSpec
+from driftless.market import InstrumentSpec
+from driftless.oce import Utility
+from driftless.surface import DAYS_PER_YEAR, DlvGrid
+from driftless.trainer import TrainConfig
+from driftless.var_model import VarParams
+
+_ZEROS = [[0.0, 0.0], [0.0, 0.0]]
+_CHOL = [[0.2, 0.0], [0.0, 0.1]]
+
+# class: (reader of a JSON document, valid constructor arguments, the same
+# as a JSON document, and per numeric field (field, JSON key, integer, list))
+CONFIGS = {
+    CostSpec: (CostSpec.from_dict, {}, {}, [("gamma_prop", "gamma", False, False)]),
+    Utility: (Utility.from_dict, {"family": "exponential"}, {"family": "exponential"},
+              [("lam", "lambda", False, False)]),
+    PayoffSpec: (PayoffSpec.from_dict, {"kind": "vanilla_call"}, {"kind": "vanilla_call"},
+                 [("rel_strike", "rel_strike", False, False),
+                  ("maturity_steps", "maturity_steps", True, False),
+                  ("side", "side", True, False)]),
+    InstrumentSpec: (lambda d: _instruments([d])[0],
+                     {"kind": "call", "rel_strike": 1.0, "ttm_days": 20},
+                     {"kind": "call", "rel_strike": 1.0, "ttm_days": 20},
+                     [("rel_strike", "rel_strike", False, False),
+                      ("ttm_days", "ttm_days", True, False)]),
+    TrainConfig: (TrainConfig.from_dict, {}, {},
+                  [("epochs", "epochs", True, False), ("batch_size", "batch_size", True, False),
+                   ("lr", "lr", False, False), ("lr_decay", "lr_decay", False, False),
+                   ("seed", "seed", True, False), ("hidden", "hidden", True, True)]),
+    DlvGrid: (DlvGrid.from_dict, {"strikes": (0.9, 1.1), "maturities": (20 / DAYS_PER_YEAR,)},
+              {"strikes": [0.9, 1.1], "maturities_days": [20]},
+              [("strikes", "strikes", False, True),
+               ("maturities", "maturities_days", False, True),
+               ("boundary_lo", "boundary_lo", False, False),
+               ("boundary_hi", "boundary_hi", False, False)]),
+    VarParams: (VarParams.from_dict,
+                {"dim": 2, "dt": 1 / 252, "a1": _ZEROS, "a2": _ZEROS, "b": [0.0, 0.0],
+                 "chol": _CHOL},
+                {"dim": 2, "dt": 1 / 252, "a1": _ZEROS, "a2": _ZEROS, "b": [0.0, 0.0],
+                 "chol": _CHOL},
+                [("dim", "dim", True, False), ("dt", "dt", False, False)]),
+}
+
+BAD = {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "bool": True,
+       "string": "1"}
+
+
+def _cases():
+    for cls, (_, _, _, fields) in CONFIGS.items():
+        for field, key, integer, is_list in fields:
+            bad = {**BAD, "2.5": 2.5} if integer else BAD
+            for name, value in bad.items():
+                yield pytest.param(cls, field, key, [8, value] if is_list else value,
+                                   id=f"{cls.__name__}-{field}-{name}")
+
+
+@pytest.mark.parametrize("cls, field, key, value", list(_cases()))
+def test_constructor_and_reader_refuse_bad_number(cls, field, key, value):
+    """For each numeric field, the constructor and the JSON reader both
+    raise InputError on NaN, +-inf, a bool, a string, and for an integer
+    field 2.5."""
+    reader, kwargs, doc, _ = CONFIGS[cls]
+    cls(**kwargs)
+    reader(doc)
+    with pytest.raises(InputError):
+        cls(**{**kwargs, field: value})
+    with pytest.raises(InputError):
+        reader({**doc, key: value})
+
+
+@pytest.mark.parametrize("cls", [c for c in CONFIGS if c is not VarParams])
+def test_key_left_out_takes_the_field_default(cls):
+    """Every key a JSON document leaves out takes its dataclass field's
+    default: the reader and the constructor give equal configs.  (VarParams
+    has no optional key, and its arrays do not compare with ==.)"""
+    reader, kwargs, doc, _ = CONFIGS[cls]
+    assert reader(doc) == cls(**kwargs)

@@ -286,6 +286,17 @@ class TestBundleIo:
         write_bundle(bundle, d)
         return d
 
+    @pytest.mark.parametrize("provenance", [None, 7, ["var"], {"seed": 4}],
+                             ids=["null", "number", "list", "object"])
+    def test_provenance_must_be_a_string(self, tmp_path, provenance):
+        """write_bundle writes ``provenance`` back, so read_bundle takes only
+        a string."""
+        d = self._bundle_dir(tmp_path)
+        f = d / "meta.json"
+        f.write_text(json.dumps({**json.loads(f.read_text()), "provenance": provenance}))
+        with pytest.raises(InputError, match="'provenance' must be a string"):
+            read_bundle(d)
+
     @pytest.mark.parametrize(
         "edit",
         [
@@ -342,7 +353,7 @@ class TestBundleIo:
     def test_exact_bytes(self, tmp_path):
         grid = DlvGrid(strikes=(0.9, 1.1), maturities=(0.1,))
         spots = np.array([[1.0, 1.1], [1.0, 1 / 3]])
-        sigmas = np.array([0.2, 0.25, 1e-05, 0.3, 0.2, 0.2, 2.5e16, 0.1]).reshape(2, 2, 1, 2)
+        sigmas = np.array([0.2, 0.25, 1e-05, 0.3, 0.2, 0.2, 2.5e-16, 0.1]).reshape(2, 2, 1, 2)
         bundle = bundle_from_sigmas(grid, spots, sigmas)
         write_bundle(bundle, tmp_path)
         assert (tmp_path / "paths.csv").read_bytes() == (
@@ -350,7 +361,7 @@ class TestBundleIo:
             b"0,0,1.0,0.2,0.25\r\n"
             b"0,1,1.1,1e-05,0.3\r\n"
             b"1,0,1.0,0.2,0.2\r\n"
-            b"1,1,0.3333333333333333,2.5e+16,0.1\r\n"
+            b"1,1,0.3333333333333333,2.5e-16,0.1\r\n"
         )
         back = read_bundle(tmp_path)
         assert back.spots.tobytes() == spots.tobytes()

@@ -142,6 +142,31 @@ def test_configs_are_read_only_by_the_cli():
     assert readers == [("cli.py", "_load"), ("market.py", "read_bundle")]
 
 
+def test_config_parsers_write_no_defaults():
+    """No config parser (a ``from_dict``, ``errors.from_config``, or a CLI
+    function in ``cli._load``'s ``parsers`` table) reads a key with
+    ``.get(key, default)``: a key that a config leaves out takes its
+    dataclass field's default, so each default is written once.  A module
+    constant (``_JSON_KEY``, say) may be read with a default."""
+    load = next(n for n in ast.walk(ast.parse((SRC / "cli.py").read_text()))
+                if isinstance(n, ast.FunctionDef) and n.name == "_load")
+    table = next(n.value for n in ast.walk(load) if isinstance(n, ast.Assign)
+                 and getattr(n.targets[0], "id", None) == "parsers")
+    cli_parsers = {v.id for v in table.values if isinstance(v, ast.Name)}
+    parsers = [(path.name, fn) for path in sorted(SRC.glob("*.py"))
+               for fn in ast.walk(ast.parse(path.read_text()))
+               if isinstance(fn, ast.FunctionDef) and (
+                   fn.name in ("from_dict", "from_config")
+                   or (path.name == "cli.py" and fn.name in cli_parsers))]
+    assert {fn.name for _, fn in parsers} >= {"from_dict", "from_config", "_instruments"}
+    defaults = [f"{module}:{call.lineno} {fn.name}" for module, fn in parsers
+                for call in ast.walk(fn)
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "get" and len(call.args) > 1
+                and not getattr(call.func.value, "id", "").lstrip("_").isupper()]
+    assert defaults == []
+
+
 def test_no_unused_imports():
     """Every name a module imports is used in that module."""
     unused = []

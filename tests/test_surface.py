@@ -3,6 +3,7 @@ import pytest
 
 from driftless.errors import ArbitrageError, InvalidSurfaceError
 from driftless.surface import (
+    SIGMA_MAX,
     DlvGrid,
     dlv_from_prices,
     intrinsic_row,
@@ -194,10 +195,10 @@ class TestPricesFromDlv:
             prices_from_dlv_batch(small_grid(), sigma)
 
     def test_largest_finite_solve_stays_finite(self):
-        """At 1e154 every pivot is finite, and the prices are finite and
-        free of static arbitrage."""
+        """At the domain edge SIGMA_MAX every pivot is finite, and the prices
+        are finite and free of static arbitrage."""
         sigma = np.full((3, 3), 0.2)
-        sigma[1, 1] = 1e154
+        sigma[1, 1] = SIGMA_MAX
         prices = prices_from_dlv_batch(desk_grid(), sigma)
         assert np.array_equal(prices, prices_from_dlv_solver(desk_grid(), sigma))
         gamma = np.diff(np.diff(prices) / np.diff(desk_grid().all_strikes), axis=-1)
@@ -208,11 +209,25 @@ class TestPricesFromDlv:
     def test_overflowing_sigma_rejected(self, big):
         """A finite DLV whose pivot 1 + alpha + beta overflows: from about
         1.1e154 the solver gave finite prices with butterfly and calendar
-        arbitrage, and from 1.4e154, where sigma**2 overflows, NaN prices."""
+        arbitrage, and from 1.4e154, where sigma**2 overflows, NaN prices.
+        The domain check refuses it before the solve."""
         sigma = np.full((2, 3, 3), 0.2)
         sigma[1, 1, 1] = big
-        with pytest.raises(InvalidSurfaceError, match="overflows"):
+        with pytest.raises(InvalidSurfaceError, match="above SIGMA_MAX"):
             prices_from_dlv_batch(desk_grid(), sigma)
+
+    def test_just_above_sigma_max_rejected(self):
+        sigma = np.full((2, 3, 3), 0.2)
+        sigma[0, 2, 1] = np.nextafter(SIGMA_MAX, np.inf)
+        with pytest.raises(InvalidSurfaceError, match="above SIGMA_MAX"):
+            prices_from_dlv_batch(desk_grid(), sigma)
+
+    def test_wide_grid_overflows_inside_the_domain(self):
+        """A maturity of 1e306 years overflows the pivots at sigma = 5, so
+        the solve keeps its overflow check."""
+        grid = DlvGrid(strikes=(1.0, 1.0001), maturities=(1e306,))
+        with pytest.raises(InvalidSurfaceError, match="overflows"):
+            prices_from_dlv_batch(grid, np.full((1, 2), SIGMA_MAX))
 
 
 @pytest.mark.parametrize("case", [
@@ -255,6 +270,25 @@ class TestDlvFromPrices:
         prices = prices_from_dlv_batch(g, sigma)
         back = dlv_from_prices(g, prices)
         assert np.allclose(back, sigma, atol=1e-9)
+
+    def test_round_trip_at_sigma_max(self):
+        """Surfaces with nodes at SIGMA_MAX round-trip within A6's 1e-9:
+        each node of the desk grid in turn, and all nine at once.  The DLVs
+        read back can lie up to about 1e-12 above SIGMA_MAX, which the
+        price solve refuses, so the price leg reprices them clipped to the
+        domain."""
+        g = desk_grid()
+        rng = np.random.default_rng(23)
+        worst = 0.0
+        for node in [*range(9), None]:
+            for _ in range(20):
+                sigma = rng.uniform(0.05, 0.8, size=(3, 3))
+                sigma.flat[slice(None) if node is None else node] = SIGMA_MAX
+                prices = prices_from_dlv_batch(g, sigma)
+                back = dlv_from_prices(g, prices)
+                again = prices_from_dlv_batch(g, np.minimum(back, SIGMA_MAX))
+                worst = max(worst, np.max(np.abs(back - sigma)), np.max(np.abs(again - prices)))
+        assert worst < 1e-9
 
     def test_round_trip_prices(self):
         g = wide_grid()

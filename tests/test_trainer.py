@@ -571,3 +571,32 @@ def test_config_rejects_fixed_training_constants(key):
     constants, not config keys."""
     with pytest.raises(InputError, match=key):
         TrainConfig.from_dict({"epochs": 10, key: 1.0})
+
+
+@pytest.mark.parametrize("case", ["payoff_too_long", "payoff_nan", "inv_scale_short",
+                                  "inv_scale_inf", "inv_scale_negative", "inv_scale_zero"])
+def test_malformed_payoff_or_inv_scale_refused(case):
+    """train, deep_hedge and evaluate_policy refuse a payoff or inv_scale
+    that is not one finite value per path, or an inv_scale that is not > 0,
+    with InputError before any training."""
+    from driftless.hedging import deep_hedge
+
+    bundle, rets = one_period_bundle(np.array([0.2, -0.1, 0.3]))
+    spec, u = CostSpec(0.001), Utility("exponential", 1.0)
+    cfg = TrainConfig(epochs=1, seed=0, hidden=(2,))
+    mlp = init_mlp([3, 2, 1], np.random.default_rng(0))
+    key, value = {
+        "payoff_too_long": ("payoff", np.zeros(5)),
+        "payoff_nan": ("payoff", np.array([0.0, np.nan, 0.0])),
+        "inv_scale_short": ("inv_scale", np.ones(2)),
+        "inv_scale_inf": ("inv_scale", np.array([1.0, np.inf, 1.0])),
+        "inv_scale_negative": ("inv_scale", np.full(3, -1.0)),
+        "inv_scale_zero": ("inv_scale", np.array([1.0, 0.0, 1.0])),
+    }[case]
+    calls = [lambda: train(bundle, rets, spec, u, cfg, **{key: value}),
+             lambda: evaluate_policy(bundle, rets, spec, u, mlp, 0.0, **{key: value})]
+    if key == "payoff":
+        calls.append(lambda: deep_hedge(bundle, rets, None, value, spec, u, cfg))
+    for call in calls:
+        with pytest.raises(InputError, match=key):
+            call()
