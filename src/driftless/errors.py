@@ -4,6 +4,8 @@ import dataclasses
 import math
 import numbers
 
+import numpy as np
+
 
 class DriftlessError(Exception):
     """Base class for all package errors."""
@@ -58,6 +60,22 @@ def check_numbers(values, what):
     for v in values:
         check_number(v, what)
     return values
+
+
+def check_array(values, what):
+    """A config array, nested lists of numbers or an array, as a float
+    array.  Raises InputError unless every entry is a finite number; a bool
+    or a string is not a number."""
+    try:
+        array = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} must be a numeric array: {exc}") from None
+    entries = np.asarray(values, dtype=object).flat
+    if not (np.all(np.isfinite(array)) and all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in entries)):
+        raise InputError(f"{what} must be a numeric array of finite numbers, not bools "
+                         "or strings")
+    return array
 
 
 class GridDomainError(DriftlessError, ValueError):

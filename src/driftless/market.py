@@ -46,6 +46,14 @@ def check_weights(weights, n_paths):
     return w
 
 
+def check_returns(bundle, returns):
+    """Raises InputError unless ``returns`` has the (paths, steps) of
+    ``bundle``."""
+    if returns.dh.shape[:2] != (bundle.n_paths, bundle.n_steps):
+        raise InputError(f"returns of (paths, steps) {returns.dh.shape[:2]} are not from "
+                         f"this bundle's {(bundle.n_paths, bundle.n_steps)}")
+
+
 @dataclass(frozen=True)
 class InstrumentSpec:
     """A tradable instrument: the spot, or a call/put at a relative strike

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, UtilityDomainError
+from .errors import UtilityDomainError
 from .frictions import CostSpec, marginal_rate
-from .market import check_weights, write_csv, write_text
+from .market import check_returns, check_weights, write_csv, write_text
 from .oce import legendre, u_deriv
 from .trainer import evaluate_policy, train
 
@@ -126,10 +126,8 @@ def verify_drift(bundle, returns, weights, spec):
     sign of the last spot return and the ATM-vol tercile to approximate
     the conditional statement.
     """
+    check_returns(bundle, returns)
     P, T, n_inst = returns.dh.shape
-    if (P, T) != (bundle.n_paths, bundle.n_steps):
-        raise InputError(f"returns of (paths, steps) {(P, T)} are not from "
-                         f"this bundle's {(bundle.n_paths, bundle.n_steps)}")
     w = check_weights(weights, P)
     rows = []
     bucket_rows = []

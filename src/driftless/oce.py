@@ -22,10 +22,8 @@ from .errors import InputError, UtilityDomainError, check_number, from_config
 from .market import check_weights
 
 _EXP_CLIP = 700.0  # exp argument clip; keeps float64 finite
-# the bounded search for y stops at this absolute tolerance, or after
-# MIN_MAXFUN evaluations
-MIN_XTOL = 1e-12
-MIN_MAXFUN = 500
+# the bisection for y stops when its bracket is narrower than this
+Y_TOL = 1e-12
 
 
 def _safe_exp(x):
@@ -139,72 +137,23 @@ def _logsumexp(a):
     return out
 
 
-def minimize_bounded(f, lo, hi):
-    """(x, f(x)) at a local minimum of the scalar function ``f`` on
-    [lo, hi], to MIN_XTOL, by Brent's method: golden sections and
-    parabolic steps.
-
-    A port of scipy's bounded ``minimize_scalar``
-    (``_minimize_scalar_bounded`` in scipy/optimize/_optimize.py, with
-    xatol=MIN_XTOL and maxiter=MIN_MAXFUN), step for step, so it returns
-    the same floats.  Non-finite or reversed bounds, as a NaN or infinite
-    sample gives, raise ``InputError``.
-    """
+def concave_argmax(slope, lo, hi):
+    """The maximizer on [lo, hi] of a concave scalar function whose
+    derivative is ``slope``, by bisection on the sign of ``slope``.  It
+    stops when the bracket is narrower than Y_TOL or stops shrinking in
+    floating point.  Non-finite or reversed bounds, as a NaN or infinite
+    sample gives, raise ``InputError``."""
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
         raise InputError(f"search bounds ({lo}, {hi}) must be finite with lo <= hi")
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lo, hi
-    xf = nfc = fulc = a + golden_mean * (b - a)
-    fx = fnfc = ffulc = f(xf)
-    num = 1
-    rat = e = 0.0
-    while True:
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + MIN_XTOL / 3.0
-        tol2 = 2.0 * tol1
-        if num >= MIN_MAXFUN or not abs(xf - xm) > tol2 - 0.5 * (b - a):
-            return xf, fx
-        golden = True
-        if abs(e) > tol1:  # try a parabolic step
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = golden_mean * e
-        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
-        fu = f(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
+    while hi - lo > Y_TOL:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if slope(mid) > 0:
+            lo = mid
         else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def oce_sup(x, weights, u):
@@ -217,9 +166,9 @@ def oce_sup(x, weights, u):
         y = closed_form_y(u, x, weights)
         return oce_value(x, weights, u, y), y
     # the first-order condition E_w[u'(y + X)] = 1 pins y* inside the
-    # negated sample range; search that interval with margin
+    # negated sample range; bisect on it over that interval with margin
     x = np.asarray(x, dtype=float)
-    lo = -float(np.max(x)) - 1.0
-    hi = -float(np.min(x)) + 1.0
-    y, neg = minimize_bounded(lambda y: -oce_value(x, weights, u, y), lo, hi)
-    return -float(neg), float(y)
+    w = np.ones_like(x) if weights is None else check_weights(weights, len(x))
+    y = concave_argmax(lambda y: float(np.mean(w * u_deriv(u, y + x))) - 1.0,
+                       -float(np.max(x)) - 1.0, -float(np.min(x)) + 1.0)
+    return float(np.mean(w * u_value(u, y + x)) - y), y

@@ -27,6 +27,9 @@ DAYS_PER_YEAR = 252.0
 # the DLV domain is [0, SIGMA_MAX]: prices_from_dlv_batch refuses a DLV
 # above it, and simulate resamples a path that breaches it
 SIGMA_MAX = 5.0
+# dlv_from_prices returns a DLV read back at most this far above SIGMA_MAX
+# as SIGMA_MAX, the round trip's tolerance, and refuses one further above
+_EDGE_TOL = 1e-9
 
 # 0/0 in the local-vol definition: both theta and gamma below this are
 # treated as a zero-vol node; theta above it with vanishing gamma is arbitrage.
@@ -173,9 +176,10 @@ def dlv_from_prices(grid, prices):
 
     sigma^2 = 2 Theta / (x^2 Gamma) with Theta the calendar difference
     quotient and Gamma the butterfly second difference.  A 0/0 node maps
-    to sigma = 0; negative Theta or Gamma (static arbitrage) raises
-    ArbitrageError naming the offending node, a non-finite price
-    InvalidSurfaceError, and ``prices`` of another shape InputError.
+    to sigma = 0, and one within _EDGE_TOL above SIGMA_MAX to SIGMA_MAX;
+    negative Theta or Gamma (static arbitrage) raises ArbitrageError naming
+    the offending node, a node further above SIGMA_MAX or a non-finite
+    price InvalidSurfaceError, and ``prices`` of another shape InputError.
     """
     m, n = grid.n_maturities, grid.n_strikes
     C = np.asarray(prices, dtype=float)
@@ -206,6 +210,9 @@ def dlv_from_prices(grid, prices):
                     f"calendar arbitrage at maturity {j}, strike {i + 1}",
                     node=(j, i + 1),
                 )
-            val = 2.0 * max(th, 0.0) / (xs[i + 1] ** 2 * g)
-            sigma[j - 1, i] = np.sqrt(val)
+            s = np.sqrt(2.0 * max(th, 0.0) / (xs[i + 1] ** 2 * g))
+            if s > SIGMA_MAX + _EDGE_TOL:
+                raise InvalidSurfaceError(f"DLV {s:.17g} at maturity {j}, strike {i + 1} "
+                                          f"is above SIGMA_MAX = {SIGMA_MAX}")
+            sigma[j - 1, i] = min(s, SIGMA_MAX)
     return sigma

@@ -39,10 +39,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autograd import Tensor
-from .errors import InputError, TrainingError, check_keys, check_number, from_config
+from .errors import InputError, TrainingError, check_array, check_keys, check_number, from_config
 from .frictions import marginal_rate
-from .market import check_per_path, check_weights, feature_matrix, write_text
-from .oce import Utility, minimize_bounded, oce_sup, u_deriv, u_value
+from .market import check_per_path, check_returns, check_weights, feature_matrix, write_text
+from .oce import Utility, concave_argmax, oce_sup, u_deriv, u_value
 
 
 @dataclass
@@ -64,15 +64,13 @@ class Mlp:
         finite arrays whose shapes chain, (n_k, n_k+1) and (n_k+1,)."""
         keys = ("weights", "biases")
         check_keys(d, keys, "policy", required=keys)
-        try:
-            weights, biases = ([np.asarray(a, dtype=float) for a in d[k]] for k in keys)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"policy arrays must be numeric: {exc}") from None
+        if not all(isinstance(d[k], list) for k in keys):
+            raise InputError("policy 'weights' and 'biases' must be lists of arrays")
+        weights, biases = ([check_array(a, f"policy {k!r}") for a in d[k]] for k in keys)
         if not (weights and all(w.ndim == 2 for w in weights)
                 and [b.shape for b in biases] == [w.shape[1:] for w in weights]
-                and all(v.shape[1] == w.shape[0] for v, w in zip(weights, weights[1:]))
-                and all(np.isfinite(a).all() for a in weights + biases)):
-            raise InputError("policy arrays must be finite with shapes that chain, got weights "
+                and all(v.shape[1] == w.shape[0] for v, w in zip(weights, weights[1:]))):
+            raise InputError("policy arrays must have shapes that chain, got weights "
                              f"{[w.shape for w in weights]} and biases {[b.shape for b in biases]}")
         return cls(weights=weights, biases=biases)
 
@@ -245,10 +243,8 @@ def _make_problem(bundle, returns, spec, utility, payoff=None, inv_scale=None,
                   weights=None):
     """The problem arrays; InputError on returns from another bundle, or on
     weights, ``payoff`` or ``inv_scale`` that fail check_per_path."""
+    check_returns(bundle, returns)
     P = bundle.n_paths
-    if returns.dh.shape[:2] != (P, bundle.n_steps):
-        raise InputError(f"returns of (paths, steps) {returns.dh.shape[:2]} are not from "
-                         f"this bundle's {(P, bundle.n_steps)}")
     return _Problem(
         feats=feature_matrix(bundle),
         dh=returns.dh,
@@ -446,20 +442,18 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
     pre_utility, objective_value = _head(prob, gains, costs, y_star)
     # y enters as a plain concave 1-d sup; close it exactly so the
     # first-order condition E_w[u'(.) dx/dy] = 1 holds at the returned
-    # solution (closed form for the exponential family, bounded search
-    # for the scaled objective)
+    # solution (closed form for the exponential family, bisection on that
+    # condition for the scaled objective)
     if prob.inv_scale is None:
         val, y_opt = oce_sup(pre_utility - y_star, prob.weights, utility)
     else:
-        base = pre_utility / prob.inv_scale - y_star
-
-        def neg(y):
-            vals = u_value(utility, (base + y) * prob.inv_scale)
-            return -(float(np.mean(prob.weights * vals)) - y)
-
+        s, w = prob.inv_scale, prob.weights
+        base = pre_utility / s - y_star
         span = float(np.max(np.abs(base))) + 1.0
-        y_opt, neg_val = minimize_bounded(neg, y_star - span, y_star + span)
-        val, y_opt = -float(neg_val), float(y_opt)
+        y_opt = concave_argmax(
+            lambda y: float(np.mean(w * s * u_deriv(utility, (base + y) * s))) - 1.0,
+            y_star - span, y_star + span)
+        val = float(np.mean(w * u_value(utility, (base + y_opt) * s))) - y_opt
     if val >= objective_value:
         y_star = y_opt
         pre_utility, objective_value = _head(prob, gains, costs, y_star)
@@ -476,12 +470,11 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
     )
 
 
-def evaluate_policy(bundle, returns, spec, utility, mlp, y, payoff=None,
-                    inv_scale=None, weights=None):
+def evaluate_policy(bundle, returns, spec, utility, mlp, y):
     """Full-sample evaluation of a fixed policy on any bundle (exact-abs
-    costs): its actions, per-path gains, costs and pre-utility, and the
-    objective."""
-    prob = _make_problem(bundle, returns, spec, utility, payoff, inv_scale, weights)
+    costs, uniform weights, no claim): its actions, per-path gains, costs
+    and pre-utility, and the objective."""
+    prob = _make_problem(bundle, returns, spec, utility)
     actions = forward(mlp, prob.feats)
     gains, costs = _gains_costs(prob, actions)
     x, objective = _head(prob, gains, costs, y)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, InputError, SimulationError, check_keys, check_number
+from .errors import FitError, InputError, SimulationError, check_array, check_keys, check_number
 from .market import bundle_from_sigmas, place_rows, read_csv, write_text
 from .surface import DAYS_PER_YEAR, SIGMA_MAX, DlvGrid
 
@@ -55,16 +55,11 @@ class VarParams:
         if not check_number(self.dt, "VAR params 'dt'") > 0:
             raise InputError(f"VAR params 'dt' must be positive, got {self.dt!r}")
         for name in ("a1", "a2", "b", "chol"):
-            try:
-                value = np.asarray(getattr(self, name), dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"VAR params {name!r} must be a numeric array: {exc}") from None
+            value = check_array(getattr(self, name), f"VAR params {name!r}")
             shape = (d,) if name == "b" else (d, d)
             if value.shape != shape:
                 raise InputError(f"VAR params {name!r} must have shape {shape} for dim {d}, "
                                  f"got {value.shape}")
-            if not np.all(np.isfinite(value)):
-                raise InputError(f"VAR params {name!r} must be finite")
             setattr(self, name, value)
         if np.any(np.diag(self.chol) <= 0) or np.any(np.triu(self.chol, 1) != 0):
             raise InputError("VAR params 'chol' must be lower-triangular with positive diagonal")

@@ -2,6 +2,8 @@
 JSON reader refuses, and a key left out of the JSON takes the field's
 default."""
 
+import copy
+
 import pytest
 
 from driftless.cli import _instruments
@@ -11,7 +13,7 @@ from driftless.hedging import PayoffSpec
 from driftless.market import InstrumentSpec
 from driftless.oce import Utility
 from driftless.surface import DAYS_PER_YEAR, DlvGrid
-from driftless.trainer import TrainConfig
+from driftless.trainer import Mlp, TrainConfig
 from driftless.var_model import VarParams
 
 _ZEROS = [[0.0, 0.0], [0.0, 0.0]]
@@ -84,3 +86,36 @@ def test_key_left_out_takes_the_field_default(cls):
     has no optional key, and its arrays do not compare with ==.)"""
     reader, kwargs, doc, _ = CONFIGS[cls]
     assert reader(doc) == cls(**kwargs)
+
+
+_POLICY = {"weights": [[[1.0, 0.5]], [[1.0], [2.0]]], "biases": [[0.0, 0.0], [0.0]]}
+
+
+def _with_first_entry(values, value):
+    """A copy of the nested list ``values`` with its first number set to
+    ``value``."""
+    values = copy.deepcopy(values)
+    inner = values
+    while isinstance(inner[0], list):
+        inner = inner[0]
+    inner[0] = value
+    return values
+
+
+@pytest.mark.parametrize("value", [True, "0.1"], ids=["bool", "string"])
+@pytest.mark.parametrize("cls, field", [*((VarParams, f) for f in ("a1", "a2", "b", "chol")),
+                                        (Mlp, "weights"), (Mlp, "biases")])
+def test_array_refuses_bool_or_string_entry(cls, field, value):
+    """An array entry that a scalar field would refuse, a bool or a
+    string, is refused inside VarParams' and the policy's arrays, through
+    the constructor and the reader, with InputError naming the key."""
+    if cls is VarParams:
+        _, kwargs, doc, _ = CONFIGS[VarParams]
+        calls = [lambda: VarParams(**{**kwargs, field: _with_first_entry(kwargs[field], value)}),
+                 lambda: VarParams.from_dict({**doc, field: _with_first_entry(doc[field], value)})]
+    else:
+        Mlp.from_dict(_POLICY)
+        calls = [lambda: Mlp.from_dict({**_POLICY, field: _with_first_entry(_POLICY[field], value)})]
+    for call in calls:
+        with pytest.raises(InputError, match=f"'{field}'"):
+            call()

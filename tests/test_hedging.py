@@ -204,8 +204,7 @@ class TestDeepHedge:
         cfg = TrainConfig(epochs=6, lr=0.02, seed=1, hidden=(8,))
         result = deep_hedge(bundle, rets, w, z, spec, u, cfg)
         assert calls == [True]
-        res = evaluate_policy(bundle, rets, spec, u, result.policy, result.y_star, payoff=z,
-                              weights=w)
+        res = evaluate_policy(bundle, rets, spec, u, result.policy, result.y_star)
         assert np.array_equal(result.pnl, z + res["gains"] - res["costs"])
 
 

@@ -360,14 +360,13 @@ def test_every_weights_parameter_is_checked(tmp_path):
     from driftless.market import check_weights, write_weights_csv
     from driftless.measure import DensityWeights, divergence, verify_drift
     from driftless.oce import Utility, closed_form_y, oce_sup, oce_value
-    from driftless.trainer import TrainConfig, evaluate_policy, init_mlp, train
+    from driftless.trainer import TrainConfig, train
     from oracles import one_period_bundle
 
     bundle, rets = one_period_bundle(np.array([0.2, -0.1, 0.3]))
     spec, u = CostSpec(0.001), Utility("exponential", 1.0)
     amv = Utility("adjusted_mean_vol", 1.0)
     cfg = TrainConfig(epochs=1, seed=0, hidden=(2,))
-    mlp = init_mlp([3, 2, 1], np.random.default_rng(0))
     x = np.array([0.1, -0.2, 0.3])
     sweep = [  # (name, call with the weights, whether the call gives a path count)
         ("check_weights", lambda w: check_weights(w, 3), True),
@@ -381,8 +380,6 @@ def test_every_weights_parameter_is_checked(tmp_path):
         ("oce_sup", lambda w: oce_sup(x, w, amv), True),
         ("deep_hedge", lambda w: deep_hedge(bundle, rets, w, np.zeros(3), spec, u, cfg), True),
         ("train", lambda w: train(bundle, rets, spec, u, cfg, weights=w), True),
-        ("evaluate_policy", lambda w: evaluate_policy(bundle, rets, spec, u, mlp, 0.0,
-                                                      weights=w), True),
     ]
     swept = {name for name, _, _ in sweep}
     assert sorted(_weights_takers()) == sorted(swept | set(NOT_PATH_WEIGHTS))

@@ -273,10 +273,9 @@ class TestDlvFromPrices:
 
     def test_round_trip_at_sigma_max(self):
         """Surfaces with nodes at SIGMA_MAX round-trip within A6's 1e-9:
-        each node of the desk grid in turn, and all nine at once.  The DLVs
-        read back can lie up to about 1e-12 above SIGMA_MAX, which the
-        price solve refuses, so the price leg reprices them clipped to the
-        domain."""
+        each node of the desk grid in turn, and all nine at once.  A node
+        read back just above SIGMA_MAX comes back as SIGMA_MAX, so the read
+        back DLVs reprice as they are."""
         g = desk_grid()
         rng = np.random.default_rng(23)
         worst = 0.0
@@ -286,9 +285,19 @@ class TestDlvFromPrices:
                 sigma.flat[slice(None) if node is None else node] = SIGMA_MAX
                 prices = prices_from_dlv_batch(g, sigma)
                 back = dlv_from_prices(g, prices)
-                again = prices_from_dlv_batch(g, np.minimum(back, SIGMA_MAX))
+                again = prices_from_dlv_batch(g, back)
                 worst = max(worst, np.max(np.abs(back - sigma)), np.max(np.abs(again - prices)))
         assert worst < 1e-9
+
+    def test_read_back_above_sigma_max_refused(self):
+        """Prices whose node reads back more than 1e-9 above SIGMA_MAX are
+        refused with InvalidSurfaceError naming the node."""
+        g = desk_grid()
+        prices = prices_from_dlv_batch(g, np.full((3, 3), SIGMA_MAX))
+        assert np.max(dlv_from_prices(g, prices)) == SIGMA_MAX
+        prices[3, 2] += 1e-6  # a larger calendar spread and a smaller butterfly
+        with pytest.raises(InvalidSurfaceError, match="maturity 3, strike 2 is above SIGMA_MAX"):
+            dlv_from_prices(g, prices)
 
     def test_round_trip_prices(self):
         g = wide_grid()

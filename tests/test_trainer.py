@@ -464,8 +464,10 @@ class TestTrain:
 
     @pytest.mark.parametrize("case", ["plain", "payoff_weights", "inv_scale"])
     def test_solution_carries_its_evaluation(self, case):
-        """``train`` returns the gains, costs and pre-utility of its policy
-        at y*, bit for bit as a fresh ``evaluate_policy``."""
+        """``train`` returns the gains and costs of its policy bit for bit
+        as a fresh ``evaluate_policy``, and the pre-utility and objective at
+        y* bit for bit as the claim, scale and weights give them from
+        those."""
         bundle, rets = self.desk_sample(30)
         u = Utility("adjusted_mean_vol", 1.0)
         spec = CostSpec(gamma_prop=0.002, mode="marginal")
@@ -478,10 +480,14 @@ class TestTrain:
         }[case]
         cfg = TrainConfig(epochs=4, batch_size=12, lr=0.01, seed=2, hidden=(8, 8))
         sol = train(bundle, rets, spec, u, cfg, **extra)
-        res = evaluate_policy(bundle, rets, spec, u, sol.policy, sol.y_star, **extra)
-        for key in ("gains", "costs", "pre_utility"):
+        res = evaluate_policy(bundle, rets, spec, u, sol.policy, sol.y_star)
+        for key in ("gains", "costs"):
             assert np.array_equal(getattr(sol, key), res[key]), key
-        assert sol.objective_value == res["objective"]
+        x = (res["gains"] - res["costs"] + sol.y_star + extra.get("payoff", 0.0)) * extra.get(
+            "inv_scale", 1.0)
+        assert np.array_equal(sol.pre_utility, x)
+        assert sol.objective_value == float(
+            np.mean(extra.get("weights", 1.0) * u_value(u, x)) - sol.y_star)
 
     def test_train_runs_the_full_sample_once_per_epoch_and_once_more(self, monkeypatch):
         """With minibatches, one full-sample forward pass per epoch, none
@@ -576,15 +582,14 @@ def test_config_rejects_fixed_training_constants(key):
 @pytest.mark.parametrize("case", ["payoff_too_long", "payoff_nan", "inv_scale_short",
                                   "inv_scale_inf", "inv_scale_negative", "inv_scale_zero"])
 def test_malformed_payoff_or_inv_scale_refused(case):
-    """train, deep_hedge and evaluate_policy refuse a payoff or inv_scale
-    that is not one finite value per path, or an inv_scale that is not > 0,
-    with InputError before any training."""
+    """train and deep_hedge refuse a payoff or inv_scale that is not one
+    finite value per path, or an inv_scale that is not > 0, with InputError
+    before any training."""
     from driftless.hedging import deep_hedge
 
     bundle, rets = one_period_bundle(np.array([0.2, -0.1, 0.3]))
     spec, u = CostSpec(0.001), Utility("exponential", 1.0)
     cfg = TrainConfig(epochs=1, seed=0, hidden=(2,))
-    mlp = init_mlp([3, 2, 1], np.random.default_rng(0))
     key, value = {
         "payoff_too_long": ("payoff", np.zeros(5)),
         "payoff_nan": ("payoff", np.array([0.0, np.nan, 0.0])),
@@ -593,8 +598,7 @@ def test_malformed_payoff_or_inv_scale_refused(case):
         "inv_scale_negative": ("inv_scale", np.full(3, -1.0)),
         "inv_scale_zero": ("inv_scale", np.array([1.0, 0.0, 1.0])),
     }[case]
-    calls = [lambda: train(bundle, rets, spec, u, cfg, **{key: value}),
-             lambda: evaluate_policy(bundle, rets, spec, u, mlp, 0.0, **{key: value})]
+    calls = [lambda: train(bundle, rets, spec, u, cfg, **{key: value})]
     if key == "payoff":
         calls.append(lambda: deep_hedge(bundle, rets, None, value, spec, u, cfg))
     for call in calls:
