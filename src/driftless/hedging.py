@@ -8,6 +8,7 @@ portfolio is zero, so -CE(Z) prices the claim Z.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,10 +22,8 @@ from .errors import (
     from_config,
 )
 from .market import write_text
-from .oce import oce_sup
+from .oce import concave_argmax, oce_sup
 from .trainer import train
-
-TILT_TOL = 1e-6  # tolerance of tilt on the achieved relative entropy
 
 
 @dataclass(frozen=True)
@@ -125,11 +124,12 @@ def deep_hedge(bundle, returns, weights, z, spec, utility, config):
 
 
 def tilt(direction, c):
-    """Exponential tilt w ~ exp(-theta direction) hitting relative entropy c
-    within TILT_TOL: one weight per entry of ``direction``.
+    """Exponential tilt w ~ exp(-theta direction), theta >= 0, at relative
+    entropy E[w log w] = c: one mean-1 weight per entry of ``direction``.
 
-    theta >= 0 is found by bisection on the achieved entropy
-    E[w log w] of the mean-1 weights.  c = 0 returns uniform weights.
+    The entropy rises from 0 towards log(n/k) as theta grows, for n entries
+    k of which tie at the minimum.  c = 0 returns uniform weights; a
+    c >= log(n/k), or one whose weights underflow to 0, raises TiltError.
     """
     if not c >= 0:
         raise InputError(f"target entropy must be >= 0, got {c}")
@@ -138,38 +138,24 @@ def tilt(direction, c):
         return np.ones(len(d))
     if not np.all(np.isfinite(d)):
         raise InputError("tilt direction must be finite")
-    if np.ptp(d) < 1e-14:
-        raise TiltError("direction is (nearly) constant: entropy target unreachable")
+    n, k = len(d), int(np.sum(d == d.min()))
+    bound = math.log(n / k)
+    if c >= bound:
+        raise TiltError(f"entropy target {c} unreachable: it must be below log(n/k) = "
+                        f"{bound}, with n = {n} entries and k = {k} tied at their minimum")
+    d = (d - d.min()) / np.ptp(d)  # in [0, 1], so theta * d stays finite
 
-    def entropy(theta):
-        z = -theta * d
-        z -= z.max()
-        w = np.exp(z)
-        w /= w.mean()
-        return float(np.mean(w * np.log(w))), w
+    def log_weights(theta):
+        z = -theta * d  # at most 0, and 0 at the minima
+        return z - math.log(np.mean(np.exp(z)))
 
-    hi = 1.0
-    e_hi, _ = entropy(hi)
-    tries = 0
-    while e_hi < c:
-        hi *= 2.0
-        e_hi, _ = entropy(hi)
-        tries += 1
-        if tries > 200:
-            raise TiltError(f"entropy target {c} unreachable for this direction")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        e_mid, w = entropy(mid)
-        if abs(e_mid - c) <= TILT_TOL:
-            return w
-        if e_mid < c:
-            lo = mid
-        else:
-            hi = mid
-    e_fin, w = entropy(0.5 * (lo + hi))
-    if abs(e_fin - c) > TILT_TOL:
-        raise TiltError(f"bisection failed to reach entropy {c} (got {e_fin})")
+    def slope(theta):
+        logw = log_weights(theta)
+        return c - float(np.mean(np.exp(logw) * logw))
+
+    w = np.exp(log_weights(concave_argmax(slope, 0.0, 1.0)))
+    if not np.all(w > 0):
+        raise TiltError(f"entropy target {c} puts weights below the smallest float")
     return w
 
 

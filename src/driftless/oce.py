@@ -138,13 +138,23 @@ def _logsumexp(a):
 
 
 def concave_argmax(slope, lo, hi):
-    """The maximizer on [lo, hi] of a concave scalar function whose
-    derivative is ``slope``, by bisection on the sign of ``slope``.  It
-    stops when the bracket is narrower than Y_TOL or stops shrinking in
-    floating point.  Non-finite or reversed bounds, as a NaN or infinite
-    sample gives, raise ``InputError``."""
+    """The maximizer of a concave scalar function whose derivative is
+    ``slope``.  The bracket [lo, hi] moves past an end where ``slope`` has
+    yet to change sign, by a step that doubles each time; then it is
+    bisected on the sign of ``slope`` until narrower than Y_TOL or no
+    longer shrinking in floating point.  Non-finite or reversed bounds, as
+    a NaN or infinite sample gives, and a ``slope`` of one sign out to
+    infinity raise ``InputError``."""
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
         raise InputError(f"search bounds ({lo}, {hi}) must be finite with lo <= hi")
+    step = max(hi - lo, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # far out, a slope's terms overflow
+        while math.isfinite(hi) and slope(hi) > 0:
+            lo, hi, step = hi, hi + step, 2.0 * step
+        while math.isfinite(lo) and not slope(lo) > 0:
+            lo, hi, step = lo - step, lo, 2.0 * step
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InputError(f"the slope keeps its sign out to ({lo}, {hi}): no finite maximizer")
     while hi - lo > Y_TOL:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -171,4 +181,4 @@ def oce_sup(x, weights, u):
     w = np.ones_like(x) if weights is None else check_weights(weights, len(x))
     y = concave_argmax(lambda y: float(np.mean(w * u_deriv(u, y + x))) - 1.0,
                        -float(np.max(x)) - 1.0, -float(np.min(x)) + 1.0)
-    return float(np.mean(w * u_value(u, y + x)) - y), y
+    return oce_value(x, weights, u, y), y

@@ -4,7 +4,9 @@ No pipeline stage runs these: the analytic one-period minimal-entropy
 martingale measure, the frictionless hedge decomposition
 a*_P = a*_Q + a*_0, the first-order marginal cost, a one-period toy market,
 a synthetic VAR history with its CSV writer, the calibration of the desk
-market's DLV levels, build_returns as it was written before it
+market's DLV levels, the static arbitrage margin of a sample net of its
+cost band (an LP), the bisection for y as it was before concave_argmax
+widened its bracket, build_returns as it was written before it
 valued each option over all steps at once (one step at a time), and the
 DLV-to-price solve as it was written before prices_from_dlv_batch folded
 the Thomas sweep into its row loop: a general batched tridiagonal solver
@@ -12,7 +14,7 @@ called once per maturity row.
 """
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, linprog
 from scipy.special import ndtr
 
 from driftless.errors import DriftlessError, GridDomainError, InputError, InvalidSurfaceError
@@ -25,6 +27,7 @@ from driftless.market import (
     feature_matrix,
     write_csv,
 )
+from driftless.oce import Y_TOL
 from driftless.surface import DAYS_PER_YEAR, DlvGrid, intrinsic_row, prices_from_dlv_batch
 from driftless.trainer import forward, train
 from driftless.var_model import SPOT_VOL, _noise, iterate_var, stationary_init
@@ -101,6 +104,45 @@ def memm_one_period(outcomes, probs, lam):
 def marginal_cost(spec, a, mids):
     """Positively homogeneous first-order cost m(a) = |a| . gamma."""
     return (np.abs(np.asarray(a, dtype=float)) * marginal_rate(spec, mids)).sum(axis=-1)
+
+
+def static_arbitrage_margin(dh, mids, gamma):
+    """The largest smallest net P&L, over every path, of a static position
+    of gross size 1 in the columns of ``dh`` (paths, steps, instruments).
+
+    Each column is held over its one step, as the trainer's actions are.
+    The position has a long part and a short part, each charged
+    gamma * |mid| at entry, as the trainer's marginal cost is.  A positive
+    margin is an arbitrage net of the cost band; with none, it reads 0 at
+    gamma = 0 (only offsetting parts reach it) and below 0 at gamma > 0.
+    """
+    p = dh.shape[0]
+    gains = dh.reshape(p, -1)
+    rates = gamma * np.abs(mids).reshape(p, -1)
+    m = gains.shape[1]
+    # variables: long part (m), short part (m), margin t; maximise t with
+    # t <= gains . (long - short) - rates . (long + short) on every path
+    a_ub = np.hstack([rates - gains, rates + gains, np.ones((p, 1))])
+    a_eq = np.concatenate([np.ones(2 * m), [0.0]])[None, :]
+    c = np.zeros(2 * m + 1)
+    c[-1] = -1.0
+    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(p), A_eq=a_eq, b_eq=[1.0],
+                  bounds=[(0, None)] * (2 * m) + [(None, None)], method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"linprog failed: {res.message}")
+    return float(res.x[-1])
+
+
+def plain_bisection(slope, lo, hi):
+    """concave_argmax as it was before it widened its bracket: bisection on
+    the sign of ``slope`` over [lo, hi] until the bracket is narrower than
+    Y_TOL or stops shrinking."""
+    while hi - lo > Y_TOL:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        lo, hi = (mid, hi) if slope(mid) > 0 else (lo, mid)
+    return 0.5 * (lo + hi)
 
 
 def decompose_check(bundle, returns, utility, z, config, q_weights):

@@ -202,6 +202,23 @@ def test_robustness_bad_entropies_exit_1_before_any_work(tmp_path, bundle_dir, m
     assert "--entropies" in capsys.readouterr().err
 
 
+def test_robustness_unreachable_entropy_exit_1(tmp_path, bundle_dir, capsys):
+    """A tilt of the 200-path P&L cannot reach an entropy of log 200 = 5.3
+    or more: an entropy of 6 exits 1 and names the target and the bound."""
+    weights = tmp_path / "w.csv"
+    write_weights_csv(weights, np.ones(200))
+    rc = main([
+        "robustness", "--bundle", str(bundle_dir), "--weights", str(weights),
+        "--payoff", str(write_payoff(tmp_path)), "--cost", str(write_cost(tmp_path)),
+        "--utility", str(write_utility(tmp_path)), "--train", str(write_train(tmp_path)),
+        "--entropies", "0.05,6", "--out", str(tmp_path / "r.json"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "entropy target 6.0 unreachable" in err
+    assert "log(n/k)" in err
+
+
 def test_seed_overrides_train_file(tmp_path, bundle_dir):
     train_cfg = write_train(tmp_path, epochs=2)
     assert json.loads(train_cfg.read_text())["seed"] == 0

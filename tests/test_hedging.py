@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -109,13 +112,16 @@ class TestTilt:
     def test_zero_entropy_uniform(self):
         assert np.array_equal(tilt(np.array([1.0, 2.0, 3.0]), 0.0), np.ones(3))
 
-    @pytest.mark.parametrize("c", [0.05, 0.5])
-    def test_achieved_entropy(self, c):
-        rng = np.random.default_rng(0)
-        direction = rng.normal(size=2000)
+    @pytest.mark.parametrize("direction, c", [
+        (np.random.default_rng(0).normal(size=2000), 0.05),
+        (np.random.default_rng(0).normal(size=2000), 0.5),
+        (np.array([1.0, 2.0, 3.0, 4.0]), np.log(4) - 1e-9),
+    ], ids=["0.05", "0.5", "below_log4"])
+    def test_achieved_entropy(self, direction, c):
         w = tilt(direction, c)
+        assert np.all(w > 0)
         assert w.mean() == pytest.approx(1.0, abs=1e-12)
-        assert float(np.mean(w * np.log(w))) == pytest.approx(c, abs=1e-6)
+        assert float(np.mean(w * np.log(w))) == pytest.approx(c, abs=1e-12)
 
     def test_tilts_against_direction(self):
         rng = np.random.default_rng(1)
@@ -131,6 +137,26 @@ class TestTilt:
     def test_constant_direction_rejected(self):
         with pytest.raises(TiltError):
             tilt(np.ones(4), 0.1)
+
+    @pytest.mark.parametrize("direction, c, bound", [
+        (np.array([1.0, 2.0, 3.0, 4.0]), 1.5, math.log(4)),
+        (np.array([1.0, 2.0, 3.0, 4.0]), math.log(4), math.log(4)),
+        (np.array([1.0, 1.0, 3.0, 4.0]), math.log(2) + 0.01, math.log(2)),
+        (np.random.default_rng(0).normal(size=2000), 7.7, math.log(2000)),
+    ], ids=["above_log4", "log4", "two_tied_minima", "normals"])
+    def test_unreachable_entropy_names_bound(self, direction, c, bound):
+        """The entropy of a tilt with theta >= 0 stays below log(n/k), for
+        n entries k of which tie at the minimum; a target at or above it is
+        refused, and the message names the bound."""
+        with pytest.raises(TiltError, match=re.escape(f"log(n/k) = {bound},")):
+            tilt(direction, c)
+
+    def test_underflowing_weights_rejected(self):
+        """Below log 3, but reached only where the entry at 1 weighs a
+        small fraction of the one at 0, so theta is several units and the
+        entry at 1000, weighing exp(-1000 theta), underflows to 0."""
+        with pytest.raises(TiltError, match="below the smallest float"):
+            tilt(np.array([0.0, 1.0, 1000.0]), math.log(3) - 1e-3)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
     def test_non_finite_direction_rejected(self, bad):

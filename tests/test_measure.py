@@ -14,7 +14,12 @@ from driftless.measure import (
 from driftless.oce import Utility, legendre
 from driftless.trainer import TrainConfig, evaluate_policy, train
 
-from oracles import ClassicArbitrageError, memm_one_period, one_period_bundle
+from oracles import (
+    ClassicArbitrageError,
+    memm_one_period,
+    one_period_bundle,
+    static_arbitrage_margin,
+)
 
 
 class TestMemmOnePeriod:
@@ -40,6 +45,25 @@ class TestMemmOnePeriod:
         for lam in (0.5, 1.0, 3.0):
             _, q = memm_one_period([2.0, -1.0], [0.5, 0.5], lam=lam)
             assert float(q @ np.array([2.0, -1.0])) == pytest.approx(0.0, abs=1e-10)
+
+
+class TestStaticArbitrageMargin:
+    def test_planted_arbitrage_positive(self):
+        """A column that gains on every path is an arbitrage: gross size 1
+        in it earns its smallest gain less its cost."""
+        _, rets = one_period_bundle([0.1, 0.2, 0.3])
+        for gamma in (0.0, 0.01):
+            assert static_arbitrage_margin(rets.dh, rets.mids, gamma) == pytest.approx(
+                0.1 - gamma, abs=1e-12)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.001, 0.002])
+    def test_no_arbitrage_zero_then_negative(self, gamma):
+        """Outcomes of both signs admit no arbitrage: at gamma = 0 only
+        offsetting long and short parts reach 0, and at gamma > 0 their cost
+        makes the margin -gamma."""
+        _, rets = one_period_bundle([2.0, -1.0])
+        assert static_arbitrage_margin(rets.dh, rets.mids, gamma) == pytest.approx(
+            -gamma, abs=1e-12)
 
 
 class TestDensity:

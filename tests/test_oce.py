@@ -8,6 +8,7 @@ from driftless.errors import InputError, UtilityDomainError
 from driftless.oce import (
     Utility,
     closed_form_y,
+    concave_argmax,
     legendre,
     oce_sup,
     oce_value,
@@ -15,6 +16,8 @@ from driftless.oce import (
     u_deriv_inverse,
     u_value,
 )
+
+from oracles import plain_bisection
 
 FAMILIES = ("exponential", "adjusted_mean_vol")
 
@@ -153,6 +156,35 @@ class TestOceSup:
         x = np.array([0.1, -0.2, bad, 0.3])
         with pytest.raises(InputError, match="P&L sample must be finite"):
             oce_sup(x, None, Utility("exponential", 1.0))
+
+
+class TestConcaveArgmax:
+    @pytest.mark.parametrize("root", [0.25, 5000.0, -3000.0])
+    def test_widens_to_the_root(self, root):
+        """From [0, 1] the bracket moves past whichever end the slope has
+        yet to change sign at, until it holds the root."""
+        assert concave_argmax(lambda y: root - y, 0.0, 1.0) == pytest.approx(root, abs=1e-12)
+
+    @pytest.mark.parametrize("sign", [1.0, 0.0, -1.0], ids=["positive", "zero", "negative"])
+    def test_one_signed_slope_raises(self, sign):
+        """A slope that keeps its sign out to infinity has no finite
+        maximizer (a zero slope counts as non-positive)."""
+        with pytest.raises(InputError, match="no finite maximizer"):
+            concave_argmax(lambda y: sign, 0.0, 1.0)
+
+    def test_oce_sup_bracket_gives_plain_bisection(self):
+        """oce_sup's bracket [-max x - 1, -min x + 1] holds the root, so its
+        y is plain bisection on that bracket bit for bit: the widening only
+        evaluates the two ends."""
+        rng = np.random.default_rng(5)
+        for scale, lam in ((0.01, 0.5), (1.0, 1.0), (30.0, 2.0)):
+            x = scale * rng.standard_t(4, size=400)
+            w = rng.uniform(0.2, 2.0, size=400)
+            w /= w.mean()
+            u = Utility("adjusted_mean_vol", lam)
+            _, y = oce_sup(x, w, u)
+            assert y == plain_bisection(lambda v: float(np.mean(w * u_deriv(u, v + x))) - 1.0,
+                                        -x.max() - 1.0, -x.min() + 1.0)
 
 
 class TestOceAxioms:

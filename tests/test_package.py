@@ -19,8 +19,8 @@ def test_all_exports_resolve():
 def test_runs_without_importing_scipy():
     """The CLI, the desk market, both OCE families and a training run with
     the inv_scale y refit load no scipy module: the desk market's DLV levels
-    are constants, and oce ports the two scipy routines it needs (the
-    bounded minimizer and log-sum-exp), saving about 0.8 s and 40 MB per
+    are constants, y is found by oce's own bisection, and oce ports the one
+    scipy routine it needs (log-sum-exp), saving about 0.8 s and 40 MB per
     process."""
     code = """
 import sys
@@ -42,7 +42,7 @@ bundle = simulate(params, stationary_init(params), 20, 3, seed=1, grid=grid)
 rets = build_returns(bundle, default_instruments())
 train(bundle, rets, CostSpec(gamma_prop=0.002, mode="marginal"),
       Utility("adjusted_mean_vol", 1.0), TrainConfig(epochs=2, lr=0.01, seed=2, hidden=(8,)),
-      inv_scale=np.full(20, 0.5))
+      inv_scale=np.full(20, 0.9))
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))

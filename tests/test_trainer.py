@@ -8,7 +8,7 @@ from scipy.optimize import minimize_scalar
 from driftless.errors import InputError
 from driftless.frictions import CostSpec
 from driftless.market import build_returns, read_json
-from driftless.oce import Utility, closed_form_y, u_value
+from driftless.oce import Utility, closed_form_y, concave_argmax, u_deriv, u_value
 from driftless.trainer import (
     _BLOCK_ROWS,
     SMOOTH_EPS,
@@ -24,7 +24,7 @@ from driftless.trainer import (
     objective_and_grad,
     train,
 )
-from oracles import marginal_cost, one_period_bundle
+from oracles import marginal_cost, one_period_bundle, plain_bisection
 from pergraph import Tensor
 
 
@@ -389,6 +389,50 @@ class TestTrain:
             bundle, rets, CostSpec(mode="none"), u, sol.policy, sol.y_star
         )
         assert abs(y_grad) < 1e-3
+
+    @staticmethod
+    def scaled_fit(family, s):
+        """A 40-path one-period fit (0.05 N(0, 1) returns, no cost) with the
+        constant inv_scale ``s``."""
+        rng = np.random.default_rng(0)
+        bundle, rets = one_period_bundle(0.05 * rng.normal(size=40))
+        return train(bundle, rets, CostSpec(mode="none"), Utility(family, 1.0),
+                     TrainConfig(epochs=2, lr=0.01, seed=0, hidden=(8,)),
+                     inv_scale=np.full(40, s))
+
+    def test_inv_scale_refit_widens_to_the_root(self):
+        """With inv_scale 0.01 the exponential refit's root, near
+        y = -100 ln 100, lies far below its starting bracket
+        y* +- (max |base| + 1); the refit closes E[s u'(s(base + y))] = 1
+        there."""
+        sol = self.scaled_fit("exponential", 0.01)
+        u = Utility("exponential", 1.0)
+        assert abs(float(np.mean(0.01 * u_deriv(u, sol.pre_utility))) - 1.0) <= 1e-12
+        assert sol.y_star == pytest.approx(-100 * np.log(100), rel=1e-4)
+
+    @pytest.mark.parametrize("s", [0.4, 0.5])
+    def test_inv_scale_refit_without_finite_sup_raises(self, s):
+        """Adjusted mean-vol has u' < 2, so with inv_scale s <= 1/2 the
+        refit's slope E[s u'] - 1 stays below 2s - 1 <= 0: the scaled
+        objective has no finite sup."""
+        with pytest.raises(InputError, match="no finite maximizer"):
+            self.scaled_fit("adjusted_mean_vol", s)
+
+    def test_inv_scale_refit_holding_bracket_gives_plain_bisection(self, monkeypatch):
+        """Where the starting bracket holds the root (adjusted mean-vol,
+        inv_scale 0.9), the refit's y is plain bisection on that bracket
+        bit for bit."""
+        calls = []
+
+        def spy(slope, lo, hi):
+            calls.append((slope, lo, hi, concave_argmax(slope, lo, hi)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr("driftless.trainer.concave_argmax", spy)
+        sol = self.scaled_fit("adjusted_mean_vol", 0.9)
+        [(slope, lo, hi, y)] = calls
+        assert y == plain_bisection(slope, lo, hi)
+        assert sol.y_star == y
 
     def test_exponential_closed_form_y_consistency(self):
         bundle, rets = one_period_bundle(np.array([2.0, -1.0]))
