@@ -57,7 +57,7 @@ from .var_model import (
     simulate,
     stationary_init,
 )
-from .surface import DAYS_PER_YEAR, DlvGrid
+from .surface import DlvGrid
 
 
 def _sha256(path):
@@ -159,7 +159,7 @@ def _load(args):
 # -- subcommands -----------------------------------------------------------
 
 def cmd_fit_var(args, read):
-    params = fit_var(args.history, dt=1.0 / DAYS_PER_YEAR)
+    params, _ = fit_var(args.history)
     params.to_json(args.out)
     _manifest(args, read, [args.out])
     return 0

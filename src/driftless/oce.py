@@ -40,9 +40,8 @@ class Utility:
             raise InputError(f"unknown utility family {self.family!r}")
         if check_number(self.lam, "utility lambda") <= 0:
             raise InputError("risk aversion lambda must be positive")
-        # normalization check: u(0) = 0, u'(0) = 1
-        if abs(u_value(self, 0.0)) > 1e-12 or abs(u_deriv(self, 0.0) - 1.0) > 1e-12:
-            raise UtilityDomainError("utility normalization violated")
+        if not math.isfinite(float(self.lam) * float(self.lam)):
+            raise InputError(f"risk aversion lambda must have a finite square, got {self.lam!r}")
 
     @classmethod
     def from_dict(cls, d):

@@ -173,10 +173,11 @@ class TrainConfig:
             raise InputError("train config 'hidden' must be a list of positive integers, "
                              f"got {self.hidden!r}")
         self.hidden = tuple(self.hidden)
-        if self.epochs <= 0 or self.lr <= 0 or self.lr_decay <= 0 or self.batch_size < 0:
+        if (self.epochs <= 0 or self.lr <= 0 or self.lr_decay <= 0 or self.batch_size < 0
+                or self.seed < 0):
             raise InputError("train config: epochs, lr and lr_decay must be positive and "
-                             f"batch_size >= 0, got {self.epochs}, {self.lr}, "
-                             f"{self.lr_decay} and {self.batch_size}")
+                             f"batch_size and seed >= 0, got {self.epochs}, {self.lr}, "
+                             f"{self.lr_decay}, {self.batch_size} and {self.seed}")
 
     def to_dict(self):
         d = self.__dict__.copy()

@@ -3,9 +3,10 @@
 The state vector is Y_r = (log S_r/S_{r-1}, log sigma^{1,1}_r, ...,
 log sigma^{m,n}_r)' and evolves as
 
-    Y_r = (B - A_1 Y_{r-1} - A_2 Y_{r-2}) dt + sqrt(dt) Z_r,  Z_r ~ N(0, Sigma).
+    Y_r = (B - A_1 Y_{r-1} - A_2 Y_{r-2}) DT + sqrt(DT) Z_r,  Z_r ~ N(0, Sigma),
 
-Fitting is per-equation OLS.  Simulation draws its noise from a
+where one step DT is one business day, 1/DAYS_PER_YEAR years.  Fitting is
+per-equation OLS.  Simulation draws its noise from a
 counter-based generator keyed per (seed, retry, path, step), and runs the
 recursion once per step over a block of paths.  Paths whose vols breach
 the ceiling are redrawn in retry rounds with the next retry.  Every draw
@@ -15,63 +16,62 @@ output does not depend on the blocking or the order of the rounds.
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, InputError, SimulationError, check_array, check_keys, check_number
+from .errors import (FitError, InputError, SimulationError, check_array, check_number,
+                     from_config)
 from .market import bundle_from_sigmas, place_rows, read_csv, write_text
 from .surface import DAYS_PER_YEAR, SIGMA_MAX, DlvGrid
 
 MAX_RETRIES = 100
-_PARAMS_KEYS = ("dim", "dt", "a1", "a2", "b", "chol")  # the JSON keys; no se_* field
 RIDGE = 1e-10
 
 # the desk market of desk_params: annual spot drift and vol, daily AR
-# coefficient of the log vols, their correlation with the spot return, and
-# a one-day step
+# coefficient of the log vols and their correlation with the spot return
 ANNUAL_DRIFT = 0.20
 SPOT_VOL = 0.20
 PERSISTENCE = 0.95
 SPOT_VOL_CORR = -0.5
-DT = 1.0 / DAYS_PER_YEAR
+DT = 1.0 / DAYS_PER_YEAR  # the step of every VAR: one business day
 
 
-@dataclass
+@dataclasses.dataclass
 class VarParams:
-    dim: int
+    """The arrays of the recursion; ``dim`` is read from ``b``."""
+
     a1: np.ndarray
     a2: np.ndarray
     b: np.ndarray
     chol: np.ndarray  # lower-triangular Cholesky factor of Sigma
-    dt: float
-    se_b: np.ndarray | None = None
-    se_a1: np.ndarray | None = None
-    se_a2: np.ndarray | None = None
 
     def __post_init__(self):
-        d = check_number(self.dim, "VAR params 'dim'", integer=True)
-        if not check_number(self.dt, "VAR params 'dt'") > 0:
-            raise InputError(f"VAR params 'dt' must be positive, got {self.dt!r}")
-        for name in ("a1", "a2", "b", "chol"):
+        self.b = check_array(self.b, "VAR params 'b'")
+        if self.b.ndim != 1:
+            raise InputError(f"VAR params 'b' must be a vector, got shape {self.b.shape}")
+        shape = (self.dim, self.dim)
+        for name in ("a1", "a2", "chol"):
             value = check_array(getattr(self, name), f"VAR params {name!r}")
-            shape = (d,) if name == "b" else (d, d)
             if value.shape != shape:
-                raise InputError(f"VAR params {name!r} must have shape {shape} for dim {d}, "
-                                 f"got {value.shape}")
+                raise InputError(f"VAR params {name!r} must have shape {shape}, one row and "
+                                 f"column per entry of 'b', got {value.shape}")
             setattr(self, name, value)
         if np.any(np.diag(self.chol) <= 0) or np.any(np.triu(self.chol, 1) != 0):
             raise InputError("VAR params 'chol' must be lower-triangular with positive diagonal")
 
+    @property
+    def dim(self):
+        return len(self.b)
+
     def to_json(self, path):
-        doc = {k: np.asarray(getattr(self, k)).tolist() for k in _PARAMS_KEYS}
+        doc = {f.name: getattr(self, f.name).tolist() for f in dataclasses.fields(self)}
         write_text(path, json.dumps(doc, indent=2, sort_keys=True))
 
     @classmethod
-    def from_dict(cls, doc):
-        check_keys(doc, _PARAMS_KEYS, "VAR params", required=_PARAMS_KEYS)
-        return cls(**doc)
+    def from_dict(cls, d):
+        return from_config(cls, d, "VAR params")
 
 
 def _spd_cholesky(cov):
@@ -82,12 +82,13 @@ def _spd_cholesky(cov):
         return np.linalg.cholesky(cov + RIDGE * np.eye(cov.shape[0]))
 
 
-def fit_var(history, dt):
+def fit_var(history):
     """Per-equation OLS fit of the VAR(2) recursion.
 
-    ``history`` is an (N, d) array of Y_r observations.  Residual
-    covariance uses denominator (N - 2) - (2d + 1); standard errors for
-    every coefficient are stored on the returned params.
+    ``history`` is an (N, d) array of Y_r observations, one step DT apart.
+    Residual covariance uses denominator (N - 2) - (2d + 1).  Returns
+    ``(params, se)``: the fitted VarParams, and a dict mapping "b", "a1"
+    and "a2" to the standard errors of those coefficients.
     """
     Y = np.asarray(history, dtype=float)
     if Y.ndim != 2 or Y.shape[1] < 1:
@@ -109,34 +110,19 @@ def fit_var(history, dt):
 
     beta, *_ = np.linalg.lstsq(X, resp, rcond=None)
     resid = resp - X @ beta
-    dof = (N - 2) - n_reg
-    if dof <= 0:
-        raise FitError("not enough observations for residual covariance")
-    cov_e = resid.T @ resid / dof
-    sigma = cov_e / dt
-
-    b = beta[0] / dt
-    a1 = -beta[1 : 1 + d].T / dt
-    a2 = -beta[1 + d :].T / dt
+    cov_e = resid.T @ resid / ((N - 2) - n_reg)  # at least 8d - 1 degrees of freedom
+    params = VarParams(
+        a1=-beta[1 : 1 + d].T / DT,
+        a2=-beta[1 + d :].T / DT,
+        b=beta[0] / DT,
+        chol=_spd_cholesky(cov_e / DT),
+    )
 
     xtx_inv = np.linalg.inv(X.T @ X)
     s2 = np.diag(cov_e)  # per-equation residual variance
     se_beta = np.sqrt(np.outer(np.diag(xtx_inv), s2))  # (n_reg, d)
-    se_b = se_beta[0] / dt
-    se_a1 = se_beta[1 : 1 + d].T / dt
-    se_a2 = se_beta[1 + d :].T / dt
-
-    return VarParams(
-        dim=d,
-        a1=a1,
-        a2=a2,
-        b=b,
-        chol=_spd_cholesky(sigma),
-        dt=dt,
-        se_b=se_b,
-        se_a1=se_a1,
-        se_a2=se_a2,
-    )
+    se = {"b": se_beta[0] / DT, "a1": se_beta[1 : 1 + d].T / DT, "a2": se_beta[1 + d :].T / DT}
+    return params, se
 
 
 # the one generator behind step_normals; every call resets its whole state,
@@ -180,11 +166,11 @@ def iterate_var(params, init, noise):
     """Run the VAR recursion from two seed vectors with supplied noise, one
     step at a time over a whole stack of paths.
 
-    ``noise`` is (n, T, d) of sqrt(dt) * chol * g terms (may be zeros), one
+    ``noise`` is (n, T, d) of sqrt(DT) * chol * g terms (may be zeros), one
     (T, d) slice per path, all started from the same ``init``.  Returns
     (n, T, d) of Y_1..Y_T per path.
     """
-    a1, a2, b, dt = params.a1, params.a2, params.b[:, None], params.dt
+    a1, a2, b = params.a1, params.a2, params.b[:, None]
     # column vectors, so a1 @ y is one matrix-vector product per path, as
     # when each path ran alone; a matrix product over the stack can differ
     # from it in the last bit when a1 or a2 is not diagonal
@@ -193,14 +179,14 @@ def iterate_var(params, init, noise):
     out = np.empty(noise.shape + (1,))
     for r in range(noise.shape[1]):
         y = out[:, r]
-        np.multiply(b - a1 @ y_prev1 - a2 @ y_prev2, dt, out=y)
+        np.multiply(b - a1 @ y_prev1 - a2 @ y_prev2, DT, out=y)
         y += noise[:, r, :, None]
         y_prev2, y_prev1 = y_prev1, y
     return out[..., 0]
 
 
 def _noise(params, n_steps, seed, paths, retry):
-    """sqrt(dt) * chol * g for each of ``paths``: an (n, n_steps, d) stack
+    """sqrt(DT) * chol * g for each of ``paths``: an (n, n_steps, d) stack
     whose draws come from ``step_normals`` at this ``retry``."""
     d = params.dim
     g = np.empty((len(paths), n_steps, d))
@@ -208,7 +194,7 @@ def _noise(params, n_steps, seed, paths, retry):
         for r in range(n_steps):
             g[i, r] = step_normals(seed, path, r, d, retry)
     # a stacked product, one (n_steps, d) matrix per path as drawn alone
-    return np.sqrt(params.dt) * g @ params.chol.T
+    return np.sqrt(DT) * g @ params.chol.T
 
 
 def simulate(params, init, n_paths, n_steps, seed, grid):
@@ -295,8 +281,11 @@ def desk_params(grid, vol_of_vol=0.02):
     must be desk_grid(): raises InputError otherwise.
 
     Log vols mean-revert around DESK_DLV_LEVELS with daily AR coefficient
-    PERSISTENCE; the spot return has constant drift ANNUAL_DRIFT.
+    PERSISTENCE; the spot return has constant drift ANNUAL_DRIFT.  Raises
+    InputError unless ``vol_of_vol`` is a finite number >= 0.
     """
+    if not check_number(vol_of_vol, "desk_params 'vol_of_vol'") >= 0:
+        raise InputError(f"desk_params 'vol_of_vol' must be >= 0, got {vol_of_vol!r}")
     if grid != desk_grid():
         raise InputError(f"desk_params needs desk_grid(), whose DLV levels are "
                          f"DESK_DLV_LEVELS; got {grid}")
@@ -323,19 +312,19 @@ def desk_params(grid, vol_of_vol=0.02):
     R[1:, 1:] = corr
     stds = np.concatenate(([SPOT_VOL], np.full(nv, vol_of_vol / np.sqrt(DT))))
     sigma = R * np.outer(stds, stds)
-    return VarParams(dim=d, a1=a1, a2=a2, b=b, chol=_spd_cholesky(sigma), dt=DT)
+    return VarParams(a1=a1, a2=a2, b=b, chol=_spd_cholesky(sigma))
 
 
 def stationary_init(params):
     """Seed vectors (Y_{-1}, Y_0) at the log-vol mean with zero spot return.
 
     The log-vol mean is the stationary mean of the log-vol block of the
-    recursion, (I + (a1 + a2) dt) y = b dt, so this holds for any fitted
+    recursion, (I + (a1 + a2) DT) y = b DT, so this holds for any fitted
     parametrization, not only the diagonal one of desk_params.
     """
     y = np.zeros(params.dim)
-    lhs = np.eye(params.dim - 1) + (params.a1 + params.a2)[1:, 1:] * params.dt
-    y[1:] = np.linalg.solve(lhs, params.b[1:] * params.dt)
+    lhs = np.eye(params.dim - 1) + (params.a1 + params.a2)[1:, 1:] * DT
+    y[1:] = np.linalg.solve(lhs, params.b[1:] * DT)
     return y.copy(), y.copy()
 
 

@@ -413,12 +413,13 @@ def test_demo_small(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--paths", "50", "--steps", "3", "--epochs", "0"],
-    ["--paths", "0", "--steps", "3", "--epochs", "5"],
-], ids=["zero_epochs", "zero_paths"])
+    ["demo", "--paths", "50", "--steps", "3", "--epochs", "0"],
+    ["demo", "--paths", "0", "--steps", "3", "--epochs", "5"],
+    ["--seed", "-1", "demo", "--paths", "50", "--steps", "3", "--epochs", "1"],
+], ids=["zero_epochs", "zero_paths", "negative_seed"])
 def test_demo_bad_argument_writes_nothing(tmp_path, argv):
     out = tmp_path / "demo"
-    assert main(["demo", *argv, "--out", str(out)]) == 1
+    assert main([*argv, "--out", str(out)]) == 1
     assert not out.exists() or list(out.rglob("*")) == []
 
 
@@ -473,7 +474,8 @@ def test_verify_bad_instruments_exit_1(tmp_path, bundle_dir, capsys, doc):
 
 
 @pytest.mark.parametrize("doc", [{"epochs": "5"}, {"seed": True}, {"lr": float("nan")},
-                                 {"hidden": [8.5]}, {"lr_decay": -1}, {"lr_decay": 0}])
+                                 {"hidden": [8.5]}, {"lr_decay": -1}, {"lr_decay": 0},
+                                 {"seed": -1}])
 def test_make_q_bad_config_value_exit_1(tmp_path, bundle_dir, capsys, doc):
     train_cfg = tmp_path / "train.json"
     train_cfg.write_text(json.dumps(doc))
@@ -491,11 +493,13 @@ def test_make_q_bad_config_value_exit_1(tmp_path, bundle_dir, capsys, doc):
     ("verify", "cost.json", lambda d: {**d, "gamma": "0.001"}, "gamma"),
     ("make-q", "utility.json", lambda d: {**d, "lambda": float("nan")}, "lambda"),
     ("make-q", "utility.json", lambda d: {**d, "lambda": "1"}, "lambda"),
+    ("make-q", "utility.json", lambda d: {"family": "adjusted_mean_vol", "lambda": 1e300},
+     "lambda"),
     ("hedge", "payoff.json", lambda d: {**d, "rel_strike": "1.0"}, "rel_strike"),
     ("hedge", "payoff.json", lambda d: {**d, "maturity_steps": "4"}, "maturity_steps"),
     ("hedge", "payoff.json", lambda d: {**d, "side": 1.0}, "side"),
     ("hedge", "payoff.json", lambda d: {"kind": "custom_table", "table": ["1"] * 200}, "table"),
-    ("simulate", "params.json", lambda d: {}, "dim"),
+    ("simulate", "params.json", lambda d: {}, "lacks required key"),
     ("simulate", "params.json", lambda d: {**d, "dt": 0}, "dt"),
     ("simulate", "params.json", lambda d: {**d, "dt": -0.004}, "dt"),
     ("simulate", "params.json", lambda d: {**d, "a1": [*d["a1"][:-1], d["a1"][-1][:-1]]}, "'a1'"),
@@ -514,9 +518,9 @@ def test_make_q_bad_config_value_exit_1(tmp_path, bundle_dir, capsys, doc):
     ("fit-var", "history.csv",
      lambda t: "\n".join(line.split(",")[0] for line in t.splitlines()), "Y column"),
 ], ids=["cost_nan_gamma", "cost_string_gamma", "utility_nan_lambda", "utility_string_lambda",
-        "payoff_string_strike", "payoff_string_maturity", "payoff_float_side",
-        "payoff_string_table", "params_empty", "params_zero_dt", "params_negative_dt",
-        "params_ragged_a1", "params_string_b", "params_upper_chol",
+        "utility_lambda_square_overflows", "payoff_string_strike", "payoff_string_maturity",
+        "payoff_float_side", "payoff_string_table", "params_empty", "params_zero_dt",
+        "params_negative_dt", "params_ragged_a1", "params_string_b", "params_upper_chol",
         "meta_string_paths", "meta_float_steps", "meta_negative_steps", "meta_string_seed",
         "meta_string_has_weights", "history_repeated_r", "history_missing_r",
         "history_no_y_columns"])
@@ -607,7 +611,7 @@ def _custom_payoff(doc):
 
 
 # VAR params of dim 2: the spot return and one log vol
-_PARAMS_2 = {"dim": 2, "dt": 1 / 252, "a1": [[0.0, 0.0], [0.0, 0.0]],
+_PARAMS_2 = {"a1": [[0.0, 0.0], [0.0, 0.0]],
              "a2": [[0.0, 0.0], [0.0, 0.0]], "b": [0.0, 0.0], "chol": [[0.2, 0.0], [0.0, 0.1]]}
 _GRID_1X1 = DlvGrid(strikes=(1.0,), maturities=(20 / 252,))
 
@@ -647,6 +651,8 @@ def _simulate(changes):
     (_params_from, {"dim": 3}),
     (_simulate, {"n_paths": 0}),
     (_simulate, {"grid": DlvGrid(strikes=(0.95, 1.05), maturities=(20 / 252,))}),
+    (_params_from, {"b": 0.0}),
+    (_params_from, {"b": [[0.0], [0.0]]}),  # a column: its length would pass for dim 2
 ])
 def test_bad_config_raises_package_error(reader, doc):
     """A config that parses but breaks a domain rule raises a package

@@ -44,12 +44,10 @@ CONFIGS = {
                ("maturities", "maturities_days", False, True),
                ("boundary_lo", "boundary_lo", False, False),
                ("boundary_hi", "boundary_hi", False, False)]),
+    # no numeric scalar field: its arrays are checked below
     VarParams: (VarParams.from_dict,
-                {"dim": 2, "dt": 1 / 252, "a1": _ZEROS, "a2": _ZEROS, "b": [0.0, 0.0],
-                 "chol": _CHOL},
-                {"dim": 2, "dt": 1 / 252, "a1": _ZEROS, "a2": _ZEROS, "b": [0.0, 0.0],
-                 "chol": _CHOL},
-                [("dim", "dim", True, False), ("dt", "dt", False, False)]),
+                {"a1": _ZEROS, "a2": _ZEROS, "b": [0.0, 0.0], "chol": _CHOL},
+                {"a1": _ZEROS, "a2": _ZEROS, "b": [0.0, 0.0], "chol": _CHOL}, []),
 }
 
 BAD = {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "bool": True,

@@ -29,6 +29,16 @@ def test_normalization(family):
     assert u_deriv(u, 0.0) == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_lambda_square_must_be_finite(family):
+    """u(0) = 0 and u'(0) = 1 hold exactly for a lambda whose square is
+    finite; a larger lambda raises InputError naming it."""
+    u = Utility(family, 1e154)
+    assert u_value(u, 0.0) == 0.0 and u_deriv(u, 0.0) == 1.0
+    with pytest.raises(InputError, match="lambda"):
+        Utility(family, 1e300)
+
+
 def test_exponential_point_value():
     u = Utility("exponential", 1.0)
     assert u_value(u, 1.0) == pytest.approx(1.0 - np.exp(-1.0), rel=1e-12)

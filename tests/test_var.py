@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from driftless.market import read_json
 from driftless.surface import DlvGrid, prices_from_dlv_batch
 from driftless.var_model import (
     DESK_DLV_LEVELS,
+    DT,
     MAX_RETRIES,
     SIGMA_MAX,
     SPOT_VOL,
@@ -25,19 +28,17 @@ from driftless.var_model import (
 
 from oracles import synthetic_history, write_history_csv
 
-DT = 1.0 / 252.0
 
-
-def oscillator_params(dt=DT):
+def oscillator_params():
     """d=2 params whose noiseless recursion is two undamped oscillations at
     distinct frequencies; the orbit excites all five regressor directions."""
     theta1, theta2 = 0.7, 1.3
     m1 = np.diag([2 * np.cos(theta1), 2 * np.cos(theta2)])
     m2 = -np.eye(2)
-    a1 = -m1 / dt
-    a2 = -m2 / dt
-    b = np.array([0.02, -0.01]) / dt
-    return VarParams(dim=2, a1=a1, a2=a2, b=b, chol=np.eye(2) * 1e-8, dt=dt)
+    a1 = -m1 / DT
+    a2 = -m2 / DT
+    b = np.array([0.02, -0.01]) / DT
+    return VarParams(a1=a1, a2=a2, b=b, chol=np.eye(2) * 1e-8)
 
 
 class TestFitVar:
@@ -46,7 +47,7 @@ class TestFitVar:
         init = (np.array([0.4, -0.2]), np.array([-0.1, 0.5]))
         ys = iterate_var(p, init, np.zeros((1, 400, 2)))[0]
         history = np.vstack([init[0], init[1], ys])
-        fitted = fit_var(history, DT)
+        fitted, _ = fit_var(history)
         assert np.allclose(fitted.a1, p.a1, atol=1e-8)
         assert np.allclose(fitted.a2, p.a2, atol=1e-8)
         assert np.allclose(fitted.b, p.b, atol=1e-8)
@@ -61,17 +62,16 @@ class TestFitVar:
         chol = np.linalg.cholesky(
             0.04 * (np.eye(d) * 0.8 + 0.2 * np.ones((d, d)))
         )
-        true = VarParams(dim=d, a1=a1, a2=a2, b=b, chol=chol, dt=DT)
+        true = VarParams(a1=a1, a2=a2, b=b, chol=chol)
         n_seeds = 100
         hits = np.zeros(3)
         totals = np.zeros(3)
         for s in range(n_seeds):
             hist = synthetic_history(true, 10_000, seed=s)
-            f = fit_var(hist, DT)
-            for k, (est, tru, se) in enumerate(
-                [(f.b, b, f.se_b), (f.a1, a1, f.se_a1), (f.a2, a2, f.se_a2)]
-            ):
-                ok = np.abs(est - tru) <= 3 * se
+            f, se = fit_var(hist)
+            for k, (est, tru, name) in enumerate([(f.b, b, "b"), (f.a1, a1, "a1"),
+                                                  (f.a2, a2, "a2")]):
+                ok = np.abs(est - tru) <= 3 * se[name]
                 hits[k] += ok.sum()
                 totals[k] += ok.size
         coverage = hits / totals
@@ -79,22 +79,22 @@ class TestFitVar:
 
     def test_constant_history_rank_deficient(self):
         with pytest.raises(FitError):
-            fit_var(np.ones((100, 3)), DT)
+            fit_var(np.ones((100, 3)))
 
     def test_short_history_rejected(self):
         with pytest.raises(FitError):
-            fit_var(np.zeros((10, 3)), DT)
+            fit_var(np.zeros((10, 3)))
 
     def test_non_finite_rejected(self):
         h = np.zeros((200, 2))
         h[5, 1] = np.nan
         with pytest.raises(FitError):
-            fit_var(h, DT)
+            fit_var(h)
 
     @pytest.mark.parametrize("shape", [(200,), (200, 0)], ids=["1d", "no_y_columns"])
     def test_bad_shape_rejected(self, shape):
         with pytest.raises(FitError, match="2-d array"):
-            fit_var(np.zeros(shape), DT)
+            fit_var(np.zeros(shape))
 
 
 def fresh_step_normals(seed, path, step, dim, retry=0):
@@ -160,7 +160,7 @@ class TestStationaryInit:
         per-equation stationary mean bit for bit."""
         p = desk_params(desk_grid())
         y = np.zeros(p.dim)
-        y[1:] = p.b[1:] * p.dt / (1.0 + (np.diag(p.a1)[1:] + np.diag(p.a2)[1:]) * p.dt)
+        y[1:] = p.b[1:] * DT / (1.0 + (np.diag(p.a1)[1:] + np.diag(p.a2)[1:]) * DT)
         for seed_vector in stationary_init(p):
             assert seed_vector.tobytes() == y.tobytes()
 
@@ -187,6 +187,25 @@ class TestDeskCalibration:
             desk_params(grid)
 
 
+class TestDeskParams:
+    @pytest.mark.parametrize("value", [-0.02, float("nan"), float("inf"), "0.02"],
+                             ids=["negative", "nan", "inf", "string"])
+    def test_bad_vol_of_vol_refused(self, value):
+        """A negative vol_of_vol would flip the spot-vol correlation's sign
+        in chol @ chol.T; it and a non-finite or non-numeric one raise
+        InputError naming it."""
+        with pytest.raises(InputError, match="vol_of_vol"):
+            desk_params(desk_grid(), vol_of_vol=value)
+
+    def test_zero_vol_of_vol_simulates(self):
+        """vol_of_vol 0 gives a singular Sigma; the ridge in the Cholesky
+        repair makes it a valid chol, on which simulate runs."""
+        grid = desk_grid()
+        p = desk_params(grid, vol_of_vol=0.0)
+        b = simulate(p, stationary_init(p), 5, 3, seed=0, grid=grid)
+        assert np.all(np.isfinite(b.prices))
+
+
 class TestSimulate:
     def test_deterministic_given_seed(self):
         grid = desk_grid()
@@ -201,10 +220,7 @@ class TestSimulate:
     def test_zero_noise_paths_identical(self):
         grid = desk_grid()
         p = desk_params(grid)
-        frozen = VarParams(
-            dim=p.dim, a1=p.a1, a2=p.a2, b=p.b,
-            chol=np.eye(p.dim) * 1e-300, dt=p.dt,
-        )
+        frozen = VarParams(a1=p.a1, a2=p.a2, b=p.b, chol=np.eye(p.dim) * 1e-300)
         init = stationary_init(p)
         b = simulate(frozen, init, 3, 4, seed=0, grid=grid)
         assert np.allclose(b.spots[0], b.spots[1])
@@ -225,12 +241,10 @@ class TestSimulate:
         p = desk_params(grid)
         d = p.dim
         exploding = VarParams(
-            dim=d,
-            a1=-np.eye(d) * 300.0 / p.dt * (1 / 252),
+            a1=-np.eye(d) * 300.0 / DT * (1 / 252),
             a2=np.zeros((d, d)),
             b=np.full(d, 5000.0),
             chol=np.eye(d) * 1e-6,
-            dt=p.dt,
         )
         init = stationary_init(p)
         # every path breaches; the error names the lowest-index one pending
@@ -245,7 +259,7 @@ def iterate_var_per_path(params, init, n_steps, noise):
     y_prev2, y_prev1 = np.asarray(init[0], float), np.asarray(init[1], float)
     out = np.empty((n_steps, params.dim))
     for r in range(n_steps):
-        y = (params.b - params.a1 @ y_prev1 - params.a2 @ y_prev2) * params.dt + noise[r]
+        y = (params.b - params.a1 @ y_prev1 - params.a2 @ y_prev2) * DT + noise[r]
         out[r] = y
         y_prev2, y_prev1 = y_prev1, y
     return out
@@ -256,7 +270,7 @@ def _simulate_path_y(params, init, n_steps, seed, path, retry):
     g = np.stack(
         [step_normals(seed, path, r, d, retry) for r in range(n_steps)]
     )
-    noise = np.sqrt(params.dt) * g @ params.chol.T
+    noise = np.sqrt(DT) * g @ params.chol.T
     return iterate_var_per_path(params, init, n_steps, noise)
 
 
@@ -309,7 +323,7 @@ class TestBatchedSimulate:
     def test_non_diagonal_params(self):
         # fitted coefficients are dense, so each product has many terms
         p = desk_params(desk_grid())
-        fitted = fit_var(synthetic_history(p, 4000, seed=1), p.dt)
+        fitted, _ = fit_var(synthetic_history(p, 4000, seed=1))
         assert np.count_nonzero(fitted.a1) == fitted.dim**2
         self.check(fitted, 300, seed=2029)
 
@@ -325,15 +339,11 @@ class TestFitSimulateConsistency:
         grid = desk_grid()
         p = desk_params(grid)
         hist = synthetic_history(p, 100_000, seed=21)
-        f = fit_var(hist, p.dt)
+        f, se = fit_var(hist)
         within = 0
         total = 0
-        for est, tru, se in [
-            (f.b, p.b, f.se_b),
-            (f.a1, p.a1, f.se_a1),
-            (f.a2, p.a2, f.se_a2),
-        ]:
-            ok = np.abs(est - tru) <= 3 * se
+        for est, tru, name in [(f.b, p.b, "b"), (f.a1, p.a1, "a1"), (f.a2, p.a2, "a2")]:
+            ok = np.abs(est - tru) <= 3 * se[name]
             within += ok.sum()
             total += ok.size
         assert within / total >= 0.95
@@ -371,15 +381,37 @@ class TestVarParamsJson:
         assert back.dim == p.dim
         assert np.array_equal(back.a1, p.a1)
         assert np.array_equal(back.chol, p.chol)
-        assert back.dt == p.dt
+
+    def test_fitted_round_trip_bit_for_bit(self, tmp_path):
+        """A fitted VarParams written and read back is the fitted object:
+        every field, bit for bit, and nothing the file leaves out."""
+        fitted, _ = fit_var(synthetic_history(desk_params(desk_grid()), 600, seed=5))
+        f = tmp_path / "params.json"
+        fitted.to_json(f)
+        back = VarParams.from_dict(read_json(f))
+        assert [f.name for f in dataclasses.fields(back)] == ["a1", "a2", "b", "chol"]
+        for field in dataclasses.fields(fitted):
+            assert getattr(back, field.name).tobytes() == getattr(fitted, field.name).tobytes()
+
+    @pytest.mark.parametrize("stale", [["dim"], ["dt"], ["dim", "dt"]],
+                             ids=["dim", "dt", "dim_and_dt"])
+    def test_stale_key_refused(self, tmp_path, stale):
+        """A params document that still holds ``dim`` or ``dt``, with the
+        values every writer used to give them, is refused with an
+        InputError naming each such key: the step is the constant DT and
+        the dimension is read from ``b``."""
+        p = desk_params(desk_grid())
+        f = tmp_path / "params.json"
+        p.to_json(f)
+        doc = {**read_json(f), **{k: {"dim": p.dim, "dt": DT}[k] for k in stale}}
+        with pytest.raises(InputError, match=re.escape(f"unknown VAR params key(s) {stale}")):
+            VarParams.from_dict(doc)
 
     def test_chol_must_be_lower_triangular(self):
         with pytest.raises(ValueError):
             VarParams(
-                dim=2,
                 a1=np.zeros((2, 2)),
                 a2=np.zeros((2, 2)),
                 b=np.zeros(2),
                 chol=np.array([[1.0, 0.5], [0.0, 1.0]]),
-                dt=DT,
             )
