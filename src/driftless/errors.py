@@ -43,11 +43,15 @@ def from_config(cls, d, what):
 
 def check_number(value, what, integer=False):
     """Reject a config value that is not a finite number, or not an integer
-    when ``integer``; a bool is neither.  Returns ``value``."""
+    when ``integer``; a bool is neither, and an integer beyond the float
+    range is not finite.  Returns ``value``."""
     kind = numbers.Integral if integer else numbers.Real
-    if (isinstance(value, bool) or not isinstance(value, kind)
-            or not (integer or math.isfinite(value))):
-        expected = "an integer" if integer else "a finite number"
+    try:
+        ok = isinstance(value, kind) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # math.isfinite(10**400)
+        ok = False
+    if not ok:
+        expected = "an integer within the float range" if integer else "a finite number"
         raise InputError(f"{what} must be {expected}, got {value!r}")
     return value
 
@@ -65,10 +69,11 @@ def check_numbers(values, what):
 def check_array(values, what):
     """A config array, nested lists of numbers or an array, as a float
     array.  Raises InputError unless every entry is a finite number; a bool
-    or a string is not a number."""
+    or a string is not a number, and an integer beyond the float range is
+    not finite."""
     try:
         array = np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{what} must be a numeric array: {exc}") from None
     entries = np.asarray(values, dtype=object).flat
     if not (np.all(np.isfinite(array)) and all(

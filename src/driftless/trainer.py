@@ -13,27 +13,33 @@ objective ``mean(w u(x)) - y`` with
 and cost head and the ReLU layers.  ``_objective`` takes the parameters as
 plain arrays; its forward pass keeps each layer's output and ReLU mask,
 and it returns one ``autograd.Tensor`` whose ``backward`` returns the
-gradient.  The tests keep a per-op graph of the same objective as the
-bit-for-bit reference.  The full-sample forward pass runs in fixed row
-blocks.  In full-batch training each epoch's gradient pass runs the whole
-sample in order at the parameters that ended the previous epoch, so its
-actions double as that epoch's evaluation, and ``forward`` runs only after
-the last epoch.  That pass is one unblocked product, which gives the
-blocked trace bit for bit under the condition at ``_BLOCK_ROWS``.
+gradient.  It runs in its workspace's precision.  The tests keep a
+per-op graph of the same objective as the float64 bit-for-bit reference.
 
-``train`` allocates its large buffers once per call, in one
-``_Workspace``: the gathered minibatch rows, one output buffer per layer
-and one ReLU mask per hidden layer.  Every minibatch and every block of
-the per-epoch evaluation writes into leading-row views of them, and the
-backward pass writes each layer's input gradient over that layer's
-input, which it no longer needs.  So a ``backward`` closure is valid
-only until the next ``_objective`` on the same workspace.
+``train`` runs every gradient pass, minibatch or full batch, in float32:
+the feature gather, the ReLU layers and the backward through them.  The
+gradient only steers the search, after mixed-precision training
+(Micikevicius et al., ICLR 2018, with float32 for float16).  Everything
+that is reported or selected stays float64: the master weights, the Adam
+state, the gradient norm and clip, the head (x, utility, y and the
+action gradient), the full-sample ``forward`` that scores every epoch
+and picks the best one, the y refit, and ``objective_and_grad``.
+
+``train`` allocates its large buffers once per call, in one float32
+``_Workspace``: the gathered minibatch rows, one output per layer and
+one ReLU mask per hidden layer.  Every minibatch writes into leading-row
+views of them, and the backward pass writes each layer's input gradient
+over that layer's input, which it no longer needs.  So a ``backward``
+closure is valid only until the next ``_objective`` on the same
+workspace.  The per-epoch evaluation runs after the epoch's last
+``backward``, in float64 views of the same layer memory.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,40 +91,56 @@ def init_mlp(widths, rng):
     return Mlp(weights=weights, biases=biases)
 
 
-# rows per block of the full-sample forward pass.  At this block size
-# OpenBLAS 0.3.31 (Haswell kernels, 1 and 2 threads) gives rows
-# bit-identical to one unblocked product, checked on 2x10^4 and 10^5 rows
-# of the desk network; blocks of 1024 to 8192 rows do not.  So a
-# full-batch gradient pass on P*T rows, one unblocked product, gives the
-# blocked evaluation bit for bit when P*T <= _BLOCK_ROWS, or when P*T is a
-# multiple of it on such a network: the desk (64, 64) one, or (8,) and
-# (8, 8), but not (16, 16).  Elsewhere the last bits may differ.
+# rows per block of the float64 full-sample forward pass; the blocks bound
+# the evaluation's layer buffers, which the float32 gradient passes of
+# ``train`` reuse.  At this block size OpenBLAS 0.3.31 (Haswell kernels, 1
+# and 2 threads) gives rows bit-identical to one unblocked product,
+# checked on 2x10^4 and 10^5 rows of the desk network; blocks of 1024 to
+# 8192 rows do not.  So on such a network, the desk (64, 64) one, or (8,)
+# and (8, 8), but not (16, 16), a row's actions do not depend on where
+# the blocks fall when the rows come in multiples of it.
 _BLOCK_ROWS = 10_000
 
 
 class _Workspace:
     """Reused buffers for the networks of widths ``widths`` ([F, ..., I])
-    on up to ``rows`` rows: the gathered minibatch features, action
-    increments and rates, one output per layer and one ReLU mask per
-    hidden layer.  Callers use leading-row views, which stay C-contiguous.
+    on up to ``rows`` rows in ``dtype``: the gathered minibatch features,
+    one output per layer and one ReLU mask per hidden layer, and the
+    head's float64 action increments and rates.  Each layer's memory also
+    holds ``eval_rows`` float64 rows, so a float32 workspace serves the
+    float64 ``forward`` too.  Callers use leading-row views, which stay
+    C-contiguous.
     """
 
-    def __init__(self, rows, widths):
-        self.feats = np.empty((rows, widths[0]))
+    def __init__(self, rows, widths, dtype, eval_rows=0):
+        self.dtype = np.dtype(dtype)
+        self.widths = widths
+        self.feats = np.empty((rows, widths[0]), self.dtype)
         self.dh = np.empty((rows, widths[-1]))
         self.rates = np.empty((rows, widths[-1]))
-        self.layers = [np.empty((rows, w)) for w in widths[1:]]
+        # float64 words, viewed in either precision by ``layer``, each
+        # layer in its own anonymous mapping: freeing the workspace returns
+        # the pages to the system, where malloc's heap would keep them
+        # resident under later allocations
+        words = -(-rows * self.dtype.itemsize // 8)
+        self._layers = [np.frombuffer(mmap.mmap(-1, 8 * max(words * w, eval_rows * w, 1)))
+                        for w in widths[1:]]
         self.masks = [np.empty((rows, w), dtype=bool) for w in widths[1:-1]]
+
+    def layer(self, l, n, dtype):
+        """The output buffer of layer ``l``: its leading ``n`` rows in ``dtype``."""
+        w = self.widths[l + 1]
+        return self._layers[l].view(dtype)[: n * w].reshape(n, w)
 
 
 def _layers(weights, biases, h, ws, with_masks=False):
     """The affine-ReLU layers on the rows ``h``, each layer written into
-    the leading rows of its workspace buffer, and with ``with_masks`` each
-    hidden layer's ReLU mask into its mask buffer; returns the output
-    rows."""
+    the leading rows of its workspace buffer in the precision of ``h``,
+    and with ``with_masks`` each hidden layer's ReLU mask into its mask
+    buffer; returns the output rows."""
     n = h.shape[0]
     for l, (w, b) in enumerate(zip(weights, biases)):
-        h = np.matmul(h, w, out=ws.layers[l][:n])
+        h = np.matmul(h, w, out=ws.layer(l, n, h.dtype))
         h += b
         if l < len(weights) - 1:
             if with_masks:
@@ -131,9 +153,10 @@ def forward(mlp, feats, ws=None):
     """Deterministic forward pass; ``feats`` is (..., F) with at least two
     dimensions.
 
-    Rows run in blocks of ``_BLOCK_ROWS`` into one preallocated output,
-    through the layer buffers of ``ws`` (a ``_Workspace`` of at least
-    min(_BLOCK_ROWS, rows) rows), allocated once per call when it is None.
+    Rows run in float64 blocks of ``_BLOCK_ROWS`` into one preallocated
+    output, through the layer buffers of ``ws`` (a ``_Workspace`` that
+    holds at least min(_BLOCK_ROWS, rows) float64 rows), allocated once
+    per call when it is None.
     """
     h = np.asarray(feats, dtype=float)
     flat = h.reshape(-1, h.shape[-1])
@@ -143,7 +166,7 @@ def forward(mlp, feats, ws=None):
     out = np.empty((n_rows, mlp.weights[-1].shape[1]))
     if ws is None:
         widths = [flat.shape[1]] + [w.shape[1] for w in mlp.weights]
-        ws = _Workspace(min(_BLOCK_ROWS, n_rows), widths)
+        ws = _Workspace(min(_BLOCK_ROWS, n_rows), widths, np.float64)
     for start in range(0, n_rows, _BLOCK_ROWS):
         block = flat[start : start + _BLOCK_ROWS]
         out[start : start + _BLOCK_ROWS] = _layers(mlp.weights, mlp.biases, block, ws)
@@ -263,27 +286,33 @@ def _objective(prob, params, y, idx, ws=None):
     ([W_0, b_0, W_1, ...]) and the cash offset ``y``, as one scalar
     ``Tensor``.
 
-    The forward and backward passes run in the leading len(idx)·T rows of
-    the workspace ``ws`` (one of exactly that size when None).  Its
-    ``backward`` returns the analytic gradient ``(grads, y_grad)``, with
-    ``grads`` in the order of ``params``; it overwrites the hidden
-    activations, so it is valid only until the next ``_objective`` on
-    ``ws``.  Each elementwise expression keeps the order of the per-op
-    reference graph, so value and gradients are bit-identical to it.
+    The feature gather, the layers and the backward through them run in
+    the precision of the workspace ``ws`` (float64, of exactly
+    len(idx)·T rows, when None), in its leading len(idx)·T rows; the head
+    and the returned value and gradients are float64.  Its ``backward``
+    returns the analytic gradient ``(grads, y_grad)``, with ``grads`` in
+    the order of ``params``; it overwrites the hidden activations, so it
+    is valid only until the next ``_objective`` on ``ws``.  Each
+    elementwise expression keeps the order of the per-op reference graph,
+    so in float64 value and gradients are bit-identical to it.
     """
     B, T, F = len(idx), prob.feats.shape[1], prob.feats.shape[2]
     n_layers = len(params) // 2
     if ws is None:
-        ws = _Workspace(B * T, [F] + [w.shape[1] for w in params[::2]])
+        ws = _Workspace(B * T, [F] + [w.shape[1] for w in params[::2]], np.float64)
     n = B * T
-    # idx holds valid rows, so "clip" only spares np.take the copy that
-    # mode="raise" makes of ``out``
-    feats = np.take(prob.feats, idx, axis=0, out=ws.feats[:n].reshape(B, T, F), mode="clip")
-    a = _layers(params[::2], params[1::2], feats.reshape(n, F), ws, with_masks=True)
-    a = a.reshape(B, T, -1)
-    inputs = [ws.feats[:n]] + [buf[:n] for buf in ws.layers[:-1]]
+    net = [np.asarray(p, dtype=ws.dtype) for p in params]
+    # fancy indexing gathers in the features' dtype and the copy casts:
+    # np.take into a buffer of another dtype first casts its old contents
+    feats = ws.feats[:n]
+    feats.reshape(B, T, F)[...] = prob.feats[idx]
+    a = _layers(net[::2], net[1::2], feats, ws, with_masks=True)
+    a = np.asarray(a, dtype=float).reshape(B, T, -1)
+    inputs = [feats] + [ws.layer(l, n, ws.dtype) for l in range(n_layers - 1)]
     masks = [buf[:n] for buf in ws.masks]
 
+    # idx holds valid rows, so "clip" only spares np.take the copy that
+    # mode="raise" makes of ``out``
     dh = np.take(prob.dh, idx, axis=0, out=ws.dh[:n].reshape(a.shape), mode="clip")
     rates = np.take(prob.rates, idx, axis=0, out=ws.rates[:n].reshape(a.shape), mode="clip")
     a_abs = np.sqrt(a**2 + SMOOTH_EPS**2)
@@ -301,14 +330,14 @@ def _objective(prob, params, y, idx, ws=None):
         g3 = gx[:, None, None]
         da = g3 * dh
         da += (-g3) * rates * a / a_abs
-        g = da.reshape(n, -1)
+        g = da.reshape(n, -1).astype(ws.dtype, copy=False)
         grads = [None] * len(params)
         for l in range(n_layers - 1, -1, -1):
-            grads[2 * l + 1] = g.sum(axis=0)
-            grads[2 * l] = inputs[l].T @ g
+            grads[2 * l + 1] = np.asarray(g.sum(axis=0), dtype=float)
+            grads[2 * l] = np.asarray(inputs[l].T @ g, dtype=float)
             if l > 0:
                 # inputs[l] is dead once dW_l is taken: it takes dL/d(input)
-                g = np.matmul(g, params[2 * l].T, out=inputs[l])
+                g = np.matmul(g, net[2 * l].T, out=inputs[l])
                 g *= masks[l - 1]
         return grads, y_grad
 
@@ -352,10 +381,11 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
     """Maximize the OCE objective over network parameters and y.
 
     Deterministic given the config seed, for a fixed BLAS build and thread
-    count; returns the best-seen parameters by full-sample objective
-    (exact-abs costs), with their training-sample evaluation, kept from
-    the epoch that set them: the y refit reruns only the head on its gains
-    and costs.
+    count.  The gradient passes run in float32; after each epoch a float64
+    ``forward`` scores the parameters on the full sample.  Returns the
+    best-seen parameters by that objective (exact-abs costs), with their
+    training-sample evaluation, kept from the epoch that set them: the y
+    refit reruns only the head on its gains and costs.
     """
     prob = _make_problem(bundle, returns, spec, utility, payoff, inv_scale, weights)
     P, T, F = prob.feats.shape
@@ -381,34 +411,20 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
     # the returned gains, costs and pre-utility; allocated before the
     # workspace, so that once freed its pages are not pinned below them
     evaluation = np.empty((3, P))
-    # one buffer set for every minibatch and every evaluation block
-    ws = _Workspace(max(batch * T, min(_BLOCK_ROWS, P * T)), [F, *config.hidden, n_inst])
+    # one float32 buffer set for every minibatch, whose layer memory also
+    # holds the float64 evaluation blocks: the two are never live at once
+    ws = _Workspace(batch * T, [F, *config.hidden, n_inst], np.float32,
+                    eval_rows=min(_BLOCK_ROWS, P * T))
     lr = config.lr
     best_obj = -np.inf
     best = snapshot()
     trace = []
-
-    def record(actions):
-        """Append the full-sample objective of ``actions`` at the current
-        parameters to the trace; keep the best-seen parameters, and their
-        gains and costs in the leading rows of ``evaluation``."""
-        nonlocal best_obj, best
-        gains, costs = _gains_costs(prob, actions)
-        full = _head(prob, gains, costs, float(params[-1]))[1]
-        trace.append(full)
-        if full > best_obj:
-            best_obj, best = full, snapshot()
-            evaluation[0], evaluation[1] = gains, costs
 
     for epoch in range(config.epochs):
         perm = rng.permutation(P) if batch < P else np.arange(P)
         for start in range(0, P, batch):
             idx = perm[start : start + batch]
             obj = _objective(prob, params[:-1], params[-1], idx, ws)
-            if batch == P and epoch > 0:
-                # a full batch runs the sample in order at the parameters
-                # that ended the last epoch: its actions are that epoch's
-                record(ws.layers[-1][: P * T].reshape(P, T, n_inst))
             if not np.isfinite(obj.data):
                 raise TrainingError(
                     f"objective diverged at epoch {epoch}; last finite trace: "
@@ -432,8 +448,15 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
                 vhat = v / (1 - beta2**step)
                 p -= lr * mhat / (np.sqrt(vhat) + eps)
 
-        if batch < P or epoch == config.epochs - 1:
-            record(forward(Mlp(weights=params[:-1:2], biases=params[1:-1:2]), prob.feats, ws))
+        # the full-sample objective at the parameters that end the epoch;
+        # keep the best-seen parameters, and their gains and costs
+        actions = forward(Mlp(weights=params[:-1:2], biases=params[1:-1:2]), prob.feats, ws)
+        gains, costs = _gains_costs(prob, actions)
+        full = _head(prob, gains, costs, float(params[-1]))[1]
+        trace.append(full)
+        if full > best_obj:
+            best_obj, best = full, snapshot()
+            evaluation[0], evaluation[1] = gains, costs
         lr *= config.lr_decay
 
     net, y_star = best

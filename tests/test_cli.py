@@ -475,7 +475,7 @@ def test_verify_bad_instruments_exit_1(tmp_path, bundle_dir, capsys, doc):
 
 @pytest.mark.parametrize("doc", [{"epochs": "5"}, {"seed": True}, {"lr": float("nan")},
                                  {"hidden": [8.5]}, {"lr_decay": -1}, {"lr_decay": 0},
-                                 {"seed": -1}])
+                                 {"seed": -1}, {"lr": 10**400}])
 def test_make_q_bad_config_value_exit_1(tmp_path, bundle_dir, capsys, doc):
     train_cfg = tmp_path / "train.json"
     train_cfg.write_text(json.dumps(doc))

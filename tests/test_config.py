@@ -77,6 +77,27 @@ def test_constructor_and_reader_refuse_bad_number(cls, field, key, value):
         reader({**doc, key: value})
 
 
+_HUGE = 10**400  # an integer beyond the float range, as a JSON literal can hold
+
+
+@pytest.mark.parametrize("call", [
+    lambda: TrainConfig(lr=_HUGE),
+    lambda: TrainConfig.from_dict({"lr": _HUGE}),
+    lambda: Utility(family="exponential", lam=_HUGE),
+    lambda: Utility.from_dict({"family": "exponential", "lambda": _HUGE}),
+    lambda: VarParams(**{**CONFIGS[VarParams][1], "b": [0.0, _HUGE]}),
+    lambda: VarParams.from_dict({**CONFIGS[VarParams][2], "b": [0.0, _HUGE]}),
+    lambda: _instruments([{"kind": "call", "rel_strike": 1.0, "ttm_days": _HUGE}]),
+], ids=["train_lr", "train_lr_reader", "utility_lambda", "utility_lambda_reader",
+        "var_b", "var_b_reader", "instrument_ttm_days"])
+def test_integer_beyond_float_range_refused(call):
+    """A numeric field or array entry holding an integer too large for a
+    float raises InputError, not the OverflowError of its conversion to
+    float, here or later in the pipeline (a ttm_days in days per year)."""
+    with pytest.raises(InputError):
+        call()
+
+
 @pytest.mark.parametrize("cls", [c for c in CONFIGS if c is not VarParams])
 def test_key_left_out_takes_the_field_default(cls):
     """Every key a JSON document leaves out takes its dataclass field's

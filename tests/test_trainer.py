@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,12 @@ from driftless.trainer import (
 )
 from oracles import marginal_cost, one_period_bundle, plain_bisection
 from pergraph import Tensor
+
+# a float32 gradient pass against the float64 one on the same parameters
+# and rows: every entry of the value and of each gradient lies within this
+# fraction of that array's largest entry (at most 1.1e-6 measured on
+# TestFusedObjective's problems)
+FLOAT32_RTOL = 1e-5
 
 
 def graph_objective(prob, param_tensors, y_tensor, idx, smooth_eps):
@@ -91,9 +98,8 @@ class TestForward:
     @pytest.mark.parametrize("rows", [2 * _BLOCK_ROWS, 10 * _BLOCK_ROWS])
     def test_blocks_equal_unblocked_chain_on_the_cli_network(self, rows):
         """Bit for bit on the CLI's network (11 features, (64, 64), 4
-        instruments) at whole blocks: the condition under which a
-        full-batch gradient pass, one unblocked product, doubles as the
-        blocked per-epoch evaluation."""
+        instruments) at whole blocks: there a row's actions do not depend
+        on where the blocks of the evaluation fall."""
         rng = np.random.default_rng(8)
         mlp = init_mlp([11, 64, 64, 4], rng)
         feats = rng.normal(size=(rows, 11))
@@ -157,6 +163,15 @@ class TestFusedObjective:
             assert got.shape == want.shape
             assert np.array_equal(got, want)
 
+    @staticmethod
+    def assert_close(fused, ref, rtol=FLOAT32_RTOL):
+        """Value and each gradient within ``rtol`` of the reference's
+        largest entry, all float64."""
+        assert len(fused) == len(ref)
+        for got, want in zip(fused, ref):
+            assert got.shape == want.shape and got.dtype == np.float64
+            assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
     @pytest.mark.parametrize("family", ["exponential", "adjusted_mean_vol"])
     @pytest.mark.parametrize("costs", [False, True])
     @pytest.mark.parametrize("eps", [SMOOTH_EPS])  # the smoothing _objective fixes
@@ -169,13 +184,47 @@ class TestFusedObjective:
         ref = self.per_op(prob, mlp, 0.37, idx, eps)
         self.assert_bit_equal(fused, ref)
 
+    @pytest.mark.parametrize("family", ["exponential", "adjusted_mean_vol"])
+    @pytest.mark.parametrize("costs", [False, True])
+    @pytest.mark.parametrize("extras", [False, True], ids=["plain", "payoff_scale"])
+    def test_float32_pass_matches_float64(self, family, costs, extras):
+        """On a float32 workspace, the value and every gradient come back as
+        float64 arrays within FLOAT32_RTOL of the float64 objective on the
+        same parameters and rows."""
+        rng = np.random.default_rng(21)
+        prob, mlp = self.problem(rng, family, costs, extras)
+        idx = rng.choice(240, size=96, replace=False)
+        ws = _Workspace(96 * 4, [6, 16, 16, 3], np.float32)
+        self.assert_close(self.fused(prob, mlp, 0.37, idx, ws),
+                          self.fused(prob, mlp, 0.37, idx))
+
+    def test_float32_workspace_ignores_old_contents(self):
+        """A float32 workspace filled with signalling-NaN bits gives the
+        value and gradients of a zero-filled one bit for bit, with no
+        warning: no pass reads, or casts, what its buffers held."""
+        rng = np.random.default_rng(23)
+        prob, mlp = self.problem(rng, "exponential", True, True)
+        idx = rng.permutation(240)[:96]
+        results = []
+        for bits32, bits64 in ((0, 0), (0x7FA00000, 0x7FF4000000000000)):
+            ws = _Workspace(96 * 4, [6, 16, 16, 3], np.float32)
+            ws.feats.view(np.uint32)[...] = bits32
+            for l in range(3):
+                ws.layer(l, 96 * 4, np.uint32)[...] = bits32
+            ws.dh.view(np.uint64)[...] = bits64
+            ws.rates.view(np.uint64)[...] = bits64
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                results.append(self.fused(prob, mlp, 0.37, idx, ws))
+        self.assert_bit_equal(*results)
+
     def test_reused_workspace_ragged_then_full(self):
         """One workspace sized for 96-path minibatches serves a full one, a
         shorter last one and a full one again, each bit-equal to the
         per-op graph: no call reads rows another call left behind."""
         rng = np.random.default_rng(22)
         prob, mlp = self.problem(rng, "exponential", True, True)
-        ws = _Workspace(96 * 4, [6, 16, 16, 3])
+        ws = _Workspace(96 * 4, [6, 16, 16, 3], np.float64)
         perm = rng.permutation(240)
         for idx in (perm[:96], perm[96:136], perm[136:232]):
             fused = self.fused(prob, mlp, 0.37, idx, ws)
@@ -184,8 +233,9 @@ class TestFusedObjective:
 
 def test_minibatch_allocates_less_than_one_layer_buffer():
     """A steady-state minibatch (objective, then backward) on a reused
-    workspace allocates less than one (B*T x 64) float64 buffer: its
-    activations and gradients live in the workspace."""
+    workspace allocates less than one (B*T x 64) buffer of the
+    workspace's precision, float64 or float32: its activations and
+    gradients live in the workspace."""
     rng = np.random.default_rng(5)
     P, B, T, F, I = 2000, 1000, 10, 11, 4
     prob = _Problem(
@@ -199,16 +249,17 @@ def test_minibatch_allocates_less_than_one_layer_buffer():
     )
     mlp = init_mlp([F, 64, 64, I], rng)
     params = [a for pair in zip(mlp.weights, mlp.biases) for a in pair]
-    ws = _Workspace(B * T, [F, 64, 64, I])
     idx = rng.permutation(P)[:B]
-    _objective(prob, params, 0.1, idx, ws).backward()  # first touch of the buffers
-    tracemalloc.start()
-    try:
-        _objective(prob, params, 0.1, idx, ws).backward()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < B * T * 64 * 8
+    for dtype in (np.float64, np.float32):
+        ws = _Workspace(B * T, [F, 64, 64, I], dtype)
+        _objective(prob, params, 0.1, idx, ws).backward()  # first touch of the buffers
+        tracemalloc.start()
+        try:
+            _objective(prob, params, 0.1, idx, ws).backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < B * T * 64 * np.dtype(dtype).itemsize, dtype
 
 
 class TestGradient:
@@ -343,9 +394,9 @@ class TestTrain:
             assert np.array_equal(w1, w2)
 
     def test_ragged_minibatches_match_per_op_graph(self, monkeypatch):
-        """With P % batch != 0, every minibatch of ``train`` on its one
-        workspace, the short last one included, gives the per-op graph's
-        value and gradient bit for bit."""
+        """With P % batch != 0, every float32 minibatch pass of ``train`` on
+        its one workspace, the short last one included, gives the float64
+        per-op graph's value and gradient within FLOAT32_RTOL."""
         import driftless.trainer as trainer
         from driftless.autograd import Tensor as ObjectiveTensor
 
@@ -360,7 +411,7 @@ class TestTrain:
 
             def backward():
                 grads, y_grad = obj.backward()
-                TestFusedObjective.assert_bit_equal([obj.data, *grads, y_grad], ref)
+                TestFusedObjective.assert_close([obj.data, *grads, y_grad], ref)
                 return grads, y_grad
 
             return ObjectiveTensor(obj.data, backward)
@@ -552,25 +603,25 @@ class TestTrain:
         assert len(calls) == cfg.epochs
 
     @pytest.mark.parametrize("n_paths, n_steps", [(30, 3), (2000, 10)])
-    def test_full_batch_pass_is_the_last_epochs_evaluation(self, monkeypatch, n_paths,
-                                                           n_steps):
+    def test_full_batch_trace_is_each_epochs_float64_evaluation(self, monkeypatch, n_paths,
+                                                                n_steps):
         """In full batch, each epoch's trace entry equals, bit for bit, a
-        fresh full-sample evaluation at the parameters that end the epoch,
-        on one product's rows (30 x 3) and on two ``_BLOCK_ROWS`` blocks
-        (2000 x 10, the CLI's network).  Each epoch runs ``_objective``
-        once, and ``forward`` runs once, for the last epoch."""
+        fresh float64 full-sample evaluation at the parameters that end
+        the epoch, on one block's rows (30 x 3) and on two ``_BLOCK_ROWS``
+        blocks (2000 x 10, the CLI's network).  Each epoch runs one float32
+        ``_objective`` and one ``forward``."""
         import driftless.trainer as trainer
 
         real_objective, real_forward = trainer._objective, trainer.forward
-        starts, live, forwards = [], [], []
+        ends, live, dtypes = [], [], []
 
         def spy_objective(prob, params, y, idx, ws):
-            starts.append([p.copy() for p in params] + [y.copy()])
             live[:] = [prob, params + [y]]  # Adam updates these in place
+            dtypes.append(ws.dtype)
             return real_objective(prob, params, y, idx, ws)
 
         def spy_forward(*args):
-            forwards.append(None)
+            ends.append([p.copy() for p in live[1]])
             return real_forward(*args)
 
         monkeypatch.setattr(trainer, "_objective", spy_objective)
@@ -580,9 +631,8 @@ class TestTrain:
         cfg = TrainConfig(epochs=5, lr=0.01, seed=2, hidden=(64, 64))
         sol = train(bundle, rets, CostSpec(gamma_prop=0.002, mode="marginal"),
                     Utility("adjusted_mean_vol", 1.0), cfg)
-        assert len(starts) == cfg.epochs and len(forwards) == 1
-        prob, final = live
-        ends = starts[1:] + [final]
+        assert dtypes == [np.float32] * cfg.epochs and len(ends) == cfg.epochs
+        prob = live[0]
         fresh = []
         for end in ends:
             actions = real_forward(Mlp(weights=end[:-1:2], biases=end[1:-1:2]), prob.feats)
