@@ -174,27 +174,38 @@ def cmd_simulate(args, read):
     return 0
 
 
+def _make_q(bundle, rets, spec, utility, config, out):
+    """Train the statarb policy, run ``density``, and write the weights CSV
+    ``out`` and ``<out>.solution.json``.  Returns the solution, the density
+    weights and the two paths."""
+    sol = train(bundle, rets, spec, utility, config)
+    dw = density(sol, bundle, rets, spec, utility)
+    write_weights_csv(out, dw.weights)
+    sol.to_json(out + ".solution.json")
+    return sol, dw, [out, out + ".solution.json"]
+
+
+def _verify(bundle, rets, weights, spec, stem):
+    """Run ``verify_drift`` and write its report to ``<stem>.csv`` and
+    ``<stem>.json``.  Returns the report and the two paths."""
+    report = verify_drift(bundle, rets, weights, spec)
+    report.to_csv(stem + ".csv")
+    report.to_json(stem + ".json")
+    return report, [stem + ".csv", stem + ".json"]
+
+
 def cmd_make_q(args, read):
     rets = build_returns(args.bundle, args.instruments)
-    sol = train(args.bundle, rets, args.cost, args.utility, args.train)
-    dw = density(sol, args.bundle, rets, args.cost, args.utility)
-    write_weights_csv(args.out, dw.weights)
-    sol_path = args.out + ".solution.json"
-    sol.to_json(sol_path)
-    _manifest(args, read, [args.out, sol_path], seed=args.seed)
-    print(
-        f"density: raw mean error {dw.mean_error:.4g}, objective "
-        f"{sol.objective_value:.6g}"
-    )
+    sol, dw, written = _make_q(args.bundle, rets, args.cost, args.utility, args.train, args.out)
+    _manifest(args, read, written, seed=args.seed)
+    print(f"density: raw mean error {dw.mean_error:.4g}, objective {sol.objective_value:.6g}")
     return 0
 
 
 def cmd_verify(args, read):
     rets = build_returns(args.bundle, args.instruments)
-    report = verify_drift(args.bundle, rets, args.weights, args.cost)
-    report.to_csv(args.report + ".csv")
-    report.to_json(args.report + ".json")
-    _manifest(args, read, [args.report + ".csv", args.report + ".json"])
+    report, written = _verify(args.bundle, rets, args.weights, args.cost, args.report)
+    _manifest(args, read, written)
     print(f"verify: {len(report.rows) - report.n_failed}/{len(report.rows)} rows pass")
     return 0
 
@@ -230,33 +241,27 @@ def cmd_robustness(args, read):
 
 
 def cmd_demo(args, read):
-    """End-to-end pipeline on the synthetic desk-scale market.  The
-    arguments are checked, by building the train config and simulating,
-    before anything is written."""
+    """End-to-end pipeline on the synthetic desk-scale market: params.json
+    and the bundle, then the make-q and verify routines at the demo's cost,
+    utility and instruments.  The arguments are checked, by building the
+    train config and simulating, before anything is written."""
     out = args.out
     grid = desk_grid()
     params = desk_params(grid)
     cfg = TrainConfig(epochs=args.epochs, seed=args.seed)
-    bundle = simulate(
-        params, stationary_init(params), args.paths, args.steps, args.seed, grid
-    )
+    bundle = simulate(params, stationary_init(params), args.paths, args.steps, args.seed, grid)
     params.to_json(os.path.join(out, "params.json"))
     write_bundle(bundle, os.path.join(out, "bundle"))
 
     spec = CostSpec(gamma_prop=0.001, mode="marginal")
     util = Utility("exponential", 1.0)
     rets = build_returns(bundle, default_instruments())
-    sol = train(bundle, rets, spec, util, cfg)
-    dw = density(sol, bundle, rets, spec, util)
-    write_weights_csv(os.path.join(out, "weights.csv"), dw.weights)
-
-    report_u = verify_drift(bundle, rets, np.ones(bundle.n_paths), spec)
-    report_q = verify_drift(bundle, rets, dw.weights, spec)
-    report_u.to_csv(os.path.join(out, "drift_uniform.csv"))
-    report_q.to_csv(os.path.join(out, "drift_q.csv"))
-    report_q.to_json(os.path.join(out, "drift_q.json"))
-    names = ("params.json", "weights.csv", "drift_uniform.csv", "drift_q.csv", "drift_q.json")
-    _manifest(args, read, [os.path.join(out, f) for f in names], seed=args.seed)
+    _, dw, written = _make_q(bundle, rets, spec, util, cfg, os.path.join(out, "weights.csv"))
+    report_u, written_u = _verify(bundle, rets, np.ones(bundle.n_paths), spec,
+                                  os.path.join(out, "drift_uniform"))
+    report_q, written_q = _verify(bundle, rets, dw.weights, spec, os.path.join(out, "drift_q"))
+    _manifest(args, read, [os.path.join(out, "params.json"), *written, *written_u, *written_q],
+              seed=args.seed)
     print(
         f"demo: uniform {report_u.n_failed}/{len(report_u.rows)} rows fail; "
         f"Q* {report_q.n_failed}/{len(report_q.rows)} rows fail; "

@@ -28,12 +28,13 @@ from .trainer import train
 
 @dataclass(frozen=True)
 class PayoffSpec:
-    """Target claim: digital or vanilla at a relative strike, or a custom
-    per-path table.  ``side`` is +1 long, -1 short."""
+    """Target claim: digital or vanilla at a relative strike, paid after
+    ``maturity_steps`` >= 1 steps, or a custom per-path table, which takes
+    no maturity.  ``side`` is +1 long, -1 short."""
 
     kind: str  # digital_call | vanilla_call | vanilla_put | custom_table
     rel_strike: float = 1.0
-    maturity_steps: int = 0
+    maturity_steps: int = 0  # 0: none, as custom_table requires
     side: int = -1
     table: tuple = ()
 
@@ -45,8 +46,13 @@ class PayoffSpec:
             raise InputError(f"unknown payoff kind {self.kind!r}")
         if self.kind == "custom_table":
             object.__setattr__(self, "table", tuple(check_numbers(self.table, "payoff table")))
+            if self.maturity_steps:
+                raise InputError("payoff kind 'custom_table' takes no maturity_steps")
         elif self.table:
             raise InputError(f"payoff kind {self.kind!r} takes no table")
+        elif self.maturity_steps < 1:
+            raise InputError(f"payoff kind {self.kind!r} needs maturity_steps >= 1, "
+                             f"got {self.maturity_steps!r}")
         if self.kind != "custom_table" and self.rel_strike <= 0:
             raise InputError("strike must be positive")
         if self.side not in (-1, 1):
@@ -69,7 +75,7 @@ def payoff(spec, bundle):
             raise InputError("custom table length must equal n_paths")
         return z
     t = spec.maturity_steps
-    if not 0 <= t <= bundle.n_steps:
+    if t > bundle.n_steps:
         raise GridDomainError("payoff maturity beyond the simulation horizon")
     s = bundle.spots[:, t]
     k = spec.rel_strike

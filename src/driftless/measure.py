@@ -12,7 +12,7 @@ left under Q*.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -51,6 +51,10 @@ class DriftRow:
     passed: bool
 
 
+# a drift report's columns, one per DriftRow field in order ("pass" is passed)
+_FIELDS = ("t", "instrument", "mean_dh", "se", "band_lo", "band_hi", "pass")
+
+
 @dataclass
 class DriftReport:
     rows: list
@@ -65,32 +69,16 @@ class DriftReport:
         return sum(not r.passed for r in self.rows)
 
     def to_csv(self, path):
-        rows = self.rows
-        write_csv(path, ["t", "instrument", "mean_dh", "se", "band_lo", "band_hi", "pass"], [
-            [r.t for r in rows], [r.instrument for r in rows], [r.mean_dh for r in rows],
-            [r.se for r in rows], [r.band_lo for r in rows], [r.band_hi for r in rows],
-            [int(r.passed) for r in rows],
-        ])
+        """The rows, one CSV column per field; ``pass`` is written 1 or 0."""
+        *columns, passed = zip(*map(astuple, self.rows))
+        write_csv(path, _FIELDS, [*columns, np.array(passed, dtype=int)])
 
     def to_json(self, path):
-        def row_dict(r):
-            return {
-                "t": r.t,
-                "instrument": r.instrument,
-                "mean_dh": r.mean_dh,
-                "se": r.se,
-                "band_lo": r.band_lo,
-                "band_hi": r.band_hi,
-                "pass": r.passed,
-            }
-
-        doc = {
-            "all_pass": self.all_pass,
-            "rows": [row_dict(r) for r in self.rows],
-            "buckets": [
-                dict(row_dict(r), bucket=b) for b, r in self.bucket_rows
-            ],
-        }
+        """The verdict, the rows and the bucket rows, each row an object
+        keyed by field; a bucket row adds its ``bucket``."""
+        rows = [dict(zip(_FIELDS, astuple(r))) for r in self.rows]
+        buckets = [dict(zip(_FIELDS, astuple(r)), bucket=b) for b, r in self.bucket_rows]
+        doc = {"all_pass": self.all_pass, "rows": rows, "buckets": buckets}
         write_text(path, json.dumps(doc, indent=2))
 
 

@@ -187,32 +187,25 @@ def dlv_from_prices(grid, prices):
         raise InputError(f"prices must have shape {(m + 1, n + 2)}, got {C.shape}")
     if not np.all(np.isfinite(C)):
         raise InvalidSurfaceError("call grid contains non-finite entries")
-    xs = grid.all_strikes
-    taus = grid.all_taus
+    # squared one by one: pow(x, 2) on a scalar can differ in the last bit from
+    # the array square x * x
+    x2 = np.array([x ** 2 for x in grid.strikes])
+    gamma = np.diff(np.diff(C[1:], axis=1) / np.diff(grid.all_strikes), axis=1)
+    theta = np.diff(C[:, 1:-1], axis=0) / np.diff(grid.all_taus)[:, None]
 
-    sigma = np.zeros((m, n))
-    for j in range(1, m + 1):
-        dtau = taus[j] - taus[j - 1]
-        delta = np.diff(C[j]) / np.diff(xs)
-        gamma = np.diff(delta)
-        theta = (C[j, 1:-1] - C[j - 1, 1:-1]) / dtau
-        for i in range(n):
-            g, th = gamma[i], theta[i]
-            if abs(th) < _ZERO_TOL and abs(g) < _ZERO_TOL:
-                continue  # 0/0 convention: sigma = 0
-            if g < -_ZERO_TOL or (th > _ZERO_TOL and g <= _ZERO_TOL):
-                raise ArbitrageError(
-                    f"butterfly arbitrage at maturity {j}, strike {i + 1}",
-                    node=(j, i + 1),
-                )
-            if th < -_ZERO_TOL:
-                raise ArbitrageError(
-                    f"calendar arbitrage at maturity {j}, strike {i + 1}",
-                    node=(j, i + 1),
-                )
-            s = np.sqrt(2.0 * max(th, 0.0) / (xs[i + 1] ** 2 * g))
-            if s > SIGMA_MAX + _EDGE_TOL:
-                raise InvalidSurfaceError(f"DLV {s:.17g} at maturity {j}, strike {i + 1} "
-                                          f"is above SIGMA_MAX = {SIGMA_MAX}")
-            sigma[j - 1, i] = min(s, SIGMA_MAX)
-    return sigma
+    zero = (np.abs(theta) < _ZERO_TOL) & (np.abs(gamma) < _ZERO_TOL)  # 0/0: sigma = 0
+    butterfly = ~zero & ((gamma < -_ZERO_TOL) | ((theta > _ZERO_TOL) & (gamma <= _ZERO_TOL)))
+    calendar = ~zero & (theta < -_ZERO_TOL)
+    with np.errstate(divide="ignore", invalid="ignore"):  # at the nodes masked out
+        s = np.sqrt(2.0 * np.where(theta < 0.0, 0.0, theta) / (x2 * gamma))
+    above = ~(zero | butterfly | calendar) & (s > SIGMA_MAX + _EDGE_TOL)
+    bad = butterfly | calendar | above
+    if bad.any():
+        j, i = map(int, np.unravel_index(np.argmax(bad), bad.shape))
+        where = f"maturity {j + 1}, strike {i + 1}"
+        if butterfly[j, i] or calendar[j, i]:
+            kind = "butterfly" if butterfly[j, i] else "calendar"
+            raise ArbitrageError(f"{kind} arbitrage at {where}", node=(j + 1, i + 1))
+        raise InvalidSurfaceError(f"DLV {s[j, i]:.17g} at {where} "
+                                  f"is above SIGMA_MAX = {SIGMA_MAX}")
+    return np.where(zero, 0.0, np.minimum(s, SIGMA_MAX))

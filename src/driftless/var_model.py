@@ -206,10 +206,13 @@ def simulate(params, init, n_paths, n_steps, seed, grid):
     block, keeps the ones whose DLVs stay within SIGMA_MAX, and redraws the
     rest on the stream of the next retry, up to MAX_RETRIES times.  Every
     draw depends only on (seed, retry, path, step), so the bundle does not
-    depend on the blocking.
+    depend on the blocking.  Raises InputError on a ``seed`` outside
+    [0, 2**64), the key range of the generator.
     """
     if n_paths < 1 or n_steps < 1:
         raise InputError(f"n_paths and n_steps must be >= 1, got {n_paths} and {n_steps}")
+    if not 0 <= check_number(seed, "simulate seed", integer=True) < 2**64:
+        raise InputError(f"simulate seed must lie in [0, 2**64), got {seed}")
     d = params.dim
     m, n = grid.n_maturities, grid.n_strikes
     if d != 1 + m * n:

@@ -13,6 +13,7 @@ from driftless.hedging import PayoffSpec, payoff
 from driftless.market import read_json, read_weights_csv, write_weights_csv
 from driftless.oce import Utility
 from driftless.surface import DlvGrid
+from driftless.trainer import Mlp, Solution, train
 from driftless.var_model import (
     VarParams,
     desk_grid,
@@ -392,6 +393,45 @@ def test_hedge_and_robustness(tmp_path, bundle_dir):
     assert doc["entries"][0]["delta_p"] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_json_input_that_does_not_parse_exit_1(tmp_path, capsys):
+    params = tmp_path / "params.json"
+    params.write_text("{not json")
+    rc = main(["simulate", "--params", str(params), "--paths", "5", "--steps", "2",
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert f"error in simulate: {params}:" in capsys.readouterr().err
+
+
+def test_simulate_initial_vol_above_ceiling_exit_2(tmp_path, capsys):
+    """The README's d = 2 params.json with b[1] = 20 starts the DLV at its
+    stationary level, about 14, above SIGMA_MAX: a numerical failure, exit
+    2, and no bundle written."""
+    params, grid = tmp_path / "params.json", tmp_path / "grid.json"
+    params.write_text(json.dumps({"a1": [[0.0, 0.0], [0.0, -239.4]],
+                                  "a2": [[0.0, 0.0], [0.0, -5.04]], "b": [0.18, 20.0],
+                                  "chol": [[0.2, 0.0], [-0.159, 0.275]]}))
+    grid.write_text(json.dumps({"strikes": [1.0], "maturities_days": [20]}))
+    out = tmp_path / "o"
+    rc = main(["simulate", "--params", str(params), "--grid", str(grid), "--paths", "5",
+               "--steps", "2", "--out", str(out)])
+    assert rc == 2
+    assert "initial state breaches the vol ceiling" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "two_to_64"])
+def test_simulate_seed_outside_key_range_exit_1(tmp_path, params_file, capsys, seed):
+    """The generator keys on the seed mod 2^64, so a seed outside [0, 2^64)
+    would give another seed's paths under its own name: exit 1, and nothing
+    is written."""
+    out = tmp_path / "o"
+    rc = main(["--seed", str(seed), "simulate", "--params", str(params_file),
+               "--paths", "5", "--steps", "2", "--out", str(out)])
+    assert rc == 1
+    assert "simulate seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_params_file(tmp_path, capsys):
     rc = main([
         "simulate", "--params", str(tmp_path / "absent.json"),
@@ -401,15 +441,53 @@ def test_missing_params_file(tmp_path, capsys):
     assert "absent.json" in capsys.readouterr().err
 
 
-def test_demo_small(tmp_path):
+def test_demo_small(tmp_path, monkeypatch):
+    """The demo writes every artefact, run.json lists them, and its
+    solution file loads with the trained solution's y* and objective."""
+    trained = []
+
+    def recording_train(*args):
+        trained.append(train(*args))
+        return trained[-1]
+
+    monkeypatch.setattr("driftless.cli.train", recording_train)
     rc = main([
         "--seed", "1", "demo", "--paths", "300", "--steps", "4",
         "--epochs", "20", "--out", str(tmp_path / "demo"),
     ])
     assert rc == 0
-    for name in ("params.json", "weights.csv", "drift_uniform.csv",
-                 "drift_q.csv", "run.json"):
+    names = ["params.json", "weights.csv", "weights.csv.solution.json", "drift_uniform.csv",
+             "drift_uniform.json", "drift_q.csv", "drift_q.json"]
+    for name in names + ["run.json"]:
         assert (tmp_path / "demo" / name).exists()
+    outputs = json.loads((tmp_path / "demo" / "run.json").read_text())["outputs"]
+    assert outputs == sorted(str(tmp_path / "demo" / name) for name in names)
+    sol = Solution.from_dict(read_json(tmp_path / "demo" / "weights.csv.solution.json"))
+    assert (sol.y_star, sol.objective_value) == (trained[0].y_star, trained[0].objective_value)
+
+
+def test_demo_stages_reproduce_its_artefacts(tmp_path):
+    """make-q and verify, run on the demo's bundle with the demo's cost,
+    utility, instruments and train settings, write the demo's weights,
+    solution and both drift reports byte for byte."""
+    demo, bundle = tmp_path / "demo", str(tmp_path / "demo" / "bundle")
+    assert main(["--seed", "2", "demo", "--paths", "300", "--steps", "4", "--epochs", "20",
+                 "--out", str(demo)]) == 0
+    cost = str(write_cost(tmp_path))
+    train_cfg = tmp_path / "train.json"
+    train_cfg.write_text(json.dumps({"epochs": 20, "seed": 2}))
+    out = tmp_path / "stages"
+    assert main(["make-q", "--bundle", bundle, "--cost", cost,
+                 "--utility", str(write_utility(tmp_path)), "--train", str(train_cfg),
+                 "--out", str(out / "weights.csv")]) == 0
+    write_weights_csv(tmp_path / "ones.csv", np.ones(300))
+    for weights, stem in ((tmp_path / "ones.csv", "drift_uniform"),
+                          (out / "weights.csv", "drift_q")):
+        assert main(["verify", "--bundle", bundle, "--weights", str(weights), "--cost", cost,
+                     "--report", str(out / stem)]) == 0
+    for name in ("weights.csv", "weights.csv.solution.json", "drift_uniform.csv",
+                 "drift_uniform.json", "drift_q.csv", "drift_q.json"):
+        assert (out / name).read_bytes() == (demo / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("argv", [
@@ -475,7 +553,7 @@ def test_verify_bad_instruments_exit_1(tmp_path, bundle_dir, capsys, doc):
 
 @pytest.mark.parametrize("doc", [{"epochs": "5"}, {"seed": True}, {"lr": float("nan")},
                                  {"hidden": [8.5]}, {"lr_decay": -1}, {"lr_decay": 0},
-                                 {"seed": -1}, {"lr": 10**400}])
+                                 {"seed": -1}, {"lr": 10**400}, {"hidden": 64}])
 def test_make_q_bad_config_value_exit_1(tmp_path, bundle_dir, capsys, doc):
     train_cfg = tmp_path / "train.json"
     train_cfg.write_text(json.dumps(doc))
@@ -517,13 +595,15 @@ def test_make_q_bad_config_value_exit_1(tmp_path, bundle_dir, capsys, doc):
      "lacks row ['r'] [1]"),
     ("fit-var", "history.csv",
      lambda t: "\n".join(line.split(",")[0] for line in t.splitlines()), "Y column"),
+    ("hedge", "payoff.json", lambda d: {k: v for k, v in d.items() if k != "maturity_steps"},
+     "maturity_steps"),
 ], ids=["cost_nan_gamma", "cost_string_gamma", "utility_nan_lambda", "utility_string_lambda",
         "utility_lambda_square_overflows", "payoff_string_strike", "payoff_string_maturity",
         "payoff_float_side", "payoff_string_table", "params_empty", "params_zero_dt",
         "params_negative_dt", "params_ragged_a1", "params_string_b", "params_upper_chol",
         "meta_string_paths", "meta_float_steps", "meta_negative_steps", "meta_string_seed",
         "meta_string_has_weights", "history_repeated_r", "history_missing_r",
-        "history_no_y_columns"])
+        "history_no_y_columns", "payoff_no_maturity"])
 def test_bad_input_value_exit_1(tmp_path, params_file, history_file, bundle_dir, capsys, command,
                                 name, edit, key):
     """Each edit of a JSON file or, for the history, of the CSV text exits 1
@@ -653,6 +733,8 @@ def _simulate(changes):
     (_simulate, {"grid": DlvGrid(strikes=(0.95, 1.05), maturities=(20 / 252,))}),
     (_params_from, {"b": 0.0}),
     (_params_from, {"b": [[0.0], [0.0]]}),  # a column: its length would pass for dim 2
+    (_params_from, {"a2": [[0.0]]}),
+    (Mlp.from_dict, {"weights": {}, "biases": []}),
 ])
 def test_bad_config_raises_package_error(reader, doc):
     """A config that parses but breaks a domain rule raises a package

@@ -25,7 +25,8 @@ CONFIGS = {
     CostSpec: (CostSpec.from_dict, {}, {}, [("gamma_prop", "gamma", False, False)]),
     Utility: (Utility.from_dict, {"family": "exponential"}, {"family": "exponential"},
               [("lam", "lambda", False, False)]),
-    PayoffSpec: (PayoffSpec.from_dict, {"kind": "vanilla_call"}, {"kind": "vanilla_call"},
+    PayoffSpec: (PayoffSpec.from_dict, {"kind": "vanilla_call", "maturity_steps": 1},
+                 {"kind": "vanilla_call", "maturity_steps": 1},
                  [("rel_strike", "rel_strike", False, False),
                   ("maturity_steps", "maturity_steps", True, False),
                   ("side", "side", True, False)]),

@@ -92,12 +92,19 @@ class TestPayoff:
         ("custom_table", {"table": ("1", "2")}, "table"),
         ("custom_table", {}, "table"),
         ("vanilla_call", {"table": (1.0, 2.0)}, "table"),
+        ("vanilla_call", {}, "maturity_steps >= 1, got 0"),
+        ("digital_call", {"maturity_steps": -1}, "maturity_steps >= 1, got -1"),
+        ("vanilla_put", {"maturity_steps": 0}, "maturity_steps >= 1, got 0"),
+        ("custom_table", {"table": (1.0,), "maturity_steps": 2}, "takes no maturity_steps"),
     ], ids=["fractional_maturity", "nan_strike", "float_side", "nan_table", "string_table",
-            "no_table", "table_on_vanilla"])
+            "no_table", "table_on_vanilla", "no_maturity", "negative_maturity", "zero_maturity",
+            "maturity_on_table"])
     def test_numeric_fields_checked(self, kind, kwargs, field):
         """A non-finite or (for maturity_steps and side) non-integer field,
-        a custom table that is empty or not all finite numbers, or a table on
-        another kind, is refused with an InputError that names the field."""
+        a custom table that is empty or not all finite numbers, a table on
+        another kind, a maturity below 1 step on a kind other than
+        custom_table, or a maturity on custom_table, is refused with an
+        InputError that names the field."""
         with pytest.raises(InputError, match=field):
             PayoffSpec(kind, **kwargs)
 

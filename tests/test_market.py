@@ -268,8 +268,9 @@ class TestBundleIo:
             (["0,0.5", "1,1.5", "7,1.0"], "lacks row ['path'] [2]"),  # out of range
             (["0,0.5", "-1,1.5"], "non-negative integers"),  # negative
             (["0,0.5", "1"], "block from line 2"),  # short row
+            (["0,0.5,9", "1,1.5,9"], "line 2: 3 fields, header has 2"),  # rows wider than header
         ],
-        ids=[f"rows{i}" for i in range(5)],
+        ids=[f"rows{i}" for i in range(6)],
     )
     def test_weights_csv_bad_path_index_rejected(self, tmp_path, rows, match):
         f = tmp_path / "w.csv"
@@ -310,6 +311,7 @@ class TestBundleIo:
             lambda lines: lines[:-1] + ['"' + lines[-1].replace(",", '","') + '"'],  # quoted
             lambda lines: lines[:2] + [""] + lines[2:],  # blank line
             lambda lines: lines[:1] + ["0.5" + lines[1][1:]] + lines[2:],  # fractional path
+            lambda lines: [lines[0] + ",extra"] + lines[1:],  # header wider than the grid's
         ],
     )
     def test_bad_paths_csv_rejected(self, tmp_path, edit):

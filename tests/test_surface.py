@@ -325,3 +325,23 @@ class TestDlvFromPrices:
             dlv_from_prices(g, prices)
         assert err.value.node is not None
         assert err.value.node[0] == 2
+
+    def test_butterfly_arbitrage_names_node(self):
+        """A price above the chord of its strike neighbours is a butterfly
+        arbitrage at its node; at a node that is also a calendar arbitrage,
+        the butterfly is named."""
+        g = small_grid()
+        prices = prices_from_dlv_batch(g, np.full((3, 3), 0.3))
+        bumped = prices.copy()
+        bumped[2, 2] += 0.05  # concave at (2, 2); a calendar arbitrage at (3, 2) too
+        with pytest.raises(ArbitrageError, match="butterfly arbitrage at maturity 2, strike 2"
+                           ) as err:
+            dlv_from_prices(g, bumped)
+        assert err.value.node == (2, 2)
+        both = prices.copy()
+        both[0, 1] += 0.01  # theta < 0 at (1, 1)
+        both[1, 2] -= 0.01  # gamma < 0 at (1, 1)
+        with pytest.raises(ArbitrageError, match="butterfly arbitrage at maturity 1, strike 1"
+                           ) as err:
+            dlv_from_prices(g, both)
+        assert err.value.node == (1, 1)
