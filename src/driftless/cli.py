@@ -4,11 +4,12 @@ robustness, plus an end-to-end demo.
 Every subcommand is deterministic given its inputs and seed, for a fixed
 BLAS build and thread count.  Only the CLI reads a JSON config; each class
 parses it with its ``from_dict`` (instruments with ``errors.from_config``).
-Every file a subcommand writes goes through ``market.write_text``, so each
-artifact, run.json included, is replaced atomically (temp file + rename); a
-bundle's meta.json is written after its CSVs.  Each subcommand reads and
-checks every input before it starts work, and its run.json manifest records
-the sha256 of exactly the files read, the seed used and versions.
+Every file a subcommand writes goes through ``market.write_text``, a JSON
+one through ``market.write_json``, so each artifact, run.json included, is
+replaced atomically (temp file + rename); a bundle's meta.json is written
+after its CSVs.  Each subcommand reads and checks every input before it
+starts work, and its run.json manifest records the sha256 of exactly the
+files read, the seed used and versions.
 Exit codes: 0 success; 1 validation error, unreadable file, or sizes too
 large to allocate (MemoryError); 2 numerical failure.
 """
@@ -18,7 +19,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import json
 import os
 import sys
 
@@ -42,7 +42,7 @@ from .market import (
     read_weights_csv,
     write_bundle,
     write_csv,
-    write_text,
+    write_json,
     write_weights_csv,
 )
 from .measure import density, verify_drift
@@ -80,7 +80,7 @@ def _manifest(args, read, outputs, seed=None):
         "outputs": sorted(outputs),
     }
     out_dir = os.path.dirname(outputs[0]) or "."
-    write_text(os.path.join(out_dir, "run.json"), json.dumps(doc, indent=2, sort_keys=True))
+    write_json(os.path.join(out_dir, "run.json"), doc)
 
 
 def _instruments(doc):
@@ -160,7 +160,7 @@ def _load(args):
 
 def cmd_fit_var(args, read):
     params, _ = fit_var(args.history)
-    params.to_json(args.out)
+    write_json(args.out, params.to_dict())
     _manifest(args, read, [args.out])
     return 0
 
@@ -181,7 +181,7 @@ def _make_q(bundle, rets, spec, utility, config, out):
     sol = train(bundle, rets, spec, utility, config)
     dw = density(sol, bundle, rets, spec, utility)
     write_weights_csv(out, dw.weights)
-    sol.to_json(out + ".solution.json")
+    write_json(out + ".solution.json", sol.to_dict())
     return sol, dw, [out, out + ".solution.json"]
 
 
@@ -190,7 +190,7 @@ def _verify(bundle, rets, weights, spec, stem):
     ``<stem>.json``.  Returns the report and the two paths."""
     report = verify_drift(bundle, rets, weights, spec)
     report.to_csv(stem + ".csv")
-    report.to_json(stem + ".json")
+    write_json(stem + ".json", report.to_dict())
     return report, [stem + ".csv", stem + ".json"]
 
 
@@ -214,7 +214,7 @@ def cmd_hedge(args, read):
     rets = build_returns(args.bundle, args.instruments)
     z = payoff(args.payoff, args.bundle)
     result = deep_hedge(args.bundle, rets, args.weights, z, args.cost, args.utility, args.train)
-    result.to_json(args.out)
+    write_json(args.out, result.to_dict())
     counts, edges = np.histogram(result.pnl, bins=60)
     write_csv(args.out + ".pnl_hist.csv", ["bin_lo", "bin_hi", "count"],
               [edges[:-1], edges[1:], counts])
@@ -230,7 +230,7 @@ def cmd_robustness(args, read):
     hedge_p = deep_hedge(bundle, rets, None, z, spec, util, cfg)
     hedge_q = deep_hedge(bundle, rets, args.weights, z, spec, util, cfg)
     report = robustness_eval(hedge_p, hedge_q, util, args.entropies)
-    write_text(args.out, json.dumps(report, indent=2, sort_keys=True))
+    write_json(args.out, report)
     _manifest(args, read, [args.out], seed=args.seed)
     for e in report["entries"]:
         print(
@@ -250,7 +250,7 @@ def cmd_demo(args, read):
     params = desk_params(grid)
     cfg = TrainConfig(epochs=args.epochs, seed=args.seed)
     bundle = simulate(params, stationary_init(params), args.paths, args.steps, args.seed, grid)
-    params.to_json(os.path.join(out, "params.json"))
+    write_json(os.path.join(out, "params.json"), params.to_dict())
     write_bundle(bundle, os.path.join(out, "bundle"))
 
     spec = CostSpec(gamma_prop=0.001, mode="marginal")

@@ -56,6 +56,13 @@ def check_number(value, what, integer=False):
     return value
 
 
+def check_seed(value, what):
+    """Reject a seed that is not an integer in [0, 2**64), the generator's key range."""
+    if not 0 <= check_number(value, what, integer=True) < 2**64:
+        raise InputError(f"{what} must lie in [0, 2**64), got {value}")
+    return value
+
+
 def check_numbers(values, what):
     """Reject a config value that is not a non-empty list of finite numbers.
     Returns ``values``."""

@@ -7,7 +7,6 @@ portfolio is zero, so -CE(Z) prices the claim Z.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -21,7 +20,6 @@ from .errors import (
     check_numbers,
     from_config,
 )
-from .market import write_text
 from .oce import concave_argmax, oce_sup
 from .trainer import train
 
@@ -96,14 +94,13 @@ class HedgeResult:
     pnl: np.ndarray  # per path, Z + G - C (no cash offset)
     stats: dict = field(default_factory=dict)
 
-    def to_json(self, path):
-        doc = {
+    def to_dict(self):
+        return {
             "policy": self.policy.to_dict(),
             "y_star": self.y_star,
             "certainty_equivalent": self.certainty_equivalent,
             "stats": self.stats,
         }
-        write_text(path, json.dumps(doc))
 
 
 def _pnl_stats(pnl):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridDomainError, InputError, check_keys, check_number
+from .errors import GridDomainError, InputError, check_keys, check_number, check_seed
 from .surface import DAYS_PER_YEAR, SIGMA_MAX, DlvGrid, prices_from_dlv_batch
 
 SIGMA_FLOOR = 1e-6  # floor before log features; keeps sigma = 0 nodes finite
@@ -216,12 +216,12 @@ def feature_matrix(bundle):
 
 # ---------------------------------------------------------------------------
 # File IO.  Every file the package writes goes through write_text, every JSON
-# file it reads through read_json, every CSV through write_csv / read_csv.
-# CSV layout: a header row, then rows of ","-joined fields with no quoting or
-# comments, "\r\n" line ends, floats as shortest round-trip decimals (repr),
-# so a read returns the written floats bit for bit.  Rows move in blocks of
-# _BLOCK_ROWS: no whole-file text is held, and a bundle read fills its arrays
-# block by block.
+# file through write_json (indented by two, keys sorted) / read_json, every
+# CSV through write_csv / read_csv.  CSV layout: a header row, then rows of
+# ","-joined fields with no quoting or comments, "\r\n" line ends, floats as
+# shortest round-trip decimals (repr), so a read returns the written floats
+# bit for bit.  Rows move in blocks of _BLOCK_ROWS: no whole-file text is
+# held, and a bundle read fills its arrays block by block.
 # ---------------------------------------------------------------------------
 
 _BLOCK_ROWS = 10_000
@@ -246,6 +246,11 @@ def write_text(path, text):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json(path, doc):
+    """Write the JSON document ``doc`` to ``path`` in the layout above."""
+    write_text(path, json.dumps(doc, indent=2, sort_keys=True))
 
 
 def read_json(path):
@@ -275,8 +280,9 @@ def write_csv(path, header, columns):
 
 
 def read_csv(path, what, width=None):
-    """Yield the float row blocks, of at most _BLOCK_ROWS rows each, of a
-    CSV in the layout above.  Raises InputError naming ``what`` and the file
+    """Yield ``(line, block)`` for each float row block, of at most
+    _BLOCK_ROWS rows, of a CSV in the layout above; ``line`` is the file
+    line of its first row.  Raises InputError naming ``what`` and the file
     on an empty file, a header with no rows, a blank or ragged row, a
     non-numeric field, or a column count other than ``width`` when given."""
     with open(path) as fh:
@@ -297,25 +303,24 @@ def read_csv(path, what, width=None):
             if block.shape[1] != len(header):
                 raise InputError(f"{what} {path} line {line}: {block.shape[1]} fields, "
                                  f"header has {len(header)}")
-            yield block
+            yield line, block
             line += len(lines)
     if line == 2:
         raise InputError(f"{what} {path} has a header but no rows")
 
 
 def place_rows(path, blocks, keys):
-    """Yield ``(index, block)`` for each row block of ``path``, where
-    ``index`` is the flat C-order position of each row's key: its leading
-    columns, named and sized by the dict ``keys``.  The rows must hold each
-    key exactly once: raises InputError on a key that is not a non-negative
-    integer or is repeated, then on a missing key (naming the first, which
-    a key beyond the size displaced when the row count sets the size), then
-    on a key beyond its size."""
+    """Yield ``(line, index, block)`` for each read_csv ``(line, block)`` of
+    ``path``, where ``index`` is the flat C-order position of each row's key:
+    its leading columns, named and sized by the dict ``keys``.  The rows
+    must hold each key exactly once: raises InputError on a key that is not
+    a non-negative integer or is repeated, then on a missing key (naming the
+    first, which a key beyond the size displaced when the row count sets the
+    size), then on a key beyond its size."""
     names, shape = list(keys), tuple(keys.values())
     count = np.zeros(shape, dtype=int)
     beyond = None  # the error for the first key beyond its size
-    line = 2
-    for block in blocks:
+    for line, block in blocks:
         key = block[:, :len(shape)]
         bad = ~((key == np.floor(key)) & (key >= 0)).all(axis=1)
         if bad.any():
@@ -336,8 +341,7 @@ def place_rows(path, blocks, keys):
                 r = int(np.argmax(repeated))
                 raise InputError(f"{path} line {line + r}: row {names} "
                                  f"{[int(k) for k in key[r]]} repeated")
-            yield index, block
-        line += len(block)
+            yield line, index, block
     if not count.all():
         first = [int(k) for k in np.argwhere(count == 0)[0]]
         raise InputError(f"{path} lacks row {names} {first}")
@@ -364,18 +368,18 @@ def write_bundle(bundle, directory):
         "seed": bundle.seed,
         "provenance": bundle.provenance,
     }
-    write_text(os.path.join(directory, "meta.json"), json.dumps(meta, indent=2, sort_keys=True))
+    write_json(os.path.join(directory, "meta.json"), meta)
 
 
 def read_bundle(directory):
     """Read a bundle directory.  Raises InputError when meta.json lacks a
     required key, has an unknown one, a size that is not a positive
-    integer, a ``provenance`` that is not a string, or a ``has_weights``
-    other than false (the key bundles once carried), or when paths.csv does
-    not hold each (path, step) row of the declared sizes exactly once, with
-    one finite spot > 0 and m*n DLVs in [0, SIGMA_MAX] per row.  Sizes that
-    paths.csv is too small to hold are refused before any array is
-    allocated."""
+    integer, a ``seed`` outside [0, 2**64), a ``provenance`` that is not a
+    string, or a ``has_weights`` other than false (the key bundles once
+    carried), or when paths.csv does not hold each (path, step) row of the
+    declared sizes exactly once, with one finite spot > 0 and m*n DLVs in
+    [0, SIGMA_MAX] per row.  Sizes that paths.csv is too small to hold are
+    refused before any array is allocated."""
     meta = read_json(os.path.join(directory, "meta.json"))
     check_keys(meta, ("grid", "n_paths", "n_steps", "seed", "provenance", "has_weights"),
                "bundle meta", required=("grid", "n_paths", "n_steps"))
@@ -384,7 +388,7 @@ def read_bundle(directory):
             for k in ("n_paths", "n_steps"))
     if P < 1 or T < 1:
         raise InputError(f"bundle meta sizes must be positive, got n_paths {P}, n_steps {T}")
-    seed = check_number(meta.get("seed", 0), "bundle meta 'seed'", integer=True)
+    seed = check_seed(meta.get("seed", 0), "bundle meta 'seed'")
     provenance = meta.get("provenance", "")
     if not isinstance(provenance, str):
         raise InputError(f"bundle meta 'provenance' must be a string, got {provenance!r}")
@@ -403,8 +407,7 @@ def read_bundle(directory):
     spots = np.empty((P, T + 1))
     sigmas = np.empty((P, T + 1, m, n))
     rows = read_csv(path, "bundle paths CSV", width=3 + m * n)
-    line = 2
-    for index, block in place_rows(path, rows, {"path": P, "step": T + 1}):
+    for line, index, block in place_rows(path, rows, {"path": P, "step": T + 1}):
         dlvs = block[:, 3:]
         bad = ~(((dlvs >= 0) & (dlvs <= SIGMA_MAX)).all(axis=1)
                 & (block[:, 2] > 0) & (block[:, 2] < np.inf))
@@ -416,19 +419,24 @@ def read_bundle(directory):
                              f"largest DLV {float(dlvs[r].max())!r}")
         spots.flat[index] = block[:, 2]
         sigmas.reshape(P * (T + 1), m * n)[index] = block[:, 3:]
-        line += len(block)
 
     return bundle_from_sigmas(grid, spots, sigmas, seed=seed, provenance=provenance)
 
 
+def read_keyed_csv(path, what, key, width=None):
+    """The value columns of a CSV, as an (n, columns - 1) array whose row r
+    is the row keyed r, where the key column, named ``key``, must hold each
+    of 0..n-1 exactly once for n data rows.  Raises InputError otherwise."""
+    blocks = list(read_csv(path, what, width))
+    values = np.empty((sum(len(b) for _, b in blocks), blocks[0][1].shape[1] - 1))
+    for _, index, block in place_rows(path, blocks, {key: len(values)}):
+        values[index] = block[:, 1:]
+    return values
+
+
 def read_weights_csv(path):
-    """Weights indexed by the path column, which must hold each of
-    0..n-1 exactly once for n data rows.  Raises InputError otherwise."""
-    blocks = list(read_csv(path, "weights CSV", width=2))
-    weights = np.empty(sum(len(b) for b in blocks))
-    for index, block in place_rows(path, blocks, {"path": len(weights)}):
-        weights[index] = block[:, 1]
-    return weights
+    """Weights placed by the path column as read_keyed_csv places rows."""
+    return read_keyed_csv(path, "weights CSV", "path", width=2)[:, 0]
 
 
 def write_weights_csv(path, weights):

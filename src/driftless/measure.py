@@ -11,14 +11,13 @@ left under Q*.
 
 from __future__ import annotations
 
-import json
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from .errors import UtilityDomainError
 from .frictions import CostSpec, marginal_rate
-from .market import check_returns, check_weights, write_csv, write_text
+from .market import check_returns, check_weights, write_csv
 from .oce import legendre, u_deriv
 from .trainer import evaluate_policy, train
 
@@ -73,13 +72,12 @@ class DriftReport:
         *columns, passed = zip(*map(astuple, self.rows))
         write_csv(path, _FIELDS, [*columns, np.array(passed, dtype=int)])
 
-    def to_json(self, path):
+    def to_dict(self):
         """The verdict, the rows and the bucket rows, each row an object
         keyed by field; a bucket row adds its ``bucket``."""
         rows = [dict(zip(_FIELDS, astuple(r))) for r in self.rows]
         buckets = [dict(zip(_FIELDS, astuple(r)), bucket=b) for b, r in self.bucket_rows]
-        doc = {"all_pass": self.all_pass, "rows": rows, "buckets": buckets}
-        write_text(path, json.dumps(doc, indent=2))
+        return {"all_pass": self.all_pass, "rows": rows, "buckets": buckets}
 
 
 def density(solution, bundle, returns, spec, utility):

@@ -187,9 +187,7 @@ def dlv_from_prices(grid, prices):
         raise InputError(f"prices must have shape {(m + 1, n + 2)}, got {C.shape}")
     if not np.all(np.isfinite(C)):
         raise InvalidSurfaceError("call grid contains non-finite entries")
-    # squared one by one: pow(x, 2) on a scalar can differ in the last bit from
-    # the array square x * x
-    x2 = np.array([x ** 2 for x in grid.strikes])
+    x2 = grid.all_strikes[1:-1] ** 2
     gamma = np.diff(np.diff(C[1:], axis=1) / np.diff(grid.all_strikes), axis=1)
     theta = np.diff(C[:, 1:-1], axis=0) / np.diff(grid.all_taus)[:, None]
 

@@ -38,7 +38,6 @@ workspace.  The per-epoch evaluation runs after the epoch's last
 from __future__ import annotations
 
 import copy
-import json
 import mmap
 from dataclasses import dataclass, field
 
@@ -47,7 +46,7 @@ import numpy as np
 from .autograd import Tensor
 from .errors import InputError, TrainingError, check_array, check_keys, check_number, from_config
 from .frictions import marginal_rate
-from .market import check_per_path, check_returns, check_weights, feature_matrix, write_text
+from .market import check_per_path, check_returns, check_weights, feature_matrix
 from .oce import Utility, concave_argmax, oce_sup, u_deriv, u_value
 
 
@@ -227,18 +226,17 @@ class Solution:
     costs: np.ndarray | None = None  # (P,)
     pre_utility: np.ndarray | None = None  # (P,)
 
-    def to_json(self, path):
-        doc = {
+    def to_dict(self):
+        return {
             "policy": self.policy.to_dict(),
             "y_star": self.y_star,
             "objective_value": self.objective_value,
             "config": self.config.to_dict() if self.config else None,
         }
-        write_text(path, json.dumps(doc))
 
     @classmethod
     def from_dict(cls, doc):
-        """Parse a ``to_json`` document; raises InputError if it is malformed."""
+        """Parse a ``to_dict`` document; raises InputError if it is malformed."""
         keys = ("policy", "y_star", "objective_value", "config")
         check_keys(doc, keys, "solution", required=keys[:3])
         cfg = TrainConfig.from_dict(doc["config"]) if doc.get("config") else None

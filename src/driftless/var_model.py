@@ -17,13 +17,12 @@ output does not depend on the blocking or the order of the rounds.
 from __future__ import annotations
 
 import dataclasses
-import json
 
 import numpy as np
 
 from .errors import (FitError, InputError, SimulationError, check_array, check_number,
-                     from_config)
-from .market import bundle_from_sigmas, place_rows, read_csv, write_text
+                     check_seed, from_config)
+from .market import bundle_from_sigmas, read_keyed_csv
 from .surface import DAYS_PER_YEAR, SIGMA_MAX, DlvGrid
 
 MAX_RETRIES = 100
@@ -65,9 +64,8 @@ class VarParams:
     def dim(self):
         return len(self.b)
 
-    def to_json(self, path):
-        doc = {f.name: getattr(self, f.name).tolist() for f in dataclasses.fields(self)}
-        write_text(path, json.dumps(doc, indent=2, sort_keys=True))
+    def to_dict(self):
+        return {f.name: getattr(self, f.name).tolist() for f in dataclasses.fields(self)}
 
     @classmethod
     def from_dict(cls, d):
@@ -206,13 +204,13 @@ def simulate(params, init, n_paths, n_steps, seed, grid):
     block, keeps the ones whose DLVs stay within SIGMA_MAX, and redraws the
     rest on the stream of the next retry, up to MAX_RETRIES times.  Every
     draw depends only on (seed, retry, path, step), so the bundle does not
-    depend on the blocking.  Raises InputError on a ``seed`` outside
-    [0, 2**64), the key range of the generator.
+    depend on the blocking.  Raises InputError on a size that is not an
+    integer >= 1, or a ``seed`` outside [0, 2**64).
     """
-    if n_paths < 1 or n_steps < 1:
-        raise InputError(f"n_paths and n_steps must be >= 1, got {n_paths} and {n_steps}")
-    if not 0 <= check_number(seed, "simulate seed", integer=True) < 2**64:
-        raise InputError(f"simulate seed must lie in [0, 2**64), got {seed}")
+    for name, size in (("n_paths", n_paths), ("n_steps", n_steps)):
+        if check_number(size, f"simulate {name}", integer=True) < 1:
+            raise InputError(f"n_paths and n_steps must be >= 1, got {n_paths} and {n_steps}")
+    check_seed(seed, "simulate seed")
     d = params.dim
     m, n = grid.n_maturities, grid.n_strikes
     if d != 1 + m * n:
@@ -335,11 +333,6 @@ def read_history_csv(path):
     """Read an (N, d) Y history from a CSV: a header, then one row per
     observation, each the observation index ``r`` and the d components of
     Y_r (dlogS, then the log DLVs), as in
-    ``r,dlogS,logdlv_1_1,...,logdlv_m_n``.  Rows are placed by ``r``, which
-    must hold each of 0..N-1 exactly once for N data rows; raises InputError
-    otherwise."""
-    blocks = list(read_csv(path, "history CSV"))
-    history = np.empty((sum(len(b) for b in blocks), blocks[0].shape[1] - 1))
-    for index, block in place_rows(path, blocks, {"r": len(history)}):
-        history[index] = block[:, 1:]
-    return history
+    ``r,dlogS,logdlv_1_1,...,logdlv_m_n``.  Rows are placed by ``r`` as
+    read_keyed_csv places them."""
+    return read_keyed_csv(path, "history CSV", "r")

@@ -10,7 +10,7 @@ from driftless.cli import _instruments, main
 from driftless.errors import DriftlessError
 from driftless.frictions import CostSpec
 from driftless.hedging import PayoffSpec, payoff
-from driftless.market import read_json, read_weights_csv, write_weights_csv
+from driftless.market import read_json, read_weights_csv, write_json, write_weights_csv
 from driftless.oce import Utility
 from driftless.surface import DlvGrid
 from driftless.trainer import Mlp, Solution, train
@@ -29,7 +29,7 @@ from oracles import synthetic_history, write_history_csv
 def params_file(tmp_path_factory):
     d = tmp_path_factory.mktemp("params")
     p = d / "params.json"
-    desk_params(desk_grid()).to_json(p)
+    write_json(p, desk_params(desk_grid()).to_dict())
     return p
 
 
@@ -393,6 +393,42 @@ def test_hedge_and_robustness(tmp_path, bundle_dir):
     assert doc["entries"][0]["delta_p"] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_every_json_artefact_has_one_layout(tmp_path, history_file, bundle_dir):
+    """Every JSON file that fit-var, simulate, make-q, verify, hedge,
+    robustness and demo write, each run.json included, is indented by two
+    with sorted keys: the layout of market.write_json."""
+    b, out = str(bundle_dir), tmp_path / "out"
+    cost, util, pay = (str(write_cost(tmp_path)), str(write_utility(tmp_path)),
+                       str(write_payoff(tmp_path)))
+    train_cfg = str(write_train(tmp_path, epochs=5))
+    write_weights_csv(tmp_path / "w.csv", np.ones(200))
+    runs = [
+        ["fit-var", "--history", str(history_file), "--out", out / "fit" / "params.json"],
+        ["make-q", "--bundle", b, "--cost", cost, "--utility", util, "--train", train_cfg,
+         "--out", out / "make-q" / "weights.csv"],
+        ["verify", "--bundle", b, "--weights", tmp_path / "w.csv", "--cost", cost,
+         "--report", out / "verify" / "report"],
+        ["hedge", "--bundle", b, "--payoff", pay, "--cost", cost, "--utility", util,
+         "--train", train_cfg, "--out", out / "hedge" / "hedge.json"],
+        ["robustness", "--bundle", b, "--weights", tmp_path / "w.csv", "--payoff", pay,
+         "--cost", cost, "--utility", util, "--train", train_cfg, "--entropies", "0.1",
+         "--out", out / "robustness" / "rob.json"],
+        ["demo", "--paths", "100", "--steps", "3", "--epochs", "5", "--out", out / "demo"],
+    ]
+    for argv in runs:
+        assert main([str(a) for a in argv]) == 0
+    written = sorted(out.rglob("*.json")) + [bundle_dir / "meta.json", bundle_dir / "run.json"]
+    assert sorted(str(p.relative_to(out)) for p in written[:-2]) == sorted(
+        [f"{d}/run.json" for d in ("fit", "make-q", "verify", "hedge", "robustness", "demo")]
+        + ["fit/params.json", "make-q/weights.csv.solution.json", "verify/report.json",
+           "hedge/hedge.json", "robustness/rob.json", "demo/params.json",
+           "demo/weights.csv.solution.json", "demo/drift_uniform.json", "demo/drift_q.json",
+           "demo/bundle/meta.json"])
+    for p in written:
+        text = p.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True), p
+
+
 def test_json_input_that_does_not_parse_exit_1(tmp_path, capsys):
     params = tmp_path / "params.json"
     params.write_text("{not json")
@@ -589,6 +625,7 @@ def test_make_q_bad_config_value_exit_1(tmp_path, bundle_dir, capsys, doc):
     ("verify", "b/meta.json", lambda d: {**d, "n_steps": -1}, "n_steps"),
     ("verify", "b/meta.json", lambda d: {**d, "seed": "0"}, "seed"),
     ("verify", "b/meta.json", lambda d: {**d, "has_weights": "no"}, "has_weights"),
+    ("verify", "b/meta.json", lambda d: {**d, "seed": -5}, "'seed' must lie in [0, 2**64)"),
     ("fit-var", "history.csv", lambda t: t.replace("\n1,", "\n0,", 1), "repeated"),
     ("fit-var", "history.csv",
      lambda t: "\n".join(line for i, line in enumerate(t.splitlines()) if i != 2),
@@ -602,7 +639,7 @@ def test_make_q_bad_config_value_exit_1(tmp_path, bundle_dir, capsys, doc):
         "payoff_float_side", "payoff_string_table", "params_empty", "params_zero_dt",
         "params_negative_dt", "params_ragged_a1", "params_string_b", "params_upper_chol",
         "meta_string_paths", "meta_float_steps", "meta_negative_steps", "meta_string_seed",
-        "meta_string_has_weights", "history_repeated_r", "history_missing_r",
+        "meta_string_has_weights", "meta_negative_seed", "history_repeated_r", "history_missing_r",
         "history_no_y_columns", "payoff_no_maturity"])
 def test_bad_input_value_exit_1(tmp_path, params_file, history_file, bundle_dir, capsys, command,
                                 name, edit, key):
@@ -735,6 +772,8 @@ def _simulate(changes):
     (_params_from, {"b": [[0.0], [0.0]]}),  # a column: its length would pass for dim 2
     (_params_from, {"a2": [[0.0]]}),
     (Mlp.from_dict, {"weights": {}, "biases": []}),
+    (_simulate, {"n_paths": 10.5}),
+    (_simulate, {"n_paths": "4"}),
 ])
 def test_bad_config_raises_package_error(reader, doc):
     """A config that parses but breaks a domain rule raises a package

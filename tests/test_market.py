@@ -321,6 +321,17 @@ class TestBundleIo:
         with pytest.raises(InputError):
             read_bundle(d)
 
+    @pytest.mark.parametrize("seed", [-5, 2**64], ids=["negative", "two_to_64"])
+    def test_seed_outside_key_range_rejected(self, tmp_path, seed):
+        """A meta.json seed that no simulation could have used, as simulate
+        refuses a seed outside [0, 2**64), is refused."""
+        d = self._bundle_dir(tmp_path)
+        f = d / "meta.json"
+        f.write_text(json.dumps({**json.loads(f.read_text()), "seed": seed}))
+        with pytest.raises(InputError, match=re.escape("bundle meta 'seed' must lie in "
+                                                       "[0, 2**64)")):
+            read_bundle(d)
+
     @pytest.mark.parametrize(
         "edit",
         [

@@ -142,6 +142,34 @@ def test_configs_are_read_only_by_the_cli():
     assert readers == [("cli.py", "_load"), ("market.py", "read_bundle")]
 
 
+def test_json_is_written_only_through_market():
+    """A JSON artefact has one layout: no class defines ``to_json`` (a
+    domain type gives ``to_dict``), only market.py imports json, write_text
+    is called only inside market, and write_json only by the CLI and by
+    ``write_bundle`` for a bundle's meta.json."""
+    to_json, json_imports = [], []
+    callers = {"write_text": set(), "write_json": set()}
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.ClassDef):
+                    to_json += [f"{path.name} {node.name}" for f in node.body
+                                if isinstance(f, ast.FunctionDef) and f.name == "to_json"]
+                if (isinstance(node, ast.Import) and any(a.name == "json" for a in node.names)
+                        or isinstance(node, ast.ImportFrom) and node.module == "json"):
+                    json_imports.append(path.name)
+                func = getattr(node, "func", None)
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name in callers:
+                    callers[name].add((path.name, getattr(top, "name", "<module>")))
+    assert to_json == []
+    assert json_imports == ["market.py"]
+    assert {module for module, _ in callers["write_text"]} == {"market.py"}
+    assert {module for module, _ in callers["write_json"]} == {"cli.py", "market.py"}
+    assert {c for c in callers["write_json"] if c[0] == "market.py"} == {
+        ("market.py", "write_bundle")}
+
+
 def test_config_parsers_write_no_defaults():
     """No config parser (a ``from_dict``, ``errors.from_config``, or a CLI
     function in ``cli._load``'s ``parsers`` table) reads a key with

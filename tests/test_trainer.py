@@ -8,7 +8,7 @@ from scipy.optimize import minimize_scalar
 
 from driftless.errors import InputError
 from driftless.frictions import CostSpec
-from driftless.market import build_returns, read_json
+from driftless.market import build_returns, read_json, write_json
 from driftless.oce import Utility, closed_form_y, concave_argmax, u_deriv, u_value
 from driftless.trainer import (
     _BLOCK_ROWS,
@@ -514,7 +514,7 @@ class TestTrain:
         cfg = TrainConfig(epochs=5, lr=0.01, seed=0, hidden=(4,))
         sol = train(bundle, rets, CostSpec(mode="none"), u, cfg)
         p = tmp_path / "sol.json"
-        sol.to_json(p)
+        write_json(p, sol.to_dict())
         back = Solution.from_dict(read_json(p))
         assert back.y_star == sol.y_star
         assert back.objective_value == sol.objective_value
@@ -533,7 +533,7 @@ class TestTrain:
         sol = train(bundle, rets, CostSpec(mode="none"), Utility("exponential", 1.0),
                     TrainConfig(epochs=2, lr=0.01, seed=0, hidden=(4,)))
         p = tmp_path / "sol.json"
-        sol.to_json(p)
+        write_json(p, sol.to_dict())
         doc = json.loads(p.read_text())
         doc["config"][key] = 1.0
         with pytest.raises(InputError, match=key):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from driftless.errors import FitError, InputError, SimulationError
-from driftless.market import read_json
+from driftless.market import read_json, write_json
 from driftless.surface import DlvGrid, prices_from_dlv_batch
 from driftless.var_model import (
     DESK_DLV_LEVELS,
@@ -376,7 +376,7 @@ class TestVarParamsJson:
     def test_round_trip(self, tmp_path):
         p = desk_params(desk_grid())
         f = tmp_path / "params.json"
-        p.to_json(f)
+        write_json(f, p.to_dict())
         back = VarParams.from_dict(read_json(f))
         assert back.dim == p.dim
         assert np.array_equal(back.a1, p.a1)
@@ -387,7 +387,7 @@ class TestVarParamsJson:
         every field, bit for bit, and nothing the file leaves out."""
         fitted, _ = fit_var(synthetic_history(desk_params(desk_grid()), 600, seed=5))
         f = tmp_path / "params.json"
-        fitted.to_json(f)
+        write_json(f, fitted.to_dict())
         back = VarParams.from_dict(read_json(f))
         assert [f.name for f in dataclasses.fields(back)] == ["a1", "a2", "b", "chol"]
         for field in dataclasses.fields(fitted):
@@ -402,7 +402,7 @@ class TestVarParamsJson:
         the dimension is read from ``b``."""
         p = desk_params(desk_grid())
         f = tmp_path / "params.json"
-        p.to_json(f)
+        write_json(f, p.to_dict())
         doc = {**read_json(f), **{k: {"dim": p.dim, "dt": DT}[k] for k in stale}}
         with pytest.raises(InputError, match=re.escape(f"unknown VAR params key(s) {stale}")):
             VarParams.from_dict(doc)
