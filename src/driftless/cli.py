@@ -68,9 +68,9 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _manifest(args, read, outputs, seed=None):
-    """Write run.json next to the first output: the stage, the sha256 of
-    each file in ``read``, the outputs, seed and versions."""
+def _manifest(args, read, outputs, seed=None, beside=None):
+    """Write run.json next to ``beside`` (default: the first output): the
+    stage, the sha256 of each file in ``read``, the outputs, seed, versions."""
     doc = {
         "stage": args.command,
         "version": __version__,
@@ -79,7 +79,7 @@ def _manifest(args, read, outputs, seed=None):
         "inputs": {p: _sha256(p) for p in read},
         "outputs": sorted(outputs),
     }
-    out_dir = os.path.dirname(outputs[0]) or "."
+    out_dir = os.path.dirname(beside or outputs[0]) or "."
     write_json(os.path.join(out_dir, "run.json"), doc)
 
 
@@ -170,7 +170,7 @@ def cmd_simulate(args, read):
                       args.seed, args.grid)
     write_bundle(bundle, args.out)
     _manifest(args, read, [os.path.join(args.out, f) for f in ("meta.json", "paths.csv")],
-              seed=args.seed)
+              seed=args.seed, beside=os.path.normpath(args.out))
     return 0
 
 

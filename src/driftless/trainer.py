@@ -9,8 +9,9 @@ all reported objective values use the exact absolute value.
 
 The package has one gradient: the analytic gradient of the minibatch
 objective ``mean(w u(x)) - y`` with
-``x = (sum(a DH) + y - sum(|a| rates) + Z)(* s)``, back through the gain
-and cost head and the ReLU layers.  ``_objective`` takes the parameters as
+``x = (sum(a DH) + y - sum(|a| rates) + Z) * s``, back through the gain
+and cost head and the ReLU layers; the rescaling ``s`` is ones unless
+``train`` is given ``inv_scale``.  ``_objective`` takes the parameters as
 plain arrays; its forward pass keeps each layer's output and ReLU mask,
 and it returns one ``autograd.Tensor`` whose ``backward`` returns the
 gradient.  It runs in its workspace's precision.  The tests keep a
@@ -37,7 +38,6 @@ workspace.  The per-epoch evaluation runs after the epoch's last
 
 from __future__ import annotations
 
-import copy
 import mmap
 from dataclasses import dataclass, field
 
@@ -176,7 +176,7 @@ CLIP_NORM = 10.0  # minibatch gradients are rescaled to at most this norm
 SMOOTH_EPS = 1e-8  # |a| ~ sqrt(a^2 + eps^2) in the gradient of the cost term
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 300
     batch_size: int = 0  # 0 means full batch
@@ -194,7 +194,7 @@ class TrainConfig:
                 for h in self.hidden):
             raise InputError("train config 'hidden' must be a list of positive integers, "
                              f"got {self.hidden!r}")
-        self.hidden = tuple(self.hidden)
+        object.__setattr__(self, "hidden", tuple(self.hidden))
         if (self.epochs <= 0 or self.lr <= 0 or self.lr_decay <= 0 or self.batch_size < 0
                 or self.seed < 0):
             raise InputError("train config: epochs, lr and lr_decay must be positive and "
@@ -257,7 +257,7 @@ class _Problem:
     rates: np.ndarray  # (P, T, I) marginal rates, zeros if frictionless
     weights: np.ndarray  # (P,) mean-1
     payoff: np.ndarray  # (P,), zeros if there is no claim
-    inv_scale: np.ndarray | None  # (P,)
+    inv_scale: np.ndarray  # (P,), ones if unscaled
     utility: Utility
 
 
@@ -267,27 +267,27 @@ def _make_problem(bundle, returns, spec, utility, payoff=None, inv_scale=None,
     weights, ``payoff`` or ``inv_scale`` that fail check_per_path."""
     check_returns(bundle, returns)
     P = bundle.n_paths
+    ones = np.ones(P)  # read-only: the default of both weights and inv_scale
     return _Problem(
         feats=feature_matrix(bundle),
         dh=returns.dh,
         rates=marginal_rate(spec, returns.mids),
-        weights=np.ones(P) if weights is None else check_weights(weights, P),
+        weights=ones if weights is None else check_weights(weights, P),
         payoff=np.zeros(P) if payoff is None else check_per_path(payoff, P, "payoff"),
-        inv_scale=(None if inv_scale is None
+        inv_scale=(ones if inv_scale is None
                    else check_per_path(inv_scale, P, "inv_scale", positive=True)),
         utility=utility,
     )
 
 
-def _objective(prob, params, y, idx, ws=None):
+def _objective(prob, params, y, idx, ws):
     """The minibatch objective at the parameter arrays ``params``
     ([W_0, b_0, W_1, ...]) and the cash offset ``y``, as one scalar
     ``Tensor``.
 
     The feature gather, the layers and the backward through them run in
-    the precision of the workspace ``ws`` (float64, of exactly
-    len(idx)·T rows, when None), in its leading len(idx)·T rows; the head
-    and the returned value and gradients are float64.  Its ``backward``
+    the precision of the workspace ``ws``, in its leading len(idx)·T rows;
+    the head and the returned value and gradients are float64.  Its ``backward``
     returns the analytic gradient ``(grads, y_grad)``, with ``grads`` in
     the order of ``params``; it overwrites the hidden activations, so it
     is valid only until the next ``_objective`` on ``ws``.  Each
@@ -296,8 +296,6 @@ def _objective(prob, params, y, idx, ws=None):
     """
     B, T, F = len(idx), prob.feats.shape[1], prob.feats.shape[2]
     n_layers = len(params) // 2
-    if ws is None:
-        ws = _Workspace(B * T, [F] + [w.shape[1] for w in params[::2]], np.float64)
     n = B * T
     net = [np.asarray(p, dtype=ws.dtype) for p in params]
     # fancy indexing gathers in the features' dtype and the copy casts:
@@ -315,15 +313,12 @@ def _objective(prob, params, y, idx, ws=None):
     rates = np.take(prob.rates, idx, axis=0, out=ws.rates[:n].reshape(a.shape), mode="clip")
     a_abs = np.sqrt(a**2 + SMOOTH_EPS**2)
     x = (a * dh).sum(axis=(1, 2)) + y - (a_abs * rates).sum(axis=(1, 2)) + prob.payoff[idx]
-    if prob.inv_scale is not None:
-        x = x * prob.inv_scale[idx]
+    x *= prob.inv_scale[idx]
     w = prob.weights[idx]
     value = (u_value(prob.utility, x) * w).sum() * (1.0 / B) - y
 
     def backward():
-        gx = ((1.0 / B) * w) * u_deriv(prob.utility, x)
-        if prob.inv_scale is not None:
-            gx = gx * prob.inv_scale[idx]
+        gx = ((1.0 / B) * w) * u_deriv(prob.utility, x) * prob.inv_scale[idx]
         y_grad = -1.0 + gx.sum(axis=0)
         g3 = gx[:, None, None]
         da = g3 * dh
@@ -352,8 +347,7 @@ def _head(prob, gains, costs, y):
     """The pre-utility x and the full-sample objective at the cash offset
     ``y``, from per-path gains and costs."""
     x = gains - costs + y + prob.payoff
-    if prob.inv_scale is not None:
-        x = x * prob.inv_scale
+    x *= prob.inv_scale
     return x, float(np.mean(prob.weights * u_value(prob.utility, x)) - y)
 
 
@@ -365,8 +359,10 @@ def objective_and_grad(bundle, returns, spec, utility, mlp, y):
     [dW_0, db_0, dW_1, ...] matching the network layers.
     """
     prob = _make_problem(bundle, returns, spec, utility)
+    P, T, F = prob.feats.shape
     params = [a for pair in zip(mlp.weights, mlp.biases) for a in pair]
-    obj = _objective(prob, params, float(y), np.arange(bundle.n_paths))
+    ws = _Workspace(P * T, [F] + [w.shape[1] for w in mlp.weights], np.float64)
+    obj = _objective(prob, params, float(y), np.arange(P), ws)
     grads, y_grad = obj.backward()
     y_grad = float(y_grad)
     if not all(np.all(np.isfinite(g)) for g in grads) or not np.isfinite(y_grad):
@@ -383,7 +379,8 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
     ``forward`` scores the parameters on the full sample.  Returns the
     best-seen parameters by that objective (exact-abs costs), with their
     training-sample evaluation, kept from the epoch that set them: the y
-    refit reruns only the head on its gains and costs.
+    refit reruns only the head on its gains and costs.  Raises TrainingError
+    if a minibatch objective or gradient, or an epoch's score, is not finite.
     """
     prob = _make_problem(bundle, returns, spec, utility, payoff, inv_scale, weights)
     P, T, F = prob.feats.shape
@@ -415,6 +412,7 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
                     eval_rows=min(_BLOCK_ROWS, P * T))
     lr = config.lr
     best_obj = -np.inf
+    # the first epoch replaces this (epochs >= 1, and each is finite or raises)
     best = snapshot()
     trace = []
 
@@ -451,6 +449,9 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
         actions = forward(Mlp(weights=params[:-1:2], biases=params[1:-1:2]), prob.feats, ws)
         gains, costs = _gains_costs(prob, actions)
         full = _head(prob, gains, costs, float(params[-1]))[1]
+        if not np.isfinite(full):
+            raise TrainingError(f"full-sample objective is {full} at epoch {epoch}; "
+                                f"last finite trace: {trace[-1] if trace else None}")
         trace.append(full)
         if full > best_obj:
             best_obj, best = full, snapshot()
@@ -458,15 +459,13 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
         lr *= config.lr_decay
 
     net, y_star = best
-    if best_obj == -np.inf:  # no epoch won: evaluate the initial policy
-        evaluation[0], evaluation[1] = _gains_costs(prob, forward(net, prob.feats, ws))
     gains, costs = evaluation[0], evaluation[1]
     pre_utility, objective_value = _head(prob, gains, costs, y_star)
     # y enters as a plain concave 1-d sup; close it exactly so the
     # first-order condition E_w[u'(.) dx/dy] = 1 holds at the returned
     # solution (closed form for the exponential family, bisection on that
     # condition for the scaled objective)
-    if prob.inv_scale is None:
+    if inv_scale is None:
         val, y_opt = oce_sup(pre_utility - y_star, prob.weights, utility)
     else:
         s, w = prob.inv_scale, prob.weights
@@ -485,7 +484,7 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
         y_star=y_star,
         objective_value=objective_value,
         trace=trace,
-        config=copy.deepcopy(config),
+        config=config,
         gains=evaluation[0],
         costs=evaluation[1],
         pre_utility=evaluation[2],

@@ -3,6 +3,7 @@
 No pipeline stage runs these: the analytic one-period minimal-entropy
 martingale measure, the frictionless hedge decomposition
 a*_P = a*_Q + a*_0, the first-order marginal cost, a one-period toy market,
+a Bachelier market whose Q* is known exactly,
 a synthetic VAR history with its CSV writer, the calibration of the desk
 market's DLV levels, the static arbitrage margin of a sample net of its
 cost band (an LP), the bisection for y as it was before concave_argmax
@@ -23,6 +24,7 @@ from driftless.hedging import deep_hedge
 from driftless.market import (
     InstrumentReturn,
     InstrumentSpec,
+    build_returns,
     bundle_from_sigmas,
     feature_matrix,
     write_csv,
@@ -30,7 +32,7 @@ from driftless.market import (
 from driftless.oce import Y_TOL
 from driftless.surface import DAYS_PER_YEAR, DlvGrid, intrinsic_row, prices_from_dlv_batch
 from driftless.trainer import forward, train
-from driftless.var_model import SPOT_VOL, _noise, iterate_var, stationary_init
+from driftless.var_model import SPOT_VOL, _noise, desk_grid, iterate_var, stationary_init
 
 
 class ClassicArbitrageError(DriftlessError, ValueError):
@@ -59,6 +61,35 @@ def one_period_bundle(outcomes, seed=0):
         mids=np.ones((P, 1, 1)),
     )
     return bundle, rets
+
+
+BACHELIER_VOL = 0.2 / np.sqrt(252)  # s, the daily sd of a spot increment
+
+
+def bachelier_market(v, seed, n_paths=10_000, n_steps=10):
+    """The spot-only Bachelier market whose Q* is known, for Var log w = v.
+
+    The spot starts at 1 and its increments are i.i.d. N(m, s^2), with
+    s = BACHELIER_VOL and m = s sqrt(v / T); the DLVs are a constant 0.2
+    on ``desk_grid()``, so the features carry only t and S.  Under
+    exponential utility with lambda = 1 and no cost, the optimum buys
+    delta* = m / s^2 at step 0 and holds, so Q* has the density
+    w ~ exp(-delta* (S_T - S_0)): the Gaussian Esscher change (Gerber &
+    Shiu 1994), which is the minimal-entropy measure (Frittelli 2000).
+    Then Var log w = T m^2 / s^2 = v, KL(Q*|P) = v / 2, and the Kish ESS
+    tends to n e^-v.  Returns the bundle, its spot returns and the exact
+    weights, normalized to mean 1.
+    """
+    s = BACHELIER_VOL
+    m = s * np.sqrt(v / n_steps)
+    steps = m + s * np.random.default_rng(seed).standard_normal((n_paths, n_steps))
+    spots = np.concatenate([np.ones((n_paths, 1)), 1.0 + np.cumsum(steps, axis=1)], axis=1)
+    grid = desk_grid()
+    sigmas = np.full((n_paths, n_steps + 1, grid.n_maturities, grid.n_strikes), 0.2)
+    bundle = bundle_from_sigmas(grid, spots, sigmas, seed=seed)
+    log_w = -(m / s**2) * (spots[:, -1] - spots[:, 0])
+    w = np.exp(log_w - log_w.max())
+    return bundle, build_returns(bundle, [InstrumentSpec("spot")]), w / w.mean()
 
 
 def memm_one_period(outcomes, probs, lam):

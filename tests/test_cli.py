@@ -113,9 +113,35 @@ def test_simulate_deterministic(tmp_path, params_file):
         ])
         assert rc == 0
     assert (a / "paths.csv").read_bytes() == (b / "paths.csv").read_bytes()
-    manifest = json.loads((a / "run.json").read_text())
+    manifest = json.loads((tmp_path / "run.json").read_text())
     assert manifest["seed"] == 3
     assert manifest["stage"] == "simulate"
+
+
+def test_bundle_directory_holds_only_the_bundle(bundle_dir):
+    """simulate writes its run.json beside the bundle directory, which
+    holds exactly meta.json and paths.csv; the manifest lists those two."""
+    assert sorted(p.name for p in bundle_dir.iterdir()) == ["meta.json", "paths.csv"]
+    manifest = json.loads((bundle_dir.parent / "run.json").read_text())
+    assert manifest["outputs"] == [str(bundle_dir / f) for f in ("meta.json", "paths.csv")]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_make_q_non_finite_epoch_exit_2(tmp_path, bundle_dir, capsys):
+    """One full-batch step at lr 1e200 makes the epoch's full-sample
+    objective non-finite: a numerical failure, exit 2, and nothing is
+    written."""
+    train_cfg = tmp_path / "train.json"
+    train_cfg.write_text(json.dumps({"epochs": 1, "lr": 1e200, "seed": 0}))
+    out = tmp_path / "out"
+    rc = main([
+        "make-q", "--bundle", str(bundle_dir), "--cost", str(write_cost(tmp_path)),
+        "--utility", str(write_utility(tmp_path)), "--train", str(train_cfg),
+        "--out", str(out / "weights.csv"),
+    ])
+    assert rc == 2
+    assert "full-sample objective is" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_make_q_verify_pipeline(tmp_path, bundle_dir):
@@ -149,7 +175,7 @@ def test_make_q_verify_pipeline(tmp_path, bundle_dir):
 
 @pytest.mark.parametrize("command, names, rest", [
     ("fit-var", ["history"], ["--out", "p.json"]),
-    ("simulate", ["params", "grid"], ["--paths", "5", "--steps", "2", "--out", ""]),
+    ("simulate", ["params", "grid"], ["--paths", "5", "--steps", "2", "--out", "b"]),
     ("make-q", ["bundle", "cost", "utility", "train", "instruments"], ["--out", "w.csv"]),
     ("verify", ["bundle", "weights", "cost", "instruments"], ["--report", "r"]),
     ("hedge", ["bundle", "payoff", "cost", "utility", "weights", "train", "instruments"],
@@ -417,7 +443,8 @@ def test_every_json_artefact_has_one_layout(tmp_path, history_file, bundle_dir):
     ]
     for argv in runs:
         assert main([str(a) for a in argv]) == 0
-    written = sorted(out.rglob("*.json")) + [bundle_dir / "meta.json", bundle_dir / "run.json"]
+    written = sorted(out.rglob("*.json")) + [bundle_dir / "meta.json",
+                                              bundle_dir.parent / "run.json"]
     assert sorted(str(p.relative_to(out)) for p in written[:-2]) == sorted(
         [f"{d}/run.json" for d in ("fit", "make-q", "verify", "hedge", "robustness", "demo")]
         + ["fit/params.json", "make-q/weights.csv.solution.json", "verify/report.json",

@@ -16,6 +16,7 @@ from driftless.trainer import TrainConfig, evaluate_policy, train
 
 from oracles import (
     ClassicArbitrageError,
+    bachelier_market,
     memm_one_period,
     one_period_bundle,
     static_arbitrage_margin,
@@ -64,6 +65,47 @@ class TestStaticArbitrageMargin:
         _, rets = one_period_bundle([2.0, -1.0])
         assert static_arbitrage_margin(rets.dh, rets.mids, gamma) == pytest.approx(
             -gamma, abs=1e-12)
+
+
+class TestBachelierMarket:
+    """The exact Q* of ``oracles.bachelier_market`` against its known law:
+    log w is N(-V/2, V) up to the mean-1 normalization, so each statistic
+    of the 10^4 weights lies within 5 of its sampling SEs.  The SEs come
+    from the lognormal law itself: Var of the sample variance is
+    2V^2/(n-1), Var(w log w) = e^V (V + 9V^2/4) - V^2/4, and
+    Var(w^2) = e^6V - e^2V.  The last is why the Kish ESS band is loose at
+    V = 4, where the sample ESS (447) still sits far above n e^-V (183).
+    """
+
+    N = 10_000
+
+    @pytest.fixture(scope="class", params=[0.04, 1.0, 4.0], ids=["V0.04", "V1", "V4"])
+    def market(self, request):
+        return request.param, *bachelier_market(request.param, seed=7)
+
+    def test_weight_statistics_match_the_exact_law(self, market):
+        v, _, _, w = market
+        n, log_w = self.N, np.log(w)
+        assert w.shape == (n,)
+        assert abs(np.var(log_w, ddof=1) - v) <= 5 * v * np.sqrt(2 / (n - 1))
+        kl_se = np.sqrt((np.exp(v) * (v + 9 * v * v / 4) - v * v / 4) / n)
+        assert abs(np.mean(w * log_w) - v / 2) <= 5 * kl_se
+        # Kish ESS = n / mean(w^2) for mean-1 weights, and E[w^2] = e^V
+        ess = n / np.mean(w**2)
+        assert abs(n / ess - np.exp(v)) <= 5 * np.sqrt((np.exp(6 * v) - np.exp(2 * v)) / n)
+
+    def test_uniform_weights_fail_every_row(self, market):
+        _, bundle, rets, _ = market
+        report = verify_drift(bundle, rets, np.ones(self.N), CostSpec(mode="none"))
+        assert len(report.rows) == 10 and report.n_failed == 10
+
+    def test_no_static_arbitrage(self, market):
+        """The sample admits no static arbitrage: the margin reads 0 at
+        gamma = 0 (only offsetting parts reach it) and below 0 at
+        gamma = 0.001."""
+        _, _, rets, _ = market
+        assert abs(static_arbitrage_margin(rets.dh, rets.mids, 0.0)) <= 1e-9
+        assert static_arbitrage_margin(rets.dh, rets.mids, 0.001) < 0
 
 
 class TestDensity:

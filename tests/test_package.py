@@ -170,6 +170,25 @@ def test_json_is_written_only_through_market():
         ("market.py", "write_bundle")}
 
 
+def test_training_problem_has_no_optional_parts():
+    """The training problem has one path: no ``_Problem`` field is
+    annotated as optional, trainer.py tests no ``prob.`` attribute
+    against None, and ``_objective`` has no defaulted parameter (its
+    workspace is always given)."""
+    tree = ast.parse((SRC / "trainer.py").read_text())
+    defs = {n.name: n for n in ast.walk(tree) if isinstance(n, (ast.ClassDef, ast.FunctionDef))}
+    annotations = [ast.unparse(f.annotation) for f in defs["_Problem"].body
+                   if isinstance(f, ast.AnnAssign)]
+    assert annotations and [a for a in annotations if "None" in a or "Optional" in a] == []
+    none_tests = [ast.unparse(n) for n in ast.walk(tree) if isinstance(n, ast.Compare)
+                  and any(isinstance(op, (ast.Is, ast.IsNot)) for op in n.ops)
+                  and any(isinstance(e, ast.Attribute) and isinstance(e.value, ast.Name)
+                          and e.value.id == "prob" for e in [n.left, *n.comparators])]
+    assert none_tests == []
+    args = defs["_objective"].args
+    assert args.defaults == [] and all(d is None for d in args.kw_defaults)
+
+
 def test_config_parsers_write_no_defaults():
     """No config parser (a ``from_dict``, ``errors.from_config``, or a CLI
     function in ``cli._load``'s ``parsers`` table) reads a key with

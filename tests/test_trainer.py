@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 import warnings
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from driftless.errors import InputError
+from driftless.errors import InputError, TrainingError
 from driftless.frictions import CostSpec
 from driftless.market import build_returns, read_json, write_json
 from driftless.oce import Utility, closed_form_y, concave_argmax, u_deriv, u_value
@@ -53,8 +54,7 @@ def graph_objective(prob, param_tensors, y_tensor, idx, smooth_eps):
     x = gain + y_tensor
     x = x - (a.smooth_abs(smooth_eps) * Tensor(prob.rates[idx])).sum(axis=(1, 2))
     x = x + Tensor(prob.payoff[idx])
-    if prob.inv_scale is not None:
-        x = x * Tensor(prob.inv_scale[idx])
+    x = x * Tensor(prob.inv_scale[idx])
     util = x.apply_utility(prob.utility)
     return (util * Tensor(prob.weights[idx])).mean() - y_tensor
 
@@ -122,7 +122,11 @@ class TestFusedObjective:
 
     @staticmethod
     def fused(prob, mlp, y, idx, ws=None):
+        """On ``ws``, or on a fresh float64 workspace of len(idx)·T rows."""
         params = [a for pair in zip(mlp.weights, mlp.biases) for a in pair]
+        if ws is None:
+            widths = [prob.feats.shape[2]] + [w.shape[1] for w in mlp.weights]
+            ws = _Workspace(len(idx) * prob.feats.shape[1], widths, np.float64)
         obj = _objective(prob, params, y, idx, ws)
         grads, y_grad = obj.backward()
         return [obj.data, *grads, y_grad]
@@ -147,7 +151,7 @@ class TestFusedObjective:
             rates=0.01 * rng.uniform(size=(P, T, I)) if costs else np.zeros((P, T, I)),
             weights=w / w.mean(),
             payoff=rng.normal(size=P) if extras else np.zeros(P),
-            inv_scale=rng.uniform(0.5, 2.0, size=P) if extras else None,
+            inv_scale=rng.uniform(0.5, 2.0, size=P) if extras else np.ones(P),
             utility=Utility(family, 1.3),
         )
         mlp = init_mlp([F, 16, 16, I], rng)
@@ -244,7 +248,7 @@ def test_minibatch_allocates_less_than_one_layer_buffer():
         rates=0.01 * rng.uniform(size=(P, T, I)),
         weights=np.ones(P),
         payoff=np.zeros(P),
-        inv_scale=None,
+        inv_scale=np.ones(P),
         utility=Utility("exponential", 1.0),
     )
     mlp = init_mlp([F, 64, 64, I], rng)
@@ -640,23 +644,30 @@ class TestTrain:
             fresh.append(trainer._head(prob, gains, costs, float(end[-1]))[1])
         assert sol.trace == fresh
 
-    def test_no_winning_epoch_evaluates_the_initial_policy(self):
-        """If no epoch's full-sample objective beats -inf (here one huge
-        step makes it NaN), ``train`` returns the initial policy with its
-        own evaluation."""
+    def test_non_finite_epoch_raises(self):
+        """An epoch whose full-sample objective is not finite (here one huge
+        full-batch step makes it NaN, after a finite minibatch) raises
+        TrainingError, as a diverged minibatch does."""
         bundle, rets = self.desk_sample(30)
         u, spec = Utility("exponential", 1.0), CostSpec(gamma_prop=0.002, mode="marginal")
         cfg = TrainConfig(epochs=1, lr=1e200, seed=2, hidden=(8,))
         with np.errstate(over="ignore", invalid="ignore"):
-            sol = train(bundle, rets, spec, u, cfg)
-        assert len(sol.trace) == 1 and np.isnan(sol.trace[0])
-        F = 2 + bundle.grid.n_maturities * bundle.grid.n_strikes
-        init = init_mlp([F, *cfg.hidden, rets.dh.shape[2]], np.random.default_rng(cfg.seed))
-        for w, w0 in zip(sol.policy.weights + sol.policy.biases, init.weights + init.biases):
-            assert np.array_equal(w, w0)
-        res = evaluate_policy(bundle, rets, spec, u, sol.policy, sol.y_star)
-        for key in ("gains", "costs", "pre_utility"):
-            assert np.array_equal(getattr(sol, key), res[key]), key
+            with pytest.raises(TrainingError, match="full-sample objective is nan at epoch 0"):
+                train(bundle, rets, spec, u, cfg)
+
+
+def test_config_is_frozen_and_kept_as_given():
+    """A TrainConfig cannot be changed in place, ``dataclasses.replace``
+    builds a checked copy, and ``train`` keeps the caller's config."""
+    cfg = TrainConfig(epochs=2, seed=1, hidden=[4])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.seed = 5
+    assert dataclasses.replace(cfg, seed=5) == TrainConfig(epochs=2, seed=5, hidden=(4,))
+    with pytest.raises(InputError, match="epochs"):
+        dataclasses.replace(cfg, epochs=0)
+    bundle, rets = one_period_bundle(np.array([0.2, -0.1, 0.3]))
+    sol = train(bundle, rets, CostSpec(0.001), Utility("exponential", 1.0), cfg)
+    assert sol.config is cfg
 
 
 def test_config_rejects_unknown_key():
