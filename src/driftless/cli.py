@@ -168,9 +168,8 @@ def cmd_fit_var(args, read):
 def cmd_simulate(args, read):
     bundle = simulate(args.params, stationary_init(args.params), args.paths, args.steps,
                       args.seed, args.grid)
-    write_bundle(bundle, args.out)
-    _manifest(args, read, [os.path.join(args.out, f) for f in ("meta.json", "paths.csv")],
-              seed=args.seed, beside=os.path.normpath(args.out))
+    _manifest(args, read, write_bundle(bundle, args.out), seed=args.seed,
+              beside=os.path.normpath(args.out))
     return 0
 
 
@@ -251,7 +250,7 @@ def cmd_demo(args, read):
     cfg = TrainConfig(epochs=args.epochs, seed=args.seed)
     bundle = simulate(params, stationary_init(params), args.paths, args.steps, args.seed, grid)
     write_json(os.path.join(out, "params.json"), params.to_dict())
-    write_bundle(bundle, os.path.join(out, "bundle"))
+    written_b = write_bundle(bundle, os.path.join(out, "bundle"))
 
     spec = CostSpec(gamma_prop=0.001, mode="marginal")
     util = Utility("exponential", 1.0)
@@ -260,8 +259,8 @@ def cmd_demo(args, read):
     report_u, written_u = _verify(bundle, rets, np.ones(bundle.n_paths), spec,
                                   os.path.join(out, "drift_uniform"))
     report_q, written_q = _verify(bundle, rets, dw.weights, spec, os.path.join(out, "drift_q"))
-    _manifest(args, read, [os.path.join(out, "params.json"), *written, *written_u, *written_q],
-              seed=args.seed)
+    _manifest(args, read, [os.path.join(out, "params.json"), *written_b, *written, *written_u,
+                           *written_q], seed=args.seed)
     print(
         f"demo: uniform {report_u.n_failed}/{len(report_u.rows)} rows fail; "
         f"Q* {report_q.n_failed}/{len(report_q.rows)} rows fail; "

@@ -137,10 +137,10 @@ def tilt(direction, c):
     if not c >= 0:
         raise InputError(f"target entropy must be >= 0, got {c}")
     d = np.asarray(direction, dtype=float)
-    if c == 0:
-        return np.ones(len(d))
     if not np.all(np.isfinite(d)):
         raise InputError("tilt direction must be finite")
+    if c == 0:
+        return np.ones(len(d))
     n, k = len(d), int(np.sum(d == d.min()))
     bound = math.log(n / k)
     if c >= bound:
@@ -165,33 +165,26 @@ def tilt(direction, c):
 def robustness_eval(hedge_p, hedge_q, utility, c_list, direction=None):
     """Certainty-equivalent degradation of two fixed hedges under tilts.
 
-    For each target entropy c, reweights the sample against ``direction``
-    (default: the statistical hedge's own PnL) and evaluates both hedges'
-    CE via a fresh sup over the cash offset.  Degradation is
-    CE(uniform) - CE(tilted).
+    For c = 0 and each target entropy in ``c_list``, reweights the sample
+    against ``direction`` (default: the statistical hedge's own PnL) and
+    evaluates both hedges' CE via a fresh sup over the cash offset.  The
+    base CEs are those of the c = 0 tilt, whose weights are uniform, and
+    degradation is CE(base) - CE(tilted).
     """
     if direction is None:
         direction = hedge_p.pnl
-    base_p, _ = oce_sup(hedge_p.pnl, None, utility)
-    base_q, _ = oce_sup(hedge_q.pnl, None, utility)
-    out = {
-        "base_ce_p": base_p,
-        "base_ce_q": base_q,
-        "entries": [],
-    }
-    for c in c_list:
+    rows = []
+    for c in (0.0, *c_list):
         w = tilt(direction, c)
-        ce_p, _ = oce_sup(hedge_p.pnl, w, utility)
-        ce_q, _ = oce_sup(hedge_q.pnl, w, utility)
-        out["entries"].append(
-            {
-                "c": float(c),
-                "ce_p": ce_p,
-                "ce_q": ce_q,
-                "delta_p": base_p - ce_p,
-                "delta_q": base_q - ce_q,
-                "tilted_mean_p": float(np.mean(w * hedge_p.pnl)),
-                "tilted_mean_q": float(np.mean(w * hedge_q.pnl)),
-            }
-        )
-    return out
+        rows.append({
+            "c": float(c),
+            "ce_p": oce_sup(hedge_p.pnl, w, utility)[0],
+            "ce_q": oce_sup(hedge_q.pnl, w, utility)[0],
+            "tilted_mean_p": float(np.mean(w * hedge_p.pnl)),
+            "tilted_mean_q": float(np.mean(w * hedge_q.pnl)),
+        })
+    base, *entries = rows
+    for e in entries:
+        e["delta_p"] = base["ce_p"] - e["ce_p"]
+        e["delta_q"] = base["ce_q"] - e["ce_q"]
+    return {"base_ce_p": base["ce_p"], "base_ce_q": base["ce_q"], "entries": entries}

@@ -336,9 +336,13 @@ def place_rows(path, blocks, keys):
         index = np.ravel_multi_index(tuple(key.T.astype(np.intp)), shape)
         np.add.at(count.reshape(-1), index, 1)
         if beyond is None:  # once a key is beyond, an error is certain: only count
-            repeated = count.flat[index] > 1
-            if repeated.any():
-                r = int(np.argmax(repeated))
+            if (count.flat[index] > 1).any():
+                # name the first row whose key an earlier row, in this block
+                # or an earlier one, already holds
+                _, first, n = np.unique(index, return_index=True, return_counts=True)
+                repeat = np.ones(len(index), dtype=bool)
+                repeat[first] = count.flat[index[first]] > n
+                r = int(np.argmax(repeat))
                 raise InputError(f"{path} line {line + r}: row {names} "
                                  f"{[int(k) for k in key[r]]} repeated")
             yield line, index, block
@@ -353,12 +357,14 @@ def place_rows(path, blocks, keys):
 # written last.  Weights are never part of a bundle.
 
 def write_bundle(bundle, directory):
+    """Write ``bundle`` into ``directory``; returns the two file paths."""
+    csv_path, meta_path = (os.path.join(directory, f) for f in ("paths.csv", "meta.json"))
     m, n = bundle.grid.n_maturities, bundle.grid.n_strikes
     P, T1 = bundle.spots.shape
     header = ["path", "step", "spot"] + [
         f"dlv_{j + 1}_{i + 1}" for j in range(m) for i in range(n)
     ]
-    write_csv(os.path.join(directory, "paths.csv"), header,
+    write_csv(csv_path, header,
               [np.repeat(np.arange(P), T1), np.tile(np.arange(T1), P),
                bundle.spots.ravel(), *bundle.sigmas.reshape(P * T1, m * n).T])
     meta = {
@@ -368,7 +374,8 @@ def write_bundle(bundle, directory):
         "seed": bundle.seed,
         "provenance": bundle.provenance,
     }
-    write_json(os.path.join(directory, "meta.json"), meta)
+    write_json(meta_path, meta)
+    return [csv_path, meta_path]
 
 
 def read_bundle(directory):

@@ -96,22 +96,22 @@ def legendre(u, y):
 
 
 def oce_value(x, weights, u, y):
-    """Weighted sample objective E_w[u(y + x)] - y; weights other than None
-    go through check_weights."""
+    """Weighted sample objective E_w[u(y + x)] - y; the weights go through
+    check_weights."""
     x = np.asarray(x, dtype=float)
-    w = np.ones_like(x) if weights is None else check_weights(weights, len(x))
+    w = check_weights(weights, len(x))
     return float(np.mean(w * u_value(u, y + x)) - y)
 
 
-def closed_form_y(u, x, weights=None):
+def closed_form_y(u, x, weights):
     """Optimal cash offset for the exponential family via log-sum-exp:
-    y* = (1/lambda) log E[exp(-lambda X)]; weights other than None go
-    through check_weights."""
+    y* = (1/lambda) log E_w[exp(-lambda X)]; the weights go through
+    check_weights."""
     if u.family != "exponential":
         raise InputError("closed_form_y applies to the exponential family only")
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
-    logw = np.zeros(n) if weights is None else np.log(check_weights(weights, n))
+    logw = np.log(check_weights(weights, n))
     return float((_logsumexp(-u.lam * x + logw) - np.log(n)) / u.lam)
 
 
@@ -177,7 +177,7 @@ def oce_sup(x, weights, u):
     # the first-order condition E_w[u'(y + X)] = 1 pins y* inside the
     # negated sample range; bisect on it over that interval with margin
     x = np.asarray(x, dtype=float)
-    w = np.ones_like(x) if weights is None else check_weights(weights, len(x))
+    w = check_weights(weights, len(x))
     y = concave_argmax(lambda y: float(np.mean(w * u_deriv(u, y + x))) - 1.0,
                        -float(np.max(x)) - 1.0, -float(np.min(x)) + 1.0)
     return oce_value(x, weights, u, y), y

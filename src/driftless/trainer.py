@@ -397,11 +397,6 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
-    def snapshot():
-        net = Mlp(weights=[w.copy() for w in params[:-1:2]],
-                  biases=[b.copy() for b in params[1:-1:2]])
-        return net, float(params[-1])
-
     batch = min(config.batch_size, P) if config.batch_size > 0 else P
     # the returned gains, costs and pre-utility; allocated before the
     # workspace, so that once freed its pages are not pinned below them
@@ -411,9 +406,7 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
     ws = _Workspace(batch * T, [F, *config.hidden, n_inst], np.float32,
                     eval_rows=min(_BLOCK_ROWS, P * T))
     lr = config.lr
-    best_obj = -np.inf
-    # the first epoch replaces this (epochs >= 1, and each is finite or raises)
-    best = snapshot()
+    best_obj = -np.inf  # the first epoch beats it: epochs >= 1, each finite or raising
     trace = []
 
     for epoch in range(config.epochs):
@@ -454,11 +447,12 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
                                 f"last finite trace: {trace[-1] if trace else None}")
         trace.append(full)
         if full > best_obj:
-            best_obj, best = full, snapshot()
+            best_obj, best = full, [p.copy() for p in params]
             evaluation[0], evaluation[1] = gains, costs
         lr *= config.lr_decay
 
-    net, y_star = best
+    net = Mlp(weights=best[:-1:2], biases=best[1:-1:2])
+    y_star = float(best[-1])
     gains, costs = evaluation[0], evaluation[1]
     pre_utility, objective_value = _head(prob, gains, costs, y_star)
     # y enters as a plain concave 1-d sup; close it exactly so the

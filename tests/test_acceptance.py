@@ -35,6 +35,7 @@ from driftless.var_model import (
 
 import conftest
 from oracles import (
+    bachelier_market,
     memm_one_period,
     one_period_bundle,
     static_arbitrage_margin,
@@ -170,6 +171,29 @@ def test_a3_static_arbitrage_margin_diagnostic(desk_margins):
     measure keeps every drift within its cost band, so A3's pass there
     rests on the band's standard-error term."""
     margin_diagnostic("A3", desk_margins)
+
+
+# fixed before any run: the size curve's seeds and Var log w levels
+SIZE_SEEDS = range(40)
+SIZE_LEVELS = (0.04, 1.0, 4.0)
+
+
+def test_a3_size_curve_diagnostic():
+    """The z = 3 band's size on a market whose Q* is known: the exact
+    weights of ``oracles.bachelier_market`` fail each of its 10
+    unconditional drift rows with the band's nominal 0.27% only while they
+    are light.  Counts the failed rows over seeds 0-39 at each V."""
+    spec = CostSpec(mode="none")
+    parts = []
+    for v in SIZE_LEVELS:
+        failed = rows = 0
+        for seed in SIZE_SEEDS:
+            bundle, rets, w = bachelier_market(v, seed)
+            report_q = verify_drift(bundle, rets, w, spec)
+            failed, rows = failed + report_q.n_failed, rows + len(report_q.rows)
+        parts.append(f"V {v:g}: {failed}/{rows} = {100 * failed / rows:.1f}%")
+    diagnostic("A3", "exact Bachelier Q* rows failed at z = 3, seeds 0-39: "
+               + ", ".join(parts) + " (nominal 0.27%; no bound)")
 
 
 def test_a4_adversarial_statarb_removal(desk):
@@ -410,19 +434,19 @@ def test_a11_oce_axioms():
         u = Utility(fam, 1.0)
         x = rng.normal(size=1000)
         eps = np.abs(rng.normal(size=1000)) * 0.1
-        ux, _ = oce_sup(x, None, u)
+        ux, _ = oce_sup(x, np.ones(1000), u)
         # monotonicity: X <= Y pointwise implies U(X) <= U(Y)
-        uy, _ = oce_sup(x + eps, None, u)
+        uy, _ = oce_sup(x + eps, np.ones(1000), u)
         checks.append(uy >= ux - 1e-10)
         # midpoint concavity
         z = rng.normal(size=1000)
-        uz, _ = oce_sup(z, None, u)
-        um, _ = oce_sup(0.5 * (x + z), None, u)
+        uz, _ = oce_sup(z, np.ones(1000), u)
+        um, _ = oce_sup(0.5 * (x + z), np.ones(1000), u)
         checks.append(um >= 0.5 * (ux + uz) - 1e-8)
         # cash invariance
-        uc, _ = oce_sup(x + 0.37, None, u)
+        uc, _ = oce_sup(x + 0.37, np.ones(1000), u)
         checks.append(abs(uc - (ux + 0.37)) < 1e-8)
         # normalization at zero
-        u0, _ = oce_sup(np.zeros(1000), None, u)
+        u0, _ = oce_sup(np.zeros(1000), np.ones(1000), u)
         checks.append(abs(u0) < 1e-10)
     report("A11", all(checks), f"{sum(checks)}/{len(checks)} axiom checks hold")

@@ -519,8 +519,9 @@ def test_demo_small(tmp_path, monkeypatch):
         "--epochs", "20", "--out", str(tmp_path / "demo"),
     ])
     assert rc == 0
-    names = ["params.json", "weights.csv", "weights.csv.solution.json", "drift_uniform.csv",
-             "drift_uniform.json", "drift_q.csv", "drift_q.json"]
+    names = ["params.json", "bundle/meta.json", "bundle/paths.csv", "weights.csv",
+             "weights.csv.solution.json", "drift_uniform.csv", "drift_uniform.json", "drift_q.csv",
+             "drift_q.json"]
     for name in names + ["run.json"]:
         assert (tmp_path / "demo" / name).exists()
     outputs = json.loads((tmp_path / "demo" / "run.json").read_text())["outputs"]

@@ -165,10 +165,11 @@ class TestTilt:
         with pytest.raises(TiltError, match="below the smallest float"):
             tilt(np.array([0.0, 1.0, 1000.0]), math.log(3) - 1e-3)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
-    def test_non_finite_direction_rejected(self, bad):
+    @pytest.mark.parametrize("bad, c", [(float("nan"), 0.1), (float("inf"), 0.1),
+                                        (float("nan"), 0.0)], ids=["nan", "inf", "nan_c0"])
+    def test_non_finite_direction_rejected(self, bad, c):
         with pytest.raises(InputError, match="finite"):
-            tilt(np.array([1.0, bad, 2.0]), 0.1)
+            tilt(np.array([1.0, bad, 2.0]), c)
 
 
 class TestReplication:

@@ -263,7 +263,7 @@ class TestBundleIo:
     @pytest.mark.parametrize(
         "rows, match",
         [
-            (["0,0.5", "1,1.5", "1,1.0"], "repeated"),  # duplicate
+            (["0,0.5", "1,1.5", "1,1.0"], "line 4: row ['path'] [1] repeated"),  # duplicate
             (["0,0.5", "2,1.5"], "lacks row ['path'] [1]"),  # missing path 1
             (["0,0.5", "1,1.5", "7,1.0"], "lacks row ['path'] [2]"),  # out of range
             (["0,0.5", "-1,1.5"], "non-negative integers"),  # negative
@@ -276,6 +276,21 @@ class TestBundleIo:
         f = tmp_path / "w.csv"
         f.write_text("\n".join(["path,weight"] + rows) + "\n")
         with pytest.raises(InputError, match=re.escape(match)):
+            read_weights_csv(f)
+
+    @pytest.mark.parametrize("block_rows, rows, line", [
+        (10_000, ["1,0.5", "0,1.5", "2,1.0", "1,1.0"], 5),  # in one block, rows apart
+        (2, ["1,0.5", "0,1.5", "2,1.0", "1,1.0"], 5),  # the original is in an earlier block
+        (2, ["0,0.5", "1,1.5", "2,1.0", "2,1.0"], 5),  # both in the second block
+    ], ids=["one_block", "across_blocks", "second_block"])
+    def test_weights_csv_repeat_named_at_its_line(self, tmp_path, monkeypatch, block_rows,
+                                                   rows, line):
+        """A repeated path is named at the row that repeats it, not at the
+        row it repeats, wherever the CSV's row blocks fall."""
+        monkeypatch.setattr("driftless.market._BLOCK_ROWS", block_rows)
+        f = tmp_path / "w.csv"
+        f.write_text("\n".join(["path,weight"] + rows) + "\n")
+        with pytest.raises(InputError, match=re.escape(f"line {line}: row ['path'] [")):
             read_weights_csv(f)
 
     @staticmethod

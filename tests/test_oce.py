@@ -108,11 +108,11 @@ class TestLegendre:
 class TestClosedFormY:
     def test_zero_sample(self):
         u = Utility("exponential", 1.0)
-        assert closed_form_y(u, np.zeros(10)) == pytest.approx(0.0)
+        assert closed_form_y(u, np.zeros(10), np.ones(10)) == pytest.approx(0.0)
 
     def test_two_point(self):
         u = Utility("exponential", 1.0)
-        y = closed_form_y(u, np.array([1.0, -1.0]))
+        y = closed_form_y(u, np.array([1.0, -1.0]), np.ones(2))
         assert y == pytest.approx(np.log((np.exp(-1) + np.exp(1)) / 2), rel=1e-12)
 
     def test_matches_numeric_sup(self):
@@ -137,7 +137,7 @@ class TestOceSup:
         rng = np.random.default_rng(17)
         x = rng.normal(size=300)
         u = Utility("exponential", 2.0)
-        val, y = oce_sup(x, None, u)
+        val, y = oce_sup(x, np.ones(300), u)
         lam = 2.0
         entropic = -np.log(np.mean(np.exp(-lam * x))) / lam
         assert val == pytest.approx(entropic, abs=1e-10)
@@ -146,7 +146,7 @@ class TestOceSup:
         rng = np.random.default_rng(18)
         x = rng.normal(size=300)
         u = Utility("adjusted_mean_vol", 1.0)
-        val, y_star = oce_sup(x, None, u)
+        val, y_star = oce_sup(x, np.ones(300), u)
         ys = np.linspace(y_star - 0.5, y_star + 0.5, 401)
         grid_best = max(float(np.mean(u_value(u, y + x)) - y) for y in ys)
         assert val >= grid_best - 1e-8
@@ -157,7 +157,7 @@ class TestOceSup:
         bounded search refuses them rather than return NaN."""
         x = np.array([0.1, -0.2, bad, 0.3])
         with pytest.raises(InputError, match=r"search bounds \(.*\) must be finite"):
-            oce_sup(x, None, Utility("adjusted_mean_vol", 1.0))
+            oce_sup(x, np.ones(4), Utility("adjusted_mean_vol", 1.0))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_pnl_raises_exponential(self, bad):
@@ -165,7 +165,7 @@ class TestOceSup:
         infinite P&L rather than return NaN or an infinite y."""
         x = np.array([0.1, -0.2, bad, 0.3])
         with pytest.raises(InputError, match="P&L sample must be finite"):
-            oce_sup(x, None, Utility("exponential", 1.0))
+            oce_sup(x, np.ones(4), Utility("exponential", 1.0))
 
 
 class TestConcaveArgmax:
@@ -204,17 +204,17 @@ class TestOceAxioms:
         u = Utility(family, 1.0)
         x = rng.normal(size=400)
         y = x - np.abs(rng.normal(size=400))  # y <= x pointwise
-        ux, _ = oce_sup(x, None, u)
-        uy, _ = oce_sup(y, None, u)
+        ux, _ = oce_sup(x, np.ones(400), u)
+        uy, _ = oce_sup(y, np.ones(400), u)
         assert ux >= uy - 1e-12
         # cash invariance
         c = 0.77
-        shifted, _ = oce_sup(x + c, None, u)
+        shifted, _ = oce_sup(x + c, np.ones(400), u)
         assert shifted == pytest.approx(ux + c, abs=1e-8)
         # midpoint concavity
         z = rng.normal(size=400)
-        mid, _ = oce_sup(0.5 * (x + z), None, u)
-        uz, _ = oce_sup(z, None, u)
+        mid, _ = oce_sup(0.5 * (x + z), np.ones(400), u)
+        uz, _ = oce_sup(z, np.ones(400), u)
         assert mid >= 0.5 * (ux + uz) - 1e-10
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -222,7 +222,7 @@ class TestOceAxioms:
         rng = np.random.default_rng(29)
         u = Utility(family, 1.0)
         x = rng.normal(size=200)
-        val, _ = oce_sup(x, None, u)
+        val, _ = oce_sup(x, np.ones(200), u)
         assert val <= x.max() + 1e-12
 
 

@@ -37,7 +37,7 @@ grid = desk_grid()
 params = desk_params(grid)
 x = np.random.default_rng(0).normal(size=50)
 for family in ("exponential", "adjusted_mean_vol"):
-    oce_sup(x, None, Utility(family, 1.0))
+    oce_sup(x, np.ones(50), Utility(family, 1.0))
 bundle = simulate(params, stationary_init(params), 20, 3, seed=1, grid=grid)
 rets = build_returns(bundle, default_instruments())
 train(bundle, rets, CostSpec(gamma_prop=0.002, mode="marginal"),
@@ -187,6 +187,24 @@ def test_training_problem_has_no_optional_parts():
     assert none_tests == []
     args = defs["_objective"].args
     assert args.defaults == [] and all(d is None for d in args.kw_defaults)
+
+
+def test_weights_and_best_epoch_have_one_path():
+    """oce takes its weights as an array on every call: oce.py tests
+    nothing against None and no public oce function defaults ``weights``.
+    trainer.train keeps its best epoch without a nested function."""
+    oce = ast.parse((SRC / "oce.py").read_text())
+    none_tests = [ast.unparse(n) for n in ast.walk(oce) if isinstance(n, ast.Compare)
+                  and any(isinstance(op, (ast.Is, ast.IsNot)) for op in n.ops)]
+    assert none_tests == []
+    defaulted = [(name, param) for name, param, _ in _defaulted_parameters(oce)
+                 if param == "weights" and not name.startswith("_")]
+    assert defaulted == []
+    trainer = ast.parse((SRC / "trainer.py").read_text())
+    train = next(n for n in trainer.body if isinstance(n, ast.FunctionDef) and n.name == "train")
+    nested = [n.name for n in ast.walk(train) if n is not train
+              and isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    assert nested == []
 
 
 def test_config_parsers_write_no_defaults():

@@ -77,13 +77,12 @@ def test_oce_sup_bisection_against_scipy():
         x[200:] = -x[:200]  # symmetric: unweighted, y* = 0
         w = rng.uniform(0.2, 2.0, size=400)
         u = Utility("adjusted_mean_vol", lam)
-        for weights in (w / w.mean(), None):
+        for weights in (w / w.mean(), np.ones(400)):
             value, y = oce_sup(x, weights, u)
             assert value == oce_value(x, weights, u, y)
-            wv = np.ones(400) if weights is None else weights
             check_sup_against_scipy(
                 lambda v: oce_value(x, weights, u, v),
-                lambda v: float(np.mean(wv * u_deriv(u, v + x))) - 1.0,
+                lambda v: float(np.mean(weights * u_deriv(u, v + x))) - 1.0,
                 y, -x.max() - 1.0, -x.min() + 1.0)
 
 

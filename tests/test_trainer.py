@@ -354,7 +354,7 @@ class TestTrain:
 
         def neg_objective(a):
             g = a * outcomes
-            y = closed_form_y(u, g)
+            y = closed_form_y(u, g, np.ones(len(g)))
             return -(float(np.mean(u_value(u, y + g))) - y)
 
         oracle = minimize_scalar(neg_objective, bounds=(-5, 5), method="bounded",
@@ -497,11 +497,11 @@ class TestTrain:
         res = evaluate_policy(bundle, rets, CostSpec(mode="none"), u,
                               sol.policy, sol.y_star)
         g = res["gains"]
-        y_cf = closed_form_y(u, g)
+        y_cf = closed_form_y(u, g, np.ones(len(g)))
         from driftless.oce import oce_value
 
         assert sol.objective_value == pytest.approx(
-            oce_value(g, None, u, y_cf), abs=1e-4
+            oce_value(g, np.ones(len(g)), u, y_cf), abs=1e-4
         )
 
     def test_best_seen_monotone(self):
