@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridDomainError, InputError, check_keys, check_number, check_seed
-from .surface import DAYS_PER_YEAR, SIGMA_MAX, DlvGrid, prices_from_dlv_batch
+from .surface import DAYS_PER_YEAR, SIGMA_MAX, DlvGrid, check_dlv_domain, prices_from_dlv_batch
 
 SIGMA_FLOOR = 1e-6  # floor before log features; keeps sigma = 0 nodes finite
 
@@ -84,32 +84,35 @@ class InstrumentSpec:
 
 @dataclass
 class PathBundle:
-    """A simulated market sample: spots, DLVs and derived call grids for
-    every path and step.  Path weights are not part of a bundle; they
-    travel as a separate weights CSV.
-
-    Arrays: spots (P, T+1), sigmas (P, T+1, m, n), prices (P, T+1, m+1, n+2).
-    """
+    """A simulated market sample: what the simulator draws for every path
+    and step, the spots (P, T+1), finite and > 0, and the DLVs sigmas (P,
+    T+1, m, n), each in [0, SIGMA_MAX].  The call grids, a function of the
+    DLVs, are not stored; nor are path weights, which travel as a CSV."""
 
     grid: DlvGrid
     spots: np.ndarray
     sigmas: np.ndarray
-    prices: np.ndarray
     seed: int = 0
     provenance: str = ""
 
     def __post_init__(self):
         self.spots = np.asarray(self.spots, dtype=float)
         self.sigmas = np.asarray(self.sigmas, dtype=float)
-        self.prices = np.asarray(self.prices, dtype=float)
+        if self.spots.ndim != 2 or not np.all((self.spots > 0) & (self.spots < np.inf)):
+            raise InputError(f"spots must be a 2-d array of finite numbers > 0, "
+                             f"got shape {self.spots.shape}")
         p, t1 = self.spots.shape
         m, n = self.grid.n_maturities, self.grid.n_strikes
         if self.sigmas.shape != (p, t1, m, n):
             raise InputError(f"sigmas shape {self.sigmas.shape} inconsistent with spots/grid "
                              f"{(p, t1, m, n)}")
-        if self.prices.shape != (p, t1, m + 1, n + 2):
-            raise InputError(f"prices shape {self.prices.shape} inconsistent with spots/grid "
-                             f"{(p, t1, m + 1, n + 2)}")
+        check_dlv_domain(self.sigmas)
+
+    @property
+    def prices(self):
+        """The call grids (P, T+1, m+1, n+2) of every path and step, solved
+        from the DLVs by prices_from_dlv_batch on every access."""
+        return prices_from_dlv_batch(self.grid, self.sigmas)
 
     @property
     def n_paths(self):
@@ -131,20 +134,13 @@ class InstrumentReturn:
 
 
 def bundle_from_sigmas(grid, spots, sigmas, seed=0, provenance=""):
-    """Build a PathBundle, deriving the call grids from the DLVs."""
-    prices = prices_from_dlv_batch(grid, np.asarray(sigmas, dtype=float))
-    return PathBundle(
-        grid=grid,
-        spots=spots,
-        sigmas=sigmas,
-        prices=prices,
-        seed=seed,
-        provenance=provenance,
-    )
+    """The PathBundle of drawn spots and DLVs; simulate and read_bundle
+    build theirs here."""
+    return PathBundle(grid=grid, spots=spots, sigmas=sigmas, seed=seed, provenance=provenance)
 
 
 def _interp_price(grid, prices, steps, x, tau):
-    """Spot-relative call prices from the bundle grids ``prices`` (P, T+1,
+    """Spot-relative call prices from the call grids ``prices`` (P, T+1,
     m+1, n+2) as a (P, K) array: at steps ``steps`` and maturities ``tau``,
     scalars or (K,), and relative strikes ``x``, a scalar or (P, K), all
     inside the grid span.  Linear in strike along the full strike axis and
@@ -168,10 +164,12 @@ def build_returns(bundle, instruments):
     is valued at the time-T surface at its strike relative to S_T (clipped
     to the grid span) and its remaining maturity.  Surfaces interpolate
     linearly in strike and maturity, and puts price via parity
-    P = C - S (1 - k) at zero rates.  A strike outside the grid span or a
-    maturity beyond the grid's last raises GridDomainError.
+    P = C - S (1 - k) at zero rates.  The call grids are solved once, from
+    ``bundle.prices``.  A strike outside the grid span or a maturity beyond
+    the grid's last raises GridDomainError.
     """
     grid, spots, T = bundle.grid, bundle.spots, bundle.n_steps
+    prices = bundle.prices
     instruments = tuple(instruments)
     s_t, s_T = spots[:, :T], spots[:, T:]
     dh = np.empty(s_t.shape + (len(instruments),))
@@ -186,14 +184,14 @@ def build_returns(bundle, instruments):
             raise GridDomainError(f"strike {x} outside [{grid.boundary_lo}, {grid.boundary_hi}]")
         if days / DAYS_PER_YEAR > grid.maturities[-1] + 1e-12:
             raise GridDomainError(f"maturity {days}d beyond the grid span")
-        c = _interp_price(grid, bundle.prices, np.arange(T), x, days / DAYS_PER_YEAR)
+        c = _interp_price(grid, prices, np.arange(T), x, days / DAYS_PER_YEAR)
         mids[:, :, k] = s_t * (c - (1.0 - x) if put else c)
         n = max(T - days + 1, 0)  # the steps whose option expires by T
         ratio = spots[:, days:days + n] / s_t[:, :n]
         dh[:, :n, k] = s_t[:, :n] * np.maximum(x - ratio if put else ratio - x, 0.0)
         x_T = np.clip(x * s_t[:, n:] / s_T, grid.boundary_lo, grid.boundary_hi)
         rem_tau = (np.arange(n, T) + days - T) / DAYS_PER_YEAR
-        c_T = _interp_price(grid, bundle.prices, T, x_T, rem_tau)
+        c_T = _interp_price(grid, prices, T, x_T, rem_tau)
         dh[:, n:, k] = s_T * (c_T - (1.0 - x_T) if put else c_T)
         dh[:, :, k] -= mids[:, :, k]
     return InstrumentReturn(instruments=instruments, dh=dh, mids=mids)
@@ -367,14 +365,9 @@ def write_bundle(bundle, directory):
     write_csv(csv_path, header,
               [np.repeat(np.arange(P), T1), np.tile(np.arange(T1), P),
                bundle.spots.ravel(), *bundle.sigmas.reshape(P * T1, m * n).T])
-    meta = {
-        "grid": bundle.grid.to_dict(),
-        "n_paths": bundle.n_paths,
-        "n_steps": bundle.n_steps,
-        "seed": bundle.seed,
-        "provenance": bundle.provenance,
-    }
-    write_json(meta_path, meta)
+    write_json(meta_path, {"grid": bundle.grid.to_dict(), "n_paths": bundle.n_paths,
+                           "n_steps": bundle.n_steps, "seed": bundle.seed,
+                           "provenance": bundle.provenance})
     return [csv_path, meta_path]
 
 

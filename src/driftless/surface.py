@@ -24,8 +24,8 @@ from .errors import (
 )
 
 DAYS_PER_YEAR = 252.0
-# the DLV domain is [0, SIGMA_MAX]: prices_from_dlv_batch refuses a DLV
-# above it, and simulate resamples a path that breaches it
+# the DLV domain is [0, SIGMA_MAX]: check_dlv_domain refuses a DLV above
+# it, and simulate resamples a path that breaches it
 SIGMA_MAX = 5.0
 # dlv_from_prices returns a DLV read back at most this far above SIGMA_MAX
 # as SIGMA_MAX, the round trip's tolerance, and refuses one further above
@@ -108,6 +108,15 @@ def intrinsic_row(grid):
     return np.maximum(1.0 - grid.all_strikes, 0.0)
 
 
+def check_dlv_domain(sigma):
+    """Raise InvalidSurfaceError unless every DLV in the float array
+    ``sigma`` lies in the domain [0, SIGMA_MAX]."""
+    if not np.all((sigma >= 0) & (sigma <= SIGMA_MAX)):  # NaN fails both
+        bad = ("non-finite entries" if not np.all(np.isfinite(sigma)) else "negative entries"
+               if np.any(sigma < 0) else f"entries above SIGMA_MAX = {SIGMA_MAX}")
+        raise InvalidSurfaceError(f"local vol surface contains {bad}")
+
+
 @np.errstate(over="ignore", invalid="ignore")  # an overflow raises InvalidSurfaceError
 def prices_from_dlv_batch(grid, sigma):
     """Reconstruct call grids from a batch of local vol surfaces.
@@ -132,10 +141,7 @@ def prices_from_dlv_batch(grid, sigma):
     m, n = grid.n_maturities, grid.n_strikes
     if sigma.shape[-2:] != (m, n):
         raise InputError(f"sigma must end in shape {(m, n)}")
-    if not np.all((sigma >= 0) & (sigma <= SIGMA_MAX)):  # NaN fails both
-        bad = ("non-finite entries" if not np.all(np.isfinite(sigma)) else "negative entries"
-               if np.any(sigma < 0) else f"entries above SIGMA_MAX = {SIGMA_MAX}")
-        raise InvalidSurfaceError(f"local vol surface contains {bad}")
+    check_dlv_domain(sigma)
 
     xs = grid.all_strikes
     taus = grid.all_taus

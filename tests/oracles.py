@@ -44,15 +44,17 @@ class SingularSystemError(DriftlessError, ValueError):
 
 
 def one_period_bundle(outcomes, seed=0):
-    """One step, one node grid; spot moves so DH equals ``outcomes``.
+    """One step, one node grid; DH equals ``outcomes``.
 
-    With equal initial states the policy acts identically on all paths,
-    so training collapses to a single scalar position.
+    The spot moves from 1 to exp(outcome): positive for every outcome, and
+    above 1 exactly on an up move.  No trading step reads it: with equal
+    initial states the policy acts identically on all paths, so training
+    collapses to a single scalar position.
     """
     outcomes = np.asarray(outcomes, dtype=float)
     P = outcomes.shape[0]
     grid = DlvGrid(strikes=(1.0,), maturities=(20 / 252,), boundary_lo=0.5)
-    spots = np.column_stack([np.ones(P), 1.0 + outcomes])
+    spots = np.column_stack([np.ones(P), np.exp(outcomes)])
     sigmas = np.zeros((P, 2, 1, 1))
     bundle = bundle_from_sigmas(grid, spots, sigmas, seed=seed)
     rets = InstrumentReturn(
@@ -311,6 +313,7 @@ def build_returns_per_step(bundle, instruments):
 
     spots = bundle.spots
     s_T = spots[:, T]
+    prices = bundle.prices  # the property solves on every access
     for k, inst in enumerate(instruments):
         if inst.kind == "spot":
             for t in range(T):
@@ -330,7 +333,7 @@ def build_returns_per_step(bundle, instruments):
         for t in range(T):
             s_t = spots[:, t]
             c_rel = interp_price_general(
-                grid, bundle.prices[:, t], np.full(P, inst.rel_strike), tau_years
+                grid, prices[:, t], np.full(P, inst.rel_strike), tau_years
             )
             if inst.kind == "call":
                 mid_rel = c_rel
@@ -349,7 +352,7 @@ def build_returns_per_step(bundle, instruments):
                 rem_tau = (expiry - T) / DAYS_PER_YEAR
                 x_T = inst.rel_strike * s_t / s_T
                 np.clip(x_T, grid.boundary_lo, grid.boundary_hi, out=x_T)
-                c_T = interp_price_general(grid, bundle.prices[:, T], x_T, rem_tau)
+                c_T = interp_price_general(grid, prices[:, T], x_T, rem_tau)
                 if inst.kind == "call":
                     terminal = s_T * c_T
                 else:

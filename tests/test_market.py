@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from driftless import market
-from driftless.errors import GridDomainError, InputError
+from driftless.errors import GridDomainError, InputError, InvalidSurfaceError
 from driftless.market import (
     InstrumentSpec,
     PathBundle,
@@ -21,7 +21,7 @@ from driftless.market import (
     write_text,
     write_weights_csv,
 )
-from driftless.surface import DlvGrid, intrinsic_row
+from driftless.surface import DlvGrid, prices_from_dlv_batch
 from driftless.var_model import desk_grid, desk_params, simulate, stationary_init
 
 from oracles import build_returns_per_step
@@ -45,22 +45,55 @@ def test_zero_vol_constant_spot_all_zero_returns():
 
 
 def test_one_step_call_payoff_arithmetic():
-    # spot 1.0 -> 1.1, one-day ATM call priced 0.02 at trade time
+    # spot 1.0 -> 1.1; a one-day ATM call bought at the mid that the
+    # bundle's own DLVs give, settled at its payoff 0.1
     grid = DlvGrid(strikes=(0.9, 1.0, 1.1), maturities=(1 / 252,),
                    boundary_lo=0.5, boundary_hi=1.6)
-    spots = np.array([[1.0, 1.1]])
-    prices = np.empty((1, 2, 2, 5))
-    prices[:, :, 0] = intrinsic_row(grid)
-    prices[:, :, 1] = np.array([1.0 - 0.5, 0.11, 0.02, 0.004, 0.0])
-    bundle = PathBundle(
-        grid=grid,
-        spots=spots,
-        sigmas=np.full((1, 2, 1, 3), 0.2),
-        prices=prices,
-    )
+    sigmas = np.full((1, 2, 1, 3), 0.2)
+    bundle = PathBundle(grid=grid, spots=np.array([[1.0, 1.1]]), sigmas=sigmas)
+    mid = prices_from_dlv_batch(grid, sigmas)[0, 0, 1, 2]  # step 0, one day, strike 1.0
+    assert 0.0 < mid < 0.1
     rets = build_returns(bundle, [InstrumentSpec("call", 1.0, 1)])
-    assert rets.mids[0, 0, 0] == pytest.approx(0.02)
-    assert rets.dh[0, 0, 0] == pytest.approx((1.1 - 1.0) - 0.02)
+    assert rets.mids[0, 0, 0] == pytest.approx(mid)
+    assert rets.dh[0, 0, 0] == pytest.approx((1.1 - 1.0) - mid)
+
+
+@pytest.mark.parametrize("spots", [[1.0, 1.1], [[1.0, -1.1]], [[1.0, np.nan]]],
+                         ids=["one_dimensional", "negative", "nan"])
+def test_bundle_refuses_bad_spots(spots):
+    with pytest.raises(InputError, match="spots"):
+        bundle_from_sigmas(desk_grid(), np.array(spots), np.full((1, 2, 3, 3), 0.2))
+
+
+@pytest.mark.parametrize("dlv, bad", [(-0.1, "negative"), (np.nan, "non-finite"),
+                                      (5.5, "entries above SIGMA_MAX")])
+def test_bundle_refuses_dlv_outside_domain(dlv, bad):
+    """Construction refuses a DLV outside [0, SIGMA_MAX], although it
+    solves no call grid."""
+    sigmas = np.full((1, 2, 3, 3), 0.2)
+    sigmas[0, 1, 2, 0] = dlv
+    with pytest.raises(InvalidSurfaceError, match=f"local vol surface contains {bad}"):
+        PathBundle(grid=desk_grid(), spots=np.ones((1, 2)), sigmas=sigmas)
+
+
+def test_only_build_returns_solves_the_call_grids(tmp_path, monkeypatch):
+    """simulate and read_bundle solve no call grid and build_returns solves
+    them once; the returns of a written and read copy equal the original's
+    bit for bit."""
+    solve, solves = market.prices_from_dlv_batch, []
+    monkeypatch.setattr(market, "prices_from_dlv_batch",
+                        lambda grid, sigma: solves.append(sigma.shape) or solve(grid, sigma))
+    grid = desk_grid()
+    p = desk_params(grid)
+    bundle = simulate(p, stationary_init(p), 30, 5, seed=3, grid=grid)
+    write_bundle(bundle, tmp_path)
+    back = read_bundle(tmp_path)
+    assert solves == []
+    got = build_returns(bundle, _pinned_instruments(5))
+    assert solves == [(30, 6, 3, 3)]
+    again = build_returns(back, _pinned_instruments(5))
+    assert got.dh.tobytes() == again.dh.tobytes()
+    assert got.mids.tobytes() == again.mids.tobytes()
 
 
 def test_deferred_option_bracketed_by_grid_maturities():
@@ -77,8 +110,9 @@ def test_deferred_option_bracketed_by_grid_maturities():
     terminal = rets.dh[:, t, 0] + rets.mids[:, t, 0]
     from driftless.market import _interp_price
 
-    lo = s_T * _interp_price(grid, bundle.prices, 10, x_T[:, None], 20 / 252)[:, 0]
-    hi = s_T * _interp_price(grid, bundle.prices, 10, x_T[:, None], 40 / 252)[:, 0]
+    prices = bundle.prices
+    lo = s_T * _interp_price(grid, prices, 10, x_T[:, None], 20 / 252)[:, 0]
+    hi = s_T * _interp_price(grid, prices, 10, x_T[:, None], 40 / 252)[:, 0]
     assert np.all(terminal >= np.minimum(lo, hi) - 1e-12)
     assert np.all(terminal <= np.maximum(lo, hi) + 1e-12)
 

@@ -1,5 +1,6 @@
 import ast
 import builtins
+import dataclasses
 import os
 import pathlib
 import subprocess
@@ -168,6 +169,19 @@ def test_json_is_written_only_through_market():
     assert {module for module, _ in callers["write_json"]} == {"cli.py", "market.py"}
     assert {c for c in callers["write_json"] if c[0] == "market.py"} == {
         ("market.py", "write_bundle")}
+
+
+def test_bundle_stores_no_call_grids():
+    """A PathBundle holds only what the simulator draws: ``prices`` is no
+    dataclass field, and no module but market reads a ``.prices``
+    attribute, so the call grids are solved where build_returns reads them."""
+    from driftless.market import PathBundle
+
+    assert "prices" not in [f.name for f in dataclasses.fields(PathBundle)]
+    readers = {path.name for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "prices"}
+    assert readers <= {"market.py"}
 
 
 def test_training_problem_has_no_optional_parts():
