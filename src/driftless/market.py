@@ -164,13 +164,13 @@ def build_returns(bundle, instruments):
     is valued at the time-T surface at its strike relative to S_T (clipped
     to the grid span) and its remaining maturity.  Surfaces interpolate
     linearly in strike and maturity, and puts price via parity
-    P = C - S (1 - k) at zero rates.  The call grids are solved once, from
-    ``bundle.prices``.  A strike outside the grid span or a maturity beyond
-    the grid's last raises GridDomainError.
+    P = C - S (1 - k) at zero rates.  The call grids are solved once, for
+    options only.  A strike outside the grid span or a maturity beyond the
+    grid's last raises GridDomainError.
     """
     grid, spots, T = bundle.grid, bundle.spots, bundle.n_steps
-    prices = bundle.prices
     instruments = tuple(instruments)
+    prices = bundle.prices if any(i.kind != "spot" for i in instruments) else None
     s_t, s_T = spots[:, :T], spots[:, T:]
     dh = np.empty(s_t.shape + (len(instruments),))
     mids = np.empty_like(dh)

@@ -3,7 +3,7 @@
 One shared network maps state features (time fraction, log spot, log DLV
 nodes) to an action vector per step; the cash offset y is one extra
 trainable scalar.  Training ascends the OCE objective with Adam on
-minibatches; the best-seen parameters by full-sample objective are
+minibatches; the best epoch's parameters by full-sample objective are
 returned.  Gradients use |a| smoothed by ``SMOOTH_EPS`` in the cost term;
 all reported objective values use the exact absolute value.
 
@@ -20,11 +20,12 @@ per-op graph of the same objective as the float64 bit-for-bit reference.
 ``train`` runs every gradient pass, minibatch or full batch, in float32:
 the feature gather, the ReLU layers and the backward through them.  The
 gradient only steers the search, after mixed-precision training
-(Micikevicius et al., ICLR 2018, with float32 for float16).  Everything
-that is reported or selected stays float64: the master weights, the Adam
-state, the gradient norm and clip, the head (x, utility, y and the
-action gradient), the full-sample ``forward`` that scores every epoch
-and picks the best one, the y refit, and ``objective_and_grad``.
+(Micikevicius et al., ICLR 2018, with float32 for float16), and so does
+each epoch's full-sample score, run with float32 layers.  A float64
+``forward`` rescores the epochs within ``MARGIN`` of the best to pick one.
+The rest stays float64: the master weights, the Adam state, the gradient
+norm and clip, the head (x, utility, y and the action gradient), the y
+refit, and ``objective_and_grad``.
 
 ``train`` allocates its large buffers once per call, in one float32
 ``_Workspace``: the gathered minibatch rows, one output per layer and
@@ -32,8 +33,8 @@ one ReLU mask per hidden layer.  Every minibatch writes into leading-row
 views of them, and the backward pass writes each layer's input gradient
 over that layer's input, which it no longer needs.  So a ``backward``
 closure is valid only until the next ``_objective`` on the same
-workspace.  The per-epoch evaluation runs after the epoch's last
-``backward``, in float64 views of the same layer memory.
+workspace.  The epoch's float32 score runs after its last ``backward``,
+and the float64 rescoring in float64 views of the same layer memory.
 """
 
 from __future__ import annotations
@@ -174,6 +175,7 @@ def forward(mlp, feats, ws=None):
 
 CLIP_NORM = 10.0  # minibatch gradients are rescaled to at most this norm
 SMOOTH_EPS = 1e-8  # |a| ~ sqrt(a^2 + eps^2) in the gradient of the cost term
+MARGIN = 1e-3  # rescore epochs within MARGIN * (1 + |max|) of the best float32 score
 
 
 @dataclass(frozen=True)
@@ -220,7 +222,7 @@ class Solution:
     policy: Mlp
     y_star: float
     objective_value: float
-    trace: list = field(default_factory=list)
+    trace: list = field(default_factory=list)  # epoch scores, float64 if rescored
     config: TrainConfig | None = None
     gains: np.ndarray | None = None  # (P,)
     costs: np.ndarray | None = None  # (P,)
@@ -351,6 +353,22 @@ def _head(prob, gains, costs, y):
     return x, float(np.mean(prob.weights * u_value(prob.utility, x)) - y)
 
 
+def _score32(prob, params, ws, batch, gains, costs):
+    """The full-sample objective at ``params`` ([W_0, b_0, ..., y]) by float32
+    layers through ``ws``, ``batch`` paths at a time, and the float64 head on
+    the per-path gains and exact-|a| costs it writes into ``gains``, ``costs``."""
+    net = [np.asarray(p, dtype=np.float32) for p in params[:-1]]
+    for s in range(0, len(gains), batch):
+        rows, feats = slice(s, s + batch), prob.feats[s : s + batch]
+        h = ws.feats[: feats.shape[0] * feats.shape[1]]
+        h.reshape(feats.shape)[...] = feats
+        a = ws.dh[: len(h)].reshape(*feats.shape[:2], -1)
+        a[...] = _layers(net[::2], net[1::2], h, ws).reshape(a.shape)
+        np.einsum("pti,pti->p", a, prob.dh[rows], out=gains[rows])
+        np.einsum("pti,pti->p", np.abs(a, out=a), prob.rates[rows], out=costs[rows])
+    return _head(prob, gains, costs, float(params[-1]))[1]
+
+
 def objective_and_grad(bundle, returns, spec, utility, mlp, y):
     """Reverse-mode gradient of the full-sample objective, with uniform
     weights and no claim.
@@ -375,12 +393,12 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
     """Maximize the OCE objective over network parameters and y.
 
     Deterministic given the config seed, for a fixed BLAS build and thread
-    count.  The gradient passes run in float32; after each epoch a float64
-    ``forward`` scores the parameters on the full sample.  Returns the
-    best-seen parameters by that objective (exact-abs costs), with their
-    training-sample evaluation, kept from the epoch that set them: the y
-    refit reruns only the head on its gains and costs.  Raises TrainingError
-    if a minibatch objective or gradient, or an epoch's score, is not finite.
+    count.  Epochs are trained and scored in float32; a float64 ``forward``
+    then rescores those within MARGIN of the best, in order, and picks the
+    first greatest (exact-abs costs; the best of all epochs while every
+    |f32 - f64| < MARGIN / 2), returned with its training-sample evaluation,
+    whose gains and costs the y refit reuses.  Raises TrainingError if a
+    minibatch objective or gradient, or an epoch's score, is not finite.
     """
     prob = _make_problem(bundle, returns, spec, utility, payoff, inv_scale, weights)
     P, T, F = prob.feats.shape
@@ -398,16 +416,16 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
     step = 0
 
     batch = min(config.batch_size, P) if config.batch_size > 0 else P
-    # the returned gains, costs and pre-utility; allocated before the
-    # workspace, so that once freed its pages are not pinned below them
+    # the float32 scores' gains and costs, then the returned ones and the
+    # pre-utility; allocated before the workspace, not to pin its pages
     evaluation = np.empty((3, P))
-    # one float32 buffer set for every minibatch, whose layer memory also
-    # holds the float64 evaluation blocks: the two are never live at once
+    # one float32 buffer set for every minibatch and epoch score, whose layer
+    # memory also holds the float64 rescoring blocks
     ws = _Workspace(batch * T, [F, *config.hidden, n_inst], np.float32,
                     eval_rows=min(_BLOCK_ROWS, P * T))
     lr = config.lr
-    best_obj = -np.inf  # the first epoch beats it: epochs >= 1, each finite or raising
-    trace = []
+    best_obj = -np.inf  # the first candidate beats it: epochs >= 1, each finite or raising
+    trace, snaps = [], {}
 
     for epoch in range(config.epochs):
         perm = rng.permutation(P) if batch < P else np.arange(P)
@@ -437,19 +455,26 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
                 vhat = v / (1 - beta2**step)
                 p -= lr * mhat / (np.sqrt(vhat) + eps)
 
-        # the full-sample objective at the parameters that end the epoch;
-        # keep the best-seen parameters, and their gains and costs
-        actions = forward(Mlp(weights=params[:-1:2], biases=params[1:-1:2]), prob.feats, ws)
-        gains, costs = _gains_costs(prob, actions)
-        full = _head(prob, gains, costs, float(params[-1]))[1]
+        # score the epoch in float32; snapshot it while it is within the
+        # band below the running maximum, and drop what falls out of it
+        full = _score32(prob, params, ws, batch, evaluation[0], evaluation[1])
         if not np.isfinite(full):
             raise TrainingError(f"full-sample objective is {full} at epoch {epoch}; "
                                 f"last finite trace: {trace[-1] if trace else None}")
         trace.append(full)
-        if full > best_obj:
-            best_obj, best = full, [p.copy() for p in params]
-            evaluation[0], evaluation[1] = gains, costs
+        snaps[epoch] = [p.copy() for p in params]
+        top = max(trace)
+        snaps = {e: snap for e, snap in snaps.items() if trace[e] >= top - MARGIN * (1 + abs(top))}
         lr *= config.lr_decay
+
+    # rescore the candidates in float64; the first strictly greatest wins
+    for e, snap in snaps.items():
+        actions = forward(Mlp(weights=snap[:-1:2], biases=snap[1:-1:2]), prob.feats, ws)
+        gains, costs = _gains_costs(prob, actions)
+        trace[e] = _head(prob, gains, costs, float(snap[-1]))[1]
+        if trace[e] > best_obj:
+            best_obj, best = trace[e], snap
+            evaluation[0], evaluation[1] = gains, costs
 
     net = Mlp(weights=best[:-1:2], biases=best[1:-1:2])
     y_star = float(best[-1])

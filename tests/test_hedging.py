@@ -208,9 +208,9 @@ class TestConcavity:
 class TestDeepHedge:
     def test_pnl_comes_from_train(self, monkeypatch):
         """``deep_hedge`` reads the P&L off its trained solution: every
-        full-sample forward pass, one per epoch of a full-batch ``train``,
-        runs inside it, and the P&L equals a fresh evaluation's bit for
-        bit."""
+        full-sample forward pass, the float64 rescoring of ``train``'s
+        near-best epochs, runs inside it, and the P&L equals a fresh
+        evaluation's bit for bit."""
         import driftless.hedging as hedging
         import driftless.trainer as trainer
 
@@ -238,7 +238,7 @@ class TestDeepHedge:
         u, spec = Utility("exponential", 1.0), CostSpec(gamma_prop=0.001)
         cfg = TrainConfig(epochs=6, lr=0.02, seed=1, hidden=(8,))
         result = deep_hedge(bundle, rets, w, z, spec, u, cfg)
-        assert calls == [True] * cfg.epochs
+        assert calls and all(calls) and len(calls) <= cfg.epochs
         res = evaluate_policy(bundle, rets, spec, u, result.policy, result.y_star)
         assert np.array_equal(result.pnl, z + res["gains"] - res["costs"])
 

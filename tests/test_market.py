@@ -96,6 +96,20 @@ def test_only_build_returns_solves_the_call_grids(tmp_path, monkeypatch):
     assert got.mids.tobytes() == again.mids.tobytes()
 
 
+def test_spot_only_returns_solve_no_call_grid(monkeypatch):
+    """build_returns solves the call grids only for an option: the returns
+    of a spot-only market read no price."""
+    solves = []
+    monkeypatch.setattr(market, "prices_from_dlv_batch",
+                        lambda grid, sigma: solves.append(sigma.shape))
+    grid = desk_grid()
+    p = desk_params(grid)
+    bundle = simulate(p, stationary_init(p), 30, 5, seed=3, grid=grid)
+    rets = build_returns(bundle, [InstrumentSpec("spot")])
+    assert solves == []
+    assert np.array_equal(rets.dh[:, :, 0], bundle.spots[:, 5:] - bundle.spots[:, :5])
+
+
 def test_deferred_option_bracketed_by_grid_maturities():
     grid = desk_grid()
     p = desk_params(grid)

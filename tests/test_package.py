@@ -221,6 +221,22 @@ def test_weights_and_best_epoch_have_one_path():
     assert nested == []
 
 
+def test_train_scores_no_epoch_in_float64():
+    """trainer.train's ``for epoch`` loop calls no ``forward``: each epoch
+    is scored in float32, and ``forward`` rescores the near-best epochs in
+    float64 after the loop."""
+    trainer = ast.parse((SRC / "trainer.py").read_text())
+    train = next(n for n in trainer.body if isinstance(n, ast.FunctionDef) and n.name == "train")
+    [loop] = [n for n in ast.walk(train) if isinstance(n, ast.For)
+              and isinstance(n.target, ast.Name) and n.target.id == "epoch"]
+
+    def forward_calls(node):
+        return [n.lineno for n in ast.walk(node) if isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Name) and n.func.id == "forward"]
+
+    assert forward_calls(loop) == [] and forward_calls(train) != []
+
+
 def test_config_parsers_write_no_defaults():
     """No config parser (a ``from_dict``, ``errors.from_config``, or a CLI
     function in ``cli._load``'s ``parsers`` table) reads a key with

@@ -13,12 +13,16 @@ from driftless.market import build_returns, read_json, write_json
 from driftless.oce import Utility, closed_form_y, concave_argmax, u_deriv, u_value
 from driftless.trainer import (
     _BLOCK_ROWS,
+    MARGIN,
     SMOOTH_EPS,
     Mlp,
     Solution,
     TrainConfig,
+    _gains_costs,
+    _head,
     _objective,
     _Problem,
+    _score32,
     _Workspace,
     evaluate_policy,
     forward,
@@ -34,6 +38,11 @@ from pergraph import Tensor
 # fraction of that array's largest entry (at most 1.1e-6 measured on
 # TestFusedObjective's problems)
 FLOAT32_RTOL = 1e-5
+# a float32 epoch score (``_score32``) against the float64 one at the same
+# parameters: within MARGIN / 2 over this safety factor, so the float64
+# rescoring picks the epoch a float64 score of every epoch would pick
+SCORE_SAFETY = 100
+SCORE_ATOL = MARGIN / 2 / SCORE_SAFETY
 
 
 def graph_objective(prob, param_tensors, y_tensor, idx, smooth_eps):
@@ -57,6 +66,13 @@ def graph_objective(prob, param_tensors, y_tensor, idx, smooth_eps):
     x = x * Tensor(prob.inv_scale[idx])
     util = x.apply_utility(prob.utility)
     return (util * Tensor(prob.weights[idx])).mean() - y_tensor
+
+
+def float64_score(prob, params):
+    """A fresh float64 full-sample objective at ``params`` ([W_0, b_0, ..., y])."""
+    actions = forward(Mlp(weights=params[:-1:2], biases=params[1:-1:2]), prob.feats)
+    gains, costs = _gains_costs(prob, actions)
+    return _head(prob, gains, costs, float(params[-1]))[1]
 
 
 class TestForward:
@@ -201,6 +217,20 @@ class TestFusedObjective:
         ws = _Workspace(96 * 4, [6, 16, 16, 3], np.float32)
         self.assert_close(self.fused(prob, mlp, 0.37, idx, ws),
                           self.fused(prob, mlp, 0.37, idx))
+
+    @pytest.mark.parametrize("family", ["exponential", "adjusted_mean_vol"])
+    @pytest.mark.parametrize("costs", [False, True])
+    @pytest.mark.parametrize("extras", [False, True], ids=["plain", "payoff_scale"])
+    def test_float32_score_matches_float64(self, family, costs, extras):
+        """``_score32``, in ragged blocks of 96 paths, gives the float64
+        full-sample objective to within SCORE_ATOL."""
+        rng = np.random.default_rng(21)
+        prob, mlp = self.problem(rng, family, costs, extras)
+        params = [a for pair in zip(mlp.weights, mlp.biases) for a in pair] + [np.array(0.37)]
+        ws = _Workspace(96 * 4, [6, 16, 16, 3], np.float32)
+        gains, costs_ = np.empty(240), np.empty(240)
+        got = _score32(prob, params, ws, 96, gains, costs_)
+        assert abs(got - float64_score(prob, params)) <= SCORE_ATOL
 
     def test_float32_workspace_ignores_old_contents(self):
         """A float32 workspace filled with signalling-NaN bits gives the
@@ -588,61 +618,130 @@ class TestTrain:
         assert sol.objective_value == float(
             np.mean(extra.get("weights", 1.0) * u_value(u, x)) - sol.y_star)
 
-    def test_train_runs_the_full_sample_once_per_epoch_and_once_more(self, monkeypatch):
-        """With minibatches, one full-sample forward pass per epoch, none
-        more at the best epoch's policy, and none for the y refit."""
+    @staticmethod
+    def epoch_ends(monkeypatch):
+        """Spy on ``_objective``, ``_score32`` and ``forward``: (problem,
+        parameters, float32 score) at the end of each epoch, and (epoch,
+        name) for every call, ``_objective``'s named by its workspace dtype."""
         import driftless.trainer as trainer
 
-        calls, real_forward = [], trainer.forward
-
-        def spy(*args):
-            calls.append(None)
-            return real_forward(*args)
-
-        monkeypatch.setattr(trainer, "forward", spy)
-        bundle, rets = self.desk_sample(30)
-        cfg = TrainConfig(epochs=5, batch_size=12, lr=0.01, seed=2, hidden=(8,))
-        train(bundle, rets, CostSpec(gamma_prop=0.002, mode="marginal"),
-              Utility("exponential", 1.0), cfg)
-        assert len(calls) == cfg.epochs
-
-    @pytest.mark.parametrize("n_paths, n_steps", [(30, 3), (2000, 10)])
-    def test_full_batch_trace_is_each_epochs_float64_evaluation(self, monkeypatch, n_paths,
-                                                                n_steps):
-        """In full batch, each epoch's trace entry equals, bit for bit, a
-        fresh float64 full-sample evaluation at the parameters that end
-        the epoch, on one block's rows (30 x 3) and on two ``_BLOCK_ROWS``
-        blocks (2000 x 10, the CLI's network).  Each epoch runs one float32
-        ``_objective`` and one ``forward``."""
-        import driftless.trainer as trainer
-
-        real_objective, real_forward = trainer._objective, trainer.forward
-        ends, live, dtypes = [], [], []
+        real_objective, real_score, real_forward = (trainer._objective, trainer._score32,
+                                                    trainer.forward)
+        ends, calls = [], []
 
         def spy_objective(prob, params, y, idx, ws):
-            live[:] = [prob, params + [y]]  # Adam updates these in place
-            dtypes.append(ws.dtype)
+            calls.append((len(ends) + 1, ws.dtype.name))
             return real_objective(prob, params, y, idx, ws)
 
+        def spy_score(prob, params, *args):
+            calls.append((len(ends) + 1, "score"))
+            ends.append((prob, [p.copy() for p in params], real_score(prob, params, *args)))
+            return ends[-1][2]
+
         def spy_forward(*args):
-            ends.append([p.copy() for p in live[1]])
+            calls.append((len(ends), "forward"))
             return real_forward(*args)
 
         monkeypatch.setattr(trainer, "_objective", spy_objective)
+        monkeypatch.setattr(trainer, "_score32", spy_score)
         monkeypatch.setattr(trainer, "forward", spy_forward)
+        return ends, calls
+
+    @staticmethod
+    def expected_calls(epochs, batches, rescored):
+        """Each epoch's float32 minibatch passes, then its float32 score;
+        after the last epoch, one ``forward`` per rescored epoch."""
+        per_epoch = [[(e + 1, "float32")] * batches + [(e + 1, "score")] for e in range(epochs)]
+        return sum(per_epoch, []) + [(epochs, "forward")] * len(rescored)
+
+    @staticmethod
+    def fresh_scores(ends):
+        """A fresh float64 evaluation at each epoch's end parameters."""
+        return np.array([float64_score(prob, end) for prob, end, _ in ends])
+
+    @staticmethod
+    def rescored(ends):
+        """The epochs whose float32 score lies within MARGIN of the best."""
+        scores = [score for _, _, score in ends]
+        top = max(scores)
+        return [e for e, score in enumerate(scores) if score >= top - MARGIN * (1 + abs(top))]
+
+    @staticmethod
+    def assert_policy_is(sol, end):
+        """The returned network is the parameters ``end`` ([W_0, b_0, ..., y])."""
+        net = [a for pair in zip(sol.policy.weights, sol.policy.biases) for a in pair]
+        assert len(net) == len(end) - 1
+        assert all(np.array_equal(got, want) for got, want in zip(net, end))
+
+    @pytest.mark.parametrize("n_paths, n_steps, batch, hidden", [
+        (30, 3, 12, (8,)), (30, 3, 0, (64, 64)), (2000, 10, 0, (64, 64))],
+        ids=["minibatch", "30-3", "2000-10"])
+    def test_trace_is_float32_within_tolerance_and_float64_at_the_winner(
+            self, monkeypatch, n_paths, n_steps, batch, hidden):
+        """Each epoch runs its gradient passes in float32 and is scored once
+        in float32, and ``forward`` runs only after the last epoch, once per
+        epoch rescored in float64: those within MARGIN of the best float32
+        score.  Against a fresh float64 evaluation at every epoch's end
+        parameters, on minibatches and in full batch on one block's rows
+        (30 x 3) and on two ``_BLOCK_ROWS`` blocks (2000 x 10, the CLI's
+        network): ``argmax(trace)`` is the fresh argmax, every rescored entry
+        is the fresh value bit for bit, the policy is the winner's
+        parameters, and every entry is within SCORE_ATOL."""
+        ends, calls = self.epoch_ends(monkeypatch)
         bundle, rets = self.desk_sample(n_paths, n_steps)
-        assert n_paths * n_steps in (90, 2 * _BLOCK_ROWS)
-        cfg = TrainConfig(epochs=5, lr=0.01, seed=2, hidden=(64, 64))
+        cfg = TrainConfig(epochs=5, batch_size=batch, lr=0.01, seed=2, hidden=hidden)
         sol = train(bundle, rets, CostSpec(gamma_prop=0.002, mode="marginal"),
                     Utility("adjusted_mean_vol", 1.0), cfg)
-        assert dtypes == [np.float32] * cfg.epochs and len(ends) == cfg.epochs
-        prob = live[0]
-        fresh = []
-        for end in ends:
-            actions = real_forward(Mlp(weights=end[:-1:2], biases=end[1:-1:2]), prob.feats)
-            gains, costs = trainer._gains_costs(prob, actions)
-            fresh.append(trainer._head(prob, gains, costs, float(end[-1]))[1])
-        assert sol.trace == fresh
+        fresh, rescored = self.fresh_scores(ends), self.rescored(ends)
+        assert calls == self.expected_calls(cfg.epochs, -(-n_paths // (batch or n_paths)),
+                                            rescored)
+        best = int(np.argmax(sol.trace))
+        assert best == int(np.argmax(fresh)) and best in rescored
+        assert [sol.trace[e] for e in rescored] == list(fresh[rescored])
+        self.assert_policy_is(sol, ends[best][1])
+        assert np.max(np.abs(np.array(sol.trace) - fresh)) <= SCORE_ATOL
+
+    @pytest.mark.parametrize("case", ["tiny_lr", "converged"])
+    def test_near_ties_are_decided_in_float64(self, monkeypatch, case):
+        """Epochs within MARGIN of the best float32 score are rescored in
+        float64, bit for bit as a fresh evaluation, and the policy is the
+        first epoch with the greatest float64 score.  With a learning rate
+        so small that every epoch lies within MARGIN, every epoch is
+        rescored; a run that has converged on a market with no statarb
+        rescores the epochs it oscillates through, with the winner before
+        the last of them."""
+        ends, calls = self.epoch_ends(monkeypatch)
+        if case == "tiny_lr":
+            bundle, rets = self.desk_sample(30)
+            spec = CostSpec(gamma_prop=0.002, mode="marginal")
+            cfg = TrainConfig(epochs=6, batch_size=12, lr=1e-7, seed=2, hidden=(8,))
+        else:
+            bundle, rets = one_period_bundle(np.array([1.0, -1.0] * 8))
+            spec = CostSpec(mode="none")
+            cfg = TrainConfig(epochs=60, lr=0.05, seed=1, hidden=(8,))
+        sol = train(bundle, rets, spec, Utility("exponential", 1.0), cfg)
+        fresh, rescored = self.fresh_scores(ends), self.rescored(ends)
+        assert calls == self.expected_calls(cfg.epochs, 3 if case == "tiny_lr" else 1, rescored)
+        assert [sol.trace[e] for e in rescored] == list(fresh[rescored])
+        best = int(np.argmax(fresh))
+        self.assert_policy_is(sol, ends[best][1])
+        if case == "tiny_lr":
+            assert rescored == list(range(cfg.epochs))
+        else:
+            assert best in rescored and best < rescored[-1]
+
+    @pytest.mark.parametrize("n_paths, n_steps", [(30, 3), (1000, 10)])
+    def test_float32_scores_agree_with_float64(self, monkeypatch, n_paths, n_steps):
+        """Over 20 epochs of minibatch training of the desk network on the
+        desk market, every float32 epoch score lies within SCORE_ATOL of a
+        fresh float64 evaluation at the same parameters."""
+        ends, _ = self.epoch_ends(monkeypatch)
+        bundle, rets = self.desk_sample(n_paths, n_steps)
+        cfg = TrainConfig(epochs=20, batch_size=n_paths // 4, lr=0.005, seed=0)
+        train(bundle, rets, CostSpec(gamma_prop=0.001, mode="marginal"),
+              Utility("exponential", 1.0), cfg)
+        scores = np.array([score for _, _, score in ends])
+        assert np.max(np.abs(scores - self.fresh_scores(ends))) <= SCORE_ATOL
 
     def test_non_finite_epoch_raises(self):
         """An epoch whose full-sample objective is not finite (here one huge
