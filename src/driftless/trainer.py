@@ -21,20 +21,22 @@ per-op graph of the same objective as the float64 bit-for-bit reference.
 the feature gather, the ReLU layers and the backward through them.  The
 gradient only steers the search, after mixed-precision training
 (Micikevicius et al., ICLR 2018, with float32 for float16), and so does
-each epoch's full-sample score, run with float32 layers.  A float64
-``forward`` rescores the epochs within ``MARGIN`` of the best to pick one.
+each epoch's float32 full-sample score: in full batch the next pass's
+forward, and ``_score32`` after the last epoch or each minibatch epoch.
+A float64 ``forward`` rescores the epochs within ``MARGIN`` of the best.
 The rest stays float64: the master weights, the Adam state, the gradient
 norm and clip, the head (x, utility, y and the action gradient), the y
 refit, and ``objective_and_grad``.
 
 ``train`` allocates its large buffers once per call, in one float32
-``_Workspace``: the gathered minibatch rows, one output per layer and
-one ReLU mask per hidden layer.  Every minibatch writes into leading-row
-views of them, and the backward pass writes each layer's input gradient
-over that layer's input, which it no longer needs.  So a ``backward``
-closure is valid only until the next ``_objective`` on the same
-workspace.  The epoch's float32 score runs after its last ``backward``,
-and the float64 rescoring in float64 views of the same layer memory.
+``_Workspace``: the gathered minibatch rows, one output per layer, one
+ReLU mask per hidden layer and the float64 actions.  Every minibatch
+writes into leading-row views of them, and the backward pass writes each
+layer's input gradient over that layer's input, which it no longer needs.
+So a ``backward`` closure is valid only until the next ``_objective`` on
+the same workspace.  Epoch scores run after a ``backward``, which no
+longer reads the actions, and the float64 rescoring in float64 views of
+the same layer memory.
 """
 
 from __future__ import annotations
@@ -106,16 +108,17 @@ class _Workspace:
     """Reused buffers for the networks of widths ``widths`` ([F, ..., I])
     on up to ``rows`` rows in ``dtype``: the gathered minibatch features,
     one output per layer and one ReLU mask per hidden layer, and the
-    head's float64 action increments and rates.  Each layer's memory also
-    holds ``eval_rows`` float64 rows, so a float32 workspace serves the
-    float64 ``forward`` too.  Callers use leading-row views, which stay
-    C-contiguous.
+    head's float64 actions, action increments and rates.  Each layer's
+    memory also holds ``eval_rows`` float64 rows, so a float32 workspace
+    serves the float64 ``forward`` too.  Callers use leading-row views,
+    which stay C-contiguous.
     """
 
     def __init__(self, rows, widths, dtype, eval_rows=0):
         self.dtype = np.dtype(dtype)
         self.widths = widths
         self.feats = np.empty((rows, widths[0]), self.dtype)
+        self.actions = np.empty((rows, widths[-1]))
         self.dh = np.empty((rows, widths[-1]))
         self.rates = np.empty((rows, widths[-1]))
         # float64 words, viewed in either precision by ``layer``, each
@@ -289,12 +292,12 @@ def _objective(prob, params, y, idx, ws):
 
     The feature gather, the layers and the backward through them run in
     the precision of the workspace ``ws``, in its leading len(idx)·T rows;
-    the head and the returned value and gradients are float64.  Its ``backward``
-    returns the analytic gradient ``(grads, y_grad)``, with ``grads`` in
-    the order of ``params``; it overwrites the hidden activations, so it
-    is valid only until the next ``_objective`` on ``ws``.  Each
-    elementwise expression keeps the order of the per-op reference graph,
-    so in float64 value and gradients are bit-identical to it.
+    the actions (in ``ws.actions``), the head, the value and the gradients
+    are float64.  Its ``backward`` returns the analytic gradient ``(grads,
+    y_grad)``, with ``grads`` in the order of ``params``; it overwrites the
+    hidden activations, so it is valid only until the next ``_objective`` on
+    ``ws``.  Each elementwise expression keeps the order of the per-op
+    reference graph, so in float64 value and gradients are bit-identical to it.
     """
     B, T, F = len(idx), prob.feats.shape[1], prob.feats.shape[2]
     n_layers = len(params) // 2
@@ -304,8 +307,8 @@ def _objective(prob, params, y, idx, ws):
     # np.take into a buffer of another dtype first casts its old contents
     feats = ws.feats[:n]
     feats.reshape(B, T, F)[...] = prob.feats[idx]
-    a = _layers(net[::2], net[1::2], feats, ws, with_masks=True)
-    a = np.asarray(a, dtype=float).reshape(B, T, -1)
+    a = ws.actions[:n].reshape(B, T, -1)
+    a.reshape(n, -1)[...] = _layers(net[::2], net[1::2], feats, ws, with_masks=True)
     inputs = [feats] + [ws.layer(l, n, ws.dtype) for l in range(n_layers - 1)]
     masks = [buf[:n] for buf in ws.masks]
 
@@ -355,18 +358,33 @@ def _head(prob, gains, costs, y):
 
 def _score32(prob, params, ws, batch, gains, costs):
     """The full-sample objective at ``params`` ([W_0, b_0, ..., y]) by float32
-    layers through ``ws``, ``batch`` paths at a time, and the float64 head on
-    the per-path gains and exact-|a| costs it writes into ``gains``, ``costs``."""
+    layers through ``ws``, ``batch`` paths at a time (in full batch, only the
+    last epoch's), and the float64 head on the per-path gains and exact-|a|
+    costs it writes into ``gains``, ``costs``."""
     net = [np.asarray(p, dtype=np.float32) for p in params[:-1]]
     for s in range(0, len(gains), batch):
         rows, feats = slice(s, s + batch), prob.feats[s : s + batch]
         h = ws.feats[: feats.shape[0] * feats.shape[1]]
         h.reshape(feats.shape)[...] = feats
-        a = ws.dh[: len(h)].reshape(*feats.shape[:2], -1)
+        a = ws.actions[: len(h)].reshape(*feats.shape[:2], -1)
         a[...] = _layers(net[::2], net[1::2], h, ws).reshape(a.shape)
         np.einsum("pti,pti->p", a, prob.dh[rows], out=gains[rows])
         np.einsum("pti,pti->p", np.abs(a, out=a), prob.rates[rows], out=costs[rows])
     return _head(prob, gains, costs, float(params[-1]))[1]
+
+
+def _keep(trace, snaps, score, params):
+    """Append the next epoch's ``score`` to ``trace`` and its parameters
+    ``params`` to ``snaps``, then drop the snapshots more than MARGIN * (1 +
+    |max|) below the running maximum; TrainingError if ``score`` is not finite."""
+    if not np.isfinite(score):
+        raise TrainingError(f"full-sample objective is {score} at epoch {len(trace)}; "
+                            f"last finite trace: {trace[-1] if trace else None}")
+    snaps[len(trace)] = [p.copy() for p in params]
+    trace.append(score)
+    top = max(trace)
+    for e in [e for e in snaps if trace[e] < top - MARGIN * (1 + abs(top))]:
+        del snaps[e]
 
 
 def objective_and_grad(bundle, returns, spec, utility, mlp, y):
@@ -393,8 +411,9 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
     """Maximize the OCE objective over network parameters and y.
 
     Deterministic given the config seed, for a fixed BLAS build and thread
-    count.  Epochs are trained and scored in float32; a float64 ``forward``
-    then rescores those within MARGIN of the best, in order, and picks the
+    count.  Epochs are trained and scored in float32, a full-batch one but
+    the last from the next pass's forward; a float64 ``forward`` then
+    rescores those within MARGIN of the best, in order, and picks the
     first greatest (exact-abs costs; the best of all epochs while every
     |f32 - f64| < MARGIN / 2), returned with its training-sample evaluation,
     whose gains and costs the y refit reuses.  Raises TrainingError if a
@@ -432,12 +451,16 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
         for start in range(0, P, batch):
             idx = perm[start : start + batch]
             obj = _objective(prob, params[:-1], params[-1], idx, ws)
-            if not np.isfinite(obj.data):
-                raise TrainingError(
-                    f"objective diverged at epoch {epoch}; last finite trace: "
-                    f"{trace[-1] if trace else None}"
-                )
             grads, y_grad = obj.backward()
+            if batch == P and epoch:
+                # the pass ran at the last epoch's end parameters: score that epoch
+                a = ws.actions[: P * T].reshape(P, T, -1)
+                np.einsum("pti,pti->p", a, prob.dh, out=evaluation[0])
+                np.einsum("pti,pti->p", np.abs(a, out=a), prob.rates, out=evaluation[1])
+                _keep(trace, snaps, _head(prob, *evaluation[:2], float(params[-1]))[1], params)
+            if not np.isfinite(obj.data):
+                raise TrainingError(f"objective diverged at epoch {epoch}; last finite trace: "
+                                    f"{trace[-1] if trace else None}")
             grads.append(y_grad)
             gnorm = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
             if not np.isfinite(gnorm):
@@ -455,16 +478,8 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
                 vhat = v / (1 - beta2**step)
                 p -= lr * mhat / (np.sqrt(vhat) + eps)
 
-        # score the epoch in float32; snapshot it while it is within the
-        # band below the running maximum, and drop what falls out of it
-        full = _score32(prob, params, ws, batch, evaluation[0], evaluation[1])
-        if not np.isfinite(full):
-            raise TrainingError(f"full-sample objective is {full} at epoch {epoch}; "
-                                f"last finite trace: {trace[-1] if trace else None}")
-        trace.append(full)
-        snaps[epoch] = [p.copy() for p in params]
-        top = max(trace)
-        snaps = {e: snap for e, snap in snaps.items() if trace[e] >= top - MARGIN * (1 + abs(top))}
+        if batch < P or epoch == config.epochs - 1:
+            _keep(trace, snaps, _score32(prob, params, ws, batch, *evaluation[:2]), params)
         lr *= config.lr_decay
 
     # rescore the candidates in float64; the first strictly greatest wins

@@ -128,20 +128,25 @@ def test_bundle_directory_holds_only_the_bundle(bundle_dir):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_make_q_non_finite_epoch_exit_2(tmp_path, bundle_dir, capsys):
-    """One full-batch step at lr 1e200 makes the epoch's full-sample
+    """One full-batch step at lr 1e200 makes an epoch's full-sample
     objective non-finite: a numerical failure, exit 2, and nothing is
-    written."""
-    train_cfg = tmp_path / "train.json"
-    train_cfg.write_text(json.dumps({"epochs": 1, "lr": 1e200, "seed": 0}))
-    out = tmp_path / "out"
-    rc = main([
-        "make-q", "--bundle", str(bundle_dir), "--cost", str(write_cost(tmp_path)),
-        "--utility", str(write_utility(tmp_path)), "--train", str(train_cfg),
-        "--out", str(out / "weights.csv"),
-    ])
-    assert rc == 2
-    assert "full-sample objective is" in capsys.readouterr().err
-    assert not out.exists()
+    written.  So it is when that epoch is the last one, and when the next
+    epoch's gradient pass scores it (epoch 1 of 3, after a step at lr
+    0.01)."""
+    for bad_epoch, cfg in ((0, {"epochs": 1, "lr": 1e200}),
+                           (1, {"epochs": 3, "lr": 0.01, "lr_decay": 1e202})):
+        train_cfg = tmp_path / "train.json"
+        train_cfg.write_text(json.dumps({**cfg, "seed": 0}))
+        out = tmp_path / "out"
+        rc = main([
+            "make-q", "--bundle", str(bundle_dir), "--cost", str(write_cost(tmp_path)),
+            "--utility", str(write_utility(tmp_path)), "--train", str(train_cfg),
+            "--out", str(out / "weights.csv"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "full-sample objective is" in err and f"at epoch {bad_epoch};" in err
+        assert not out.exists()
 
 
 def test_make_q_verify_pipeline(tmp_path, bundle_dir):

@@ -245,12 +245,27 @@ class TestFusedObjective:
             ws.feats.view(np.uint32)[...] = bits32
             for l in range(3):
                 ws.layer(l, 96 * 4, np.uint32)[...] = bits32
+            ws.actions.view(np.uint64)[...] = bits64
             ws.dh.view(np.uint64)[...] = bits64
             ws.rates.view(np.uint64)[...] = bits64
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 results.append(self.fused(prob, mlp, 0.37, idx, ws))
         self.assert_bit_equal(*results)
+
+    def test_actions_are_written_into_the_workspace(self):
+        """Two consecutive passes on one float64 workspace each write their
+        float64 actions into ``ws.actions``, bit for bit as ``forward``
+        gives them, and each gives the per-op graph's value and gradients
+        bit for bit: the buffer leaves the arithmetic as it was."""
+        rng = np.random.default_rng(24)
+        prob, mlp = self.problem(rng, "adjusted_mean_vol", True, True)
+        ws = _Workspace(96 * 4, [6, 16, 16, 3], np.float64)
+        perm = rng.permutation(240)
+        for idx in (perm[:96], perm[96:192]):
+            fused = self.fused(prob, mlp, 0.37, idx, ws)
+            self.assert_bit_equal(fused, self.per_op(prob, mlp, 0.37, idx, SMOOTH_EPS))
+            assert np.array_equal(ws.actions.reshape(96, 4, 3), forward(mlp, prob.feats[idx]))
 
     def test_reused_workspace_ragged_then_full(self):
         """One workspace sized for 96-path minibatches serves a full one, a
@@ -621,8 +636,11 @@ class TestTrain:
     @staticmethod
     def epoch_ends(monkeypatch):
         """Spy on ``_objective``, ``_score32`` and ``forward``: (problem,
-        parameters, float32 score) at the end of each epoch, and (epoch,
-        name) for every call, ``_objective``'s named by its workspace dtype."""
+        parameters, ``_score32``) at the end of each epoch, and (epoch, name)
+        for every call, ``_objective``'s named by its workspace dtype.  A
+        full-batch epoch's end is read from the next ``_objective`` call,
+        which runs at its parameters, and ``_score32`` is run there on a
+        fresh workspace; the others' from ``train``'s ``_score32`` calls."""
         import driftless.trainer as trainer
 
         real_objective, real_score, real_forward = (trainer._objective, trainer._score32,
@@ -630,11 +648,17 @@ class TestTrain:
         ends, calls = [], []
 
         def spy_objective(prob, params, y, idx, ws):
-            calls.append((len(ends) + 1, ws.dtype.name))
+            P, T = prob.feats.shape[:2]
+            if len(idx) == P and calls:
+                end = [p.copy() for p in params] + [np.array(y)]
+                fresh = _Workspace(P * T, ws.widths, np.float32)
+                ends.append((prob, end, real_score(prob, end, fresh, P, np.empty(P),
+                                                   np.empty(P))))
+            calls.append((len(ends), ws.dtype.name))
             return real_objective(prob, params, y, idx, ws)
 
         def spy_score(prob, params, *args):
-            calls.append((len(ends) + 1, "score"))
+            calls.append((len(ends), "score"))
             ends.append((prob, [p.copy() for p in params], real_score(prob, params, *args)))
             return ends[-1][2]
 
@@ -649,10 +673,15 @@ class TestTrain:
 
     @staticmethod
     def expected_calls(epochs, batches, rescored):
-        """Each epoch's float32 minibatch passes, then its float32 score;
-        after the last epoch, one ``forward`` per rescored epoch."""
-        per_epoch = [[(e + 1, "float32")] * batches + [(e + 1, "score")] for e in range(epochs)]
-        return sum(per_epoch, []) + [(epochs, "forward")] * len(rescored)
+        """Each epoch's float32 passes; with minibatches, each epoch's
+        float32 score after them, and in full batch (one pass per epoch) one
+        float32 score after the last epoch; then one ``forward`` per
+        rescored epoch."""
+        if batches == 1:
+            passes = [(e, "float32") for e in range(epochs)] + [(epochs - 1, "score")]
+        else:
+            passes = sum([[(e, "float32")] * batches + [(e, "score")] for e in range(epochs)], [])
+        return passes + [(epochs, "forward")] * len(rescored)
 
     @staticmethod
     def fresh_scores(ends):
@@ -685,7 +714,8 @@ class TestTrain:
         parameters, on minibatches and in full batch on one block's rows
         (30 x 3) and on two ``_BLOCK_ROWS`` blocks (2000 x 10, the CLI's
         network): ``argmax(trace)`` is the fresh argmax, every rescored entry
-        is the fresh value bit for bit, the policy is the winner's
+        is the fresh value bit for bit, every other entry is ``_score32`` at
+        that epoch's end parameters bit for bit, the policy is the winner's
         parameters, and every entry is within SCORE_ATOL."""
         ends, calls = self.epoch_ends(monkeypatch)
         bundle, rets = self.desk_sample(n_paths, n_steps)
@@ -698,6 +728,8 @@ class TestTrain:
         best = int(np.argmax(sol.trace))
         assert best == int(np.argmax(fresh)) and best in rescored
         assert [sol.trace[e] for e in rescored] == list(fresh[rescored])
+        unscored = [e for e in range(cfg.epochs) if e not in rescored]
+        assert unscored and [sol.trace[e] for e in unscored] == [ends[e][2] for e in unscored]
         self.assert_policy_is(sol, ends[best][1])
         assert np.max(np.abs(np.array(sol.trace) - fresh)) <= SCORE_ATOL
 
@@ -730,14 +762,16 @@ class TestTrain:
         else:
             assert best in rescored and best < rescored[-1]
 
-    @pytest.mark.parametrize("n_paths, n_steps", [(30, 3), (1000, 10)])
-    def test_float32_scores_agree_with_float64(self, monkeypatch, n_paths, n_steps):
-        """Over 20 epochs of minibatch training of the desk network on the
-        desk market, every float32 epoch score lies within SCORE_ATOL of a
-        fresh float64 evaluation at the same parameters."""
+    @pytest.mark.parametrize("n_paths, n_steps, batch", [
+        (30, 3, 7), (1000, 10, 250), (2000, 10, 0)], ids=["30-3", "1000-10", "2000-10-full"])
+    def test_float32_scores_agree_with_float64(self, monkeypatch, n_paths, n_steps, batch):
+        """Over 20 epochs of training of the desk network on the desk
+        market, in minibatches and in full batch on the CLI's 2000 x 10,
+        every float32 epoch score lies within SCORE_ATOL of a fresh float64
+        evaluation at the same parameters."""
         ends, _ = self.epoch_ends(monkeypatch)
         bundle, rets = self.desk_sample(n_paths, n_steps)
-        cfg = TrainConfig(epochs=20, batch_size=n_paths // 4, lr=0.005, seed=0)
+        cfg = TrainConfig(epochs=20, batch_size=batch, lr=0.005, seed=0)
         train(bundle, rets, CostSpec(gamma_prop=0.001, mode="marginal"),
               Utility("exponential", 1.0), cfg)
         scores = np.array([score for _, _, score in ends])
@@ -752,6 +786,20 @@ class TestTrain:
         cfg = TrainConfig(epochs=1, lr=1e200, seed=2, hidden=(8,))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingError, match="full-sample objective is nan at epoch 0"):
+                train(bundle, rets, spec, u, cfg)
+
+    @pytest.mark.parametrize("epochs", [2, 3], ids=["last_epoch", "next_pass"])
+    def test_non_finite_later_epoch_raises(self, epochs):
+        """A full-batch run whose second epoch ends non-finite (a finite
+        step, then one at lr 1e200) raises TrainingError naming epoch 1 and
+        the finite epoch 0 score, whether ``_score32`` scores epoch 1 (the
+        last) or the next epoch's gradient pass does."""
+        bundle, rets = self.desk_sample(30)
+        u, spec = Utility("exponential", 1.0), CostSpec(gamma_prop=0.002, mode="marginal")
+        cfg = TrainConfig(epochs=epochs, lr=0.01, lr_decay=1e202, seed=2, hidden=(8,))
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingError, match=r"full-sample objective is nan at epoch 1; "
+                                                    r"last finite trace: -?\d+\.\d+(e-?\d+)?$"):
                 train(bundle, rets, spec, u, cfg)
 
 
