@@ -12,31 +12,31 @@ objective ``mean(w u(x)) - y`` with
 ``x = (sum(a DH) + y - sum(|a| rates) + Z) * s``, back through the gain
 and cost head and the ReLU layers; the rescaling ``s`` is ones unless
 ``train`` is given ``inv_scale``.  ``_objective`` takes the parameters as
-plain arrays; its forward pass keeps each layer's output and ReLU mask,
-and it returns one ``autograd.Tensor`` whose ``backward`` returns the
-gradient.  It runs in its workspace's precision.  The tests keep a
-per-op graph of the same objective as the float64 bit-for-bit reference.
+plain arrays; its forward pass keeps each layer's output, and it
+returns one ``autograd.Tensor`` whose ``backward`` returns the gradient.
+It runs in its workspace's precision.  The tests keep a per-op graph of
+the same objective as the float64 bit-for-bit reference.
 
 ``train`` runs every gradient pass, minibatch or full batch, in float32:
 the feature gather, the ReLU layers and the backward through them.  The
 gradient only steers the search, after mixed-precision training
 (Micikevicius et al., ICLR 2018, with float32 for float16), and so does
 each epoch's float32 full-sample score: in full batch the next pass's
-forward, and ``_score32`` after the last epoch or each minibatch epoch.
-A float64 ``forward`` rescores the epochs within ``MARGIN`` of the best.
-The rest stays float64: the master weights, the Adam state, the gradient
-norm and clip, the head (x, utility, y and the action gradient), the y
-refit, and ``objective_and_grad``.
+forward, with one extra pass after the last epoch, and otherwise
+``_score`` on float32 copies of the weights.  ``_score`` on the float64
+weights rescores the epochs within ``MARGIN`` of the best.  The rest
+stays float64: the master weights, the Adam state, the gradient norm and
+clip, the head (x, utility, y and the action gradient), the y refit, and
+``objective_and_grad``.
 
 ``train`` allocates its large buffers once per call, in one float32
 ``_Workspace``: the gathered minibatch rows, one output per layer, one
 ReLU mask per hidden layer and the float64 actions.  Every minibatch
-writes into leading-row views of them, and the backward pass writes each
-layer's input gradient over that layer's input, which it no longer needs.
+writes into leading-row views of them; the backward pass takes each
+hidden layer's mask from its output, then writes the gradient over it.
 So a ``backward`` closure is valid only until the next ``_objective`` on
-the same workspace.  Epoch scores run after a ``backward``, which no
-longer reads the actions, and the float64 rescoring in float64 views of
-the same layer memory.
+the same workspace.  Scores run after a ``backward``, the float64 ones in
+float64 views of the same layer memory.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ class _Workspace:
     one output per layer and one ReLU mask per hidden layer, and the
     head's float64 actions, action increments and rates.  Each layer's
     memory also holds ``eval_rows`` float64 rows, so a float32 workspace
-    serves the float64 ``forward`` too.  Callers use leading-row views,
+    serves ``forward`` in both precisions.  Callers use leading-row views,
     which stay C-contiguous.
     """
 
@@ -136,32 +136,31 @@ class _Workspace:
         return self._layers[l].view(dtype)[: n * w].reshape(n, w)
 
 
-def _layers(weights, biases, h, ws, with_masks=False):
+def _layers(weights, biases, h, ws):
     """The affine-ReLU layers on the rows ``h``, each layer written into
-    the leading rows of its workspace buffer in the precision of ``h``,
-    and with ``with_masks`` each hidden layer's ReLU mask into its mask
-    buffer; returns the output rows."""
+    the leading rows of its workspace buffer in the precision of ``h``;
+    returns the output rows."""
     n = h.shape[0]
     for l, (w, b) in enumerate(zip(weights, biases)):
         h = np.matmul(h, w, out=ws.layer(l, n, h.dtype))
         h += b
         if l < len(weights) - 1:
-            if with_masks:
-                np.greater(h, 0, out=ws.masks[l][:n])
             np.maximum(h, 0.0, out=h)
     return h
 
 
 def forward(mlp, feats, ws=None):
-    """Deterministic forward pass; ``feats`` is (..., F) with at least two
-    dimensions.
+    """Deterministic forward pass to float64 actions; ``feats`` is (..., F)
+    with at least two dimensions.
 
-    Rows run in float64 blocks of ``_BLOCK_ROWS`` into one preallocated
-    output, through the layer buffers of ``ws`` (a ``_Workspace`` that
-    holds at least min(_BLOCK_ROWS, rows) float64 rows), allocated once
-    per call when it is None.
+    The layers run in float32 when every array of ``mlp`` is float32, and
+    in float64 otherwise.  Rows run in blocks of ``_BLOCK_ROWS`` into one
+    preallocated output, through the layer buffers of ``ws`` (a
+    ``_Workspace`` that holds at least min(_BLOCK_ROWS, rows) rows in that
+    precision), allocated once per call when it is None.
     """
-    h = np.asarray(feats, dtype=float)
+    dtype = np.float32 if np.result_type(*mlp.weights, *mlp.biases) == np.float32 else float
+    h = np.asarray(feats, dtype=dtype)
     flat = h.reshape(-1, h.shape[-1])
     n_rows = flat.shape[0]
     # the result is allocated before a local workspace, so that freeing
@@ -169,7 +168,7 @@ def forward(mlp, feats, ws=None):
     out = np.empty((n_rows, mlp.weights[-1].shape[1]))
     if ws is None:
         widths = [flat.shape[1]] + [w.shape[1] for w in mlp.weights]
-        ws = _Workspace(min(_BLOCK_ROWS, n_rows), widths, np.float64)
+        ws = _Workspace(min(_BLOCK_ROWS, n_rows), widths, dtype)
     for start in range(0, n_rows, _BLOCK_ROWS):
         block = flat[start : start + _BLOCK_ROWS]
         out[start : start + _BLOCK_ROWS] = _layers(mlp.weights, mlp.biases, block, ws)
@@ -294,10 +293,11 @@ def _objective(prob, params, y, idx, ws):
     the precision of the workspace ``ws``, in its leading len(idx)·T rows;
     the actions (in ``ws.actions``), the head, the value and the gradients
     are float64.  Its ``backward`` returns the analytic gradient ``(grads,
-    y_grad)``, with ``grads`` in the order of ``params``; it overwrites the
-    hidden activations, so it is valid only until the next ``_objective`` on
-    ``ws``.  Each elementwise expression keeps the order of the per-op
-    reference graph, so in float64 value and gradients are bit-identical to it.
+    y_grad)``, with ``grads`` in the order of ``params``; it reads the ReLU
+    masks off the hidden activations and then overwrites them, so it is
+    valid only until the next ``_objective`` on ``ws``.  Each elementwise
+    expression keeps the order of the per-op reference graph, so in
+    float64 value and gradients are bit-identical to it.
     """
     B, T, F = len(idx), prob.feats.shape[1], prob.feats.shape[2]
     n_layers = len(params) // 2
@@ -308,9 +308,8 @@ def _objective(prob, params, y, idx, ws):
     feats = ws.feats[:n]
     feats.reshape(B, T, F)[...] = prob.feats[idx]
     a = ws.actions[:n].reshape(B, T, -1)
-    a.reshape(n, -1)[...] = _layers(net[::2], net[1::2], feats, ws, with_masks=True)
+    a.reshape(n, -1)[...] = _layers(net[::2], net[1::2], feats, ws)
     inputs = [feats] + [ws.layer(l, n, ws.dtype) for l in range(n_layers - 1)]
-    masks = [buf[:n] for buf in ws.masks]
 
     # idx holds valid rows, so "clip" only spares np.take the copy that
     # mode="raise" makes of ``out``
@@ -334,18 +333,20 @@ def _objective(prob, params, y, idx, ws):
             grads[2 * l + 1] = np.asarray(g.sum(axis=0), dtype=float)
             grads[2 * l] = np.asarray(inputs[l].T @ g, dtype=float)
             if l > 0:
-                # inputs[l] is dead once dW_l is taken: it takes dL/d(input)
+                # inputs[l], dead once dW_l is taken, gives its ReLU mask, then dL/d(input)
+                mask = np.greater(inputs[l], 0, out=ws.masks[l - 1][:n])
                 g = np.matmul(g, net[2 * l].T, out=inputs[l])
-                g *= masks[l - 1]
+                g *= mask
         return grads, y_grad
 
     return Tensor(value, backward)
 
 
-def _gains_costs(prob, actions):
-    """Per-path gains and exact-|a| costs of the full-sample ``actions``."""
-    gains = np.einsum("pti,pti->p", actions, prob.dh)
-    return gains, np.einsum("pti,pti->p", np.abs(actions), prob.rates)
+def _gains_costs(actions, dh, rates, gains, costs):
+    """Per-path gains and exact-|a| costs of the (P, T, I) ``actions``,
+    written into ``gains`` and ``costs``; leaves |a| in ``actions``."""
+    np.einsum("pti,pti->p", actions, dh, out=gains)
+    np.einsum("pti,pti->p", np.abs(actions, out=actions), rates, out=costs)
 
 
 def _head(prob, gains, costs, y):
@@ -356,21 +357,16 @@ def _head(prob, gains, costs, y):
     return x, float(np.mean(prob.weights * u_value(prob.utility, x)) - y)
 
 
-def _score32(prob, params, ws, batch, gains, costs):
-    """The full-sample objective at ``params`` ([W_0, b_0, ..., y]) by float32
-    layers through ``ws``, ``batch`` paths at a time (in full batch, only the
-    last epoch's), and the float64 head on the per-path gains and exact-|a|
-    costs it writes into ``gains``, ``costs``."""
-    net = [np.asarray(p, dtype=np.float32) for p in params[:-1]]
+def _score(prob, mlp, y, ws, batch, gains, costs):
+    """The full-sample pre-utility and objective (``_head``) of the policy
+    ``mlp`` at the cash offset ``y``: ``forward`` through ``ws``, in the
+    precision of the policy's arrays, on ``batch`` paths at a time, each
+    block's gains and exact-|a| costs written into ``gains``, ``costs``."""
     for s in range(0, len(gains), batch):
-        rows, feats = slice(s, s + batch), prob.feats[s : s + batch]
-        h = ws.feats[: feats.shape[0] * feats.shape[1]]
-        h.reshape(feats.shape)[...] = feats
-        a = ws.actions[: len(h)].reshape(*feats.shape[:2], -1)
-        a[...] = _layers(net[::2], net[1::2], h, ws).reshape(a.shape)
-        np.einsum("pti,pti->p", a, prob.dh[rows], out=gains[rows])
-        np.einsum("pti,pti->p", np.abs(a, out=a), prob.rates[rows], out=costs[rows])
-    return _head(prob, gains, costs, float(params[-1]))[1]
+        rows = slice(s, s + batch)
+        _gains_costs(forward(mlp, prob.feats[rows], ws), prob.dh[rows], prob.rates[rows],
+                     gains[rows], costs[rows])
+    return _head(prob, gains, costs, y)
 
 
 def _keep(trace, snaps, score, params):
@@ -411,13 +407,13 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
     """Maximize the OCE objective over network parameters and y.
 
     Deterministic given the config seed, for a fixed BLAS build and thread
-    count.  Epochs are trained and scored in float32, a full-batch one but
-    the last from the next pass's forward; a float64 ``forward`` then
-    rescores those within MARGIN of the best, in order, and picks the
-    first greatest (exact-abs costs; the best of all epochs while every
-    |f32 - f64| < MARGIN / 2), returned with its training-sample evaluation,
-    whose gains and costs the y refit reuses.  Raises TrainingError if a
-    minibatch objective or gradient, or an epoch's score, is not finite.
+    count.  Epochs are trained and scored in float32, a full-batch one from
+    the next pass's forward; a float64 ``_score`` then rescores those
+    within MARGIN of the best, in order, and picks the first greatest
+    (exact-abs costs; the best of all epochs while every |f32 - f64| <
+    MARGIN / 2), returned with its training-sample evaluation, whose gains
+    and costs the y refit reuses.  Raises TrainingError if a minibatch
+    objective or gradient, or an epoch's score, is not finite.
     """
     prob = _make_problem(bundle, returns, spec, utility, payoff, inv_scale, weights)
     P, T, F = prob.feats.shape
@@ -435,9 +431,9 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
     step = 0
 
     batch = min(config.batch_size, P) if config.batch_size > 0 else P
-    # the float32 scores' gains and costs, then the returned ones and the
+    # the gains and costs of each score, then the returned ones and the
     # pre-utility; allocated before the workspace, not to pin its pages
-    evaluation = np.empty((3, P))
+    evaluation = np.empty((5, P))
     # one float32 buffer set for every minibatch and epoch score, whose layer
     # memory also holds the float64 rescoring blocks
     ws = _Workspace(batch * T, [F, *config.hidden, n_inst], np.float32,
@@ -446,7 +442,8 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
     best_obj = -np.inf  # the first candidate beats it: epochs >= 1, each finite or raising
     trace, snaps = [], {}
 
-    for epoch in range(config.epochs):
+    # in full batch, one more pass after the last epoch, only to score it
+    for epoch in range(config.epochs + (batch == P)):
         perm = rng.permutation(P) if batch < P else np.arange(P)
         for start in range(0, P, batch):
             idx = perm[start : start + batch]
@@ -454,10 +451,11 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
             grads, y_grad = obj.backward()
             if batch == P and epoch:
                 # the pass ran at the last epoch's end parameters: score that epoch
-                a = ws.actions[: P * T].reshape(P, T, -1)
-                np.einsum("pti,pti->p", a, prob.dh, out=evaluation[0])
-                np.einsum("pti,pti->p", np.abs(a, out=a), prob.rates, out=evaluation[1])
+                _gains_costs(ws.actions[: P * T].reshape(P, T, -1), prob.dh, prob.rates,
+                             *evaluation[:2])
                 _keep(trace, snaps, _head(prob, *evaluation[:2], float(params[-1]))[1], params)
+            if epoch == config.epochs:
+                break
             if not np.isfinite(obj.data):
                 raise TrainingError(f"objective diverged at epoch {epoch}; last finite trace: "
                                     f"{trace[-1] if trace else None}")
@@ -478,22 +476,24 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
                 vhat = v / (1 - beta2**step)
                 p -= lr * mhat / (np.sqrt(vhat) + eps)
 
-        if batch < P or epoch == config.epochs - 1:
-            _keep(trace, snaps, _score32(prob, params, ws, batch, *evaluation[:2]), params)
+        if batch < P:
+            net32 = [p.astype(np.float32) for p in params[:-1]]
+            _keep(trace, snaps, _score(prob, Mlp(net32[::2], net32[1::2]), float(params[-1]), ws,
+                                       batch, *evaluation[:2])[1], params)
         lr *= config.lr_decay
 
-    # rescore the candidates in float64; the first strictly greatest wins
+    # rescore the candidates in float64, all paths in one call to keep forward's
+    # blocks; the first strictly greatest wins
     for e, snap in snaps.items():
-        actions = forward(Mlp(weights=snap[:-1:2], biases=snap[1:-1:2]), prob.feats, ws)
-        gains, costs = _gains_costs(prob, actions)
-        trace[e] = _head(prob, gains, costs, float(snap[-1]))[1]
+        _, trace[e] = _score(prob, Mlp(snap[:-1:2], snap[1:-1:2]), float(snap[-1]), ws, P,
+                             *evaluation[:2])
         if trace[e] > best_obj:
             best_obj, best = trace[e], snap
-            evaluation[0], evaluation[1] = gains, costs
+            evaluation[2:4] = evaluation[:2]
 
     net = Mlp(weights=best[:-1:2], biases=best[1:-1:2])
     y_star = float(best[-1])
-    gains, costs = evaluation[0], evaluation[1]
+    gains, costs = evaluation[2], evaluation[3]
     pre_utility, objective_value = _head(prob, gains, costs, y_star)
     # y enters as a plain concave 1-d sup; close it exactly so the
     # first-order condition E_w[u'(.) dx/dy] = 1 holds at the returned
@@ -512,25 +512,24 @@ def train(bundle, returns, spec, utility, config, payoff=None, inv_scale=None,
     if val >= objective_value:
         y_star = y_opt
         pre_utility, objective_value = _head(prob, gains, costs, y_star)
-    evaluation[2] = pre_utility
+    evaluation[4] = pre_utility
     return Solution(
         policy=net,
         y_star=y_star,
         objective_value=objective_value,
         trace=trace,
         config=config,
-        gains=evaluation[0],
-        costs=evaluation[1],
-        pre_utility=evaluation[2],
+        gains=gains,
+        costs=costs,
+        pre_utility=evaluation[4],
     )
 
 
 def evaluate_policy(bundle, returns, spec, utility, mlp, y):
     """Full-sample evaluation of a fixed policy on any bundle (exact-abs
-    costs, uniform weights, no claim): its actions, per-path gains, costs
-    and pre-utility, and the objective."""
+    costs, uniform weights, no claim): its per-path gains, costs and
+    pre-utility, and the objective."""
     prob = _make_problem(bundle, returns, spec, utility)
-    actions = forward(mlp, prob.feats)
-    gains, costs = _gains_costs(prob, actions)
-    x, objective = _head(prob, gains, costs, y)
-    return dict(actions=actions, gains=gains, costs=costs, pre_utility=x, objective=objective)
+    gains, costs = np.empty((2, bundle.n_paths))
+    x, objective = _score(prob, mlp, y, None, bundle.n_paths, gains, costs)
+    return dict(gains=gains, costs=costs, pre_utility=x, objective=objective)

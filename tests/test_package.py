@@ -221,20 +221,52 @@ def test_weights_and_best_epoch_have_one_path():
     assert nested == []
 
 
-def test_train_scores_no_epoch_in_float64():
-    """trainer.train's ``for epoch`` loop calls no ``forward``: each epoch
-    is scored in float32, and ``forward`` rescores the near-best epochs in
-    float64 after the loop."""
-    trainer = ast.parse((SRC / "trainer.py").read_text())
-    train = next(n for n in trainer.body if isinstance(n, ast.FunctionDef) and n.name == "train")
-    [loop] = [n for n in ast.walk(train) if isinstance(n, ast.For)
-              and isinstance(n.target, ast.Name) and n.target.id == "epoch"]
+def test_train_scores_no_epoch_in_float64(monkeypatch):
+    """In a minibatch and in a full-batch trainer.train, every ``forward``
+    inside the epoch loop (before the last ``_keep``) gets float32 weights,
+    one per minibatch and epoch and none in full batch, where the next
+    pass scores each epoch; after the loop ``forward`` runs once per
+    rescored epoch, with float64 weights: those within MARGIN of the best
+    float32 score."""
+    import numpy as np
 
-    def forward_calls(node):
-        return [n.lineno for n in ast.walk(node) if isinstance(n, ast.Call)
-                and isinstance(n.func, ast.Name) and n.func.id == "forward"]
+    import driftless.trainer as trainer
+    from driftless.cli import default_instruments
+    from driftless.frictions import CostSpec
+    from driftless.market import build_returns
+    from driftless.oce import Utility
+    from driftless.var_model import desk_grid, desk_params, simulate, stationary_init
 
-    assert forward_calls(loop) == [] and forward_calls(train) != []
+    grid = desk_grid()
+    params = desk_params(grid)
+    bundle = simulate(params, stationary_init(params), 30, 3, seed=1, grid=grid)
+    rets = build_returns(bundle, default_instruments())
+    real_forward, real_keep = trainer.forward, trainer._keep
+    calls = []
+
+    def spy_forward(mlp, *args):
+        calls.append(("forward", mlp.weights[0].dtype.name))
+        return real_forward(mlp, *args)
+
+    def spy_keep(trace, snaps, score, params):
+        calls.append(("keep", score))
+        return real_keep(trace, snaps, score, params)
+
+    monkeypatch.setattr(trainer, "forward", spy_forward)
+    monkeypatch.setattr(trainer, "_keep", spy_keep)
+    for batch, batches in ((12, 3), (0, 0)):
+        calls.clear()
+        cfg = trainer.TrainConfig(epochs=6, batch_size=batch, lr=0.01, seed=2, hidden=(8,))
+        trainer.train(bundle, rets, CostSpec(gamma_prop=0.002, mode="marginal"),
+                      Utility("adjusted_mean_vol", 1.0), cfg)
+        kept = [i for i, (name, _) in enumerate(calls) if name == "keep"]
+        scores = [calls[i][1] for i in kept]
+        top = max(scores)
+        rescored = [s for s in scores if s >= top - trainer.MARGIN * (1 + abs(top))]
+        in_loop = [c for c in calls[: kept[-1]] if c[0] == "forward"]
+        assert len(scores) == cfg.epochs
+        assert in_loop == [("forward", "float32")] * (cfg.epochs * batches)
+        assert calls[kept[-1] + 1 :] == [("forward", "float64")] * len(rescored)
 
 
 def test_config_parsers_write_no_defaults():

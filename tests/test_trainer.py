@@ -9,7 +9,7 @@ from scipy.optimize import minimize_scalar
 
 from driftless.errors import InputError, TrainingError
 from driftless.frictions import CostSpec
-from driftless.market import build_returns, read_json, write_json
+from driftless.market import build_returns, feature_matrix, read_json, write_json
 from driftless.oce import Utility, closed_form_y, concave_argmax, u_deriv, u_value
 from driftless.trainer import (
     _BLOCK_ROWS,
@@ -20,9 +20,10 @@ from driftless.trainer import (
     TrainConfig,
     _gains_costs,
     _head,
+    _layers,
     _objective,
     _Problem,
-    _score32,
+    _score,
     _Workspace,
     evaluate_policy,
     forward,
@@ -38,7 +39,7 @@ from pergraph import Tensor
 # fraction of that array's largest entry (at most 1.1e-6 measured on
 # TestFusedObjective's problems)
 FLOAT32_RTOL = 1e-5
-# a float32 epoch score (``_score32``) against the float64 one at the same
+# a float32 epoch score (``_score``) against the float64 one at the same
 # parameters: within MARGIN / 2 over this safety factor, so the float64
 # rescoring picks the epoch a float64 score of every epoch would pick
 SCORE_SAFETY = 100
@@ -71,8 +72,15 @@ def graph_objective(prob, param_tensors, y_tensor, idx, smooth_eps):
 def float64_score(prob, params):
     """A fresh float64 full-sample objective at ``params`` ([W_0, b_0, ..., y])."""
     actions = forward(Mlp(weights=params[:-1:2], biases=params[1:-1:2]), prob.feats)
-    gains, costs = _gains_costs(prob, actions)
+    gains, costs = np.empty((2, len(actions)))
+    _gains_costs(actions, prob.dh, prob.rates, gains, costs)
     return _head(prob, gains, costs, float(params[-1]))[1]
+
+
+def float32_mlp(params):
+    """The network of ``params`` ([W_0, b_0, ..., y]) in float32 copies."""
+    net = [np.asarray(p, dtype=np.float32) for p in params[:-1]]
+    return Mlp(weights=net[::2], biases=net[1::2])
 
 
 class TestForward:
@@ -122,6 +130,61 @@ class TestForward:
         out = forward(mlp, feats)
         assert np.array_equal(out, self.unblocked_chain(mlp, feats))
 
+    @pytest.mark.parametrize("n_paths, calls", [(2000, 1), (10_000, 10)], ids=["cli", "desk"])
+    def test_float32_policy_runs_float32_layers(self, n_paths, calls):
+        """A policy of float32 arrays runs float32 layers and returns float64
+        actions, rows bit-equal to one hand-built float32 ``_layers`` chain
+        over all rows: on the CLI's network at 2000 x 10 in one call (two
+        blocks), and on 10^4 x 10 in calls of 1000 paths (one block each)."""
+        rng = np.random.default_rng(9)
+        mlp = init_mlp([11, 64, 64, 4], rng)
+        w32 = [w.astype(np.float32) for w in mlp.weights]
+        b32 = [b.astype(np.float32) for b in mlp.biases]
+        feats = rng.normal(size=(n_paths, 10, 11))
+        ws = _Workspace(n_paths * 10, [11, 64, 64, 4], np.float32)
+        chain = _layers(w32, b32, feats.reshape(-1, 11).astype(np.float32), ws)
+        assert chain.dtype == np.float32
+        per = n_paths // calls
+        got = np.concatenate([forward(Mlp(weights=w32, biases=b32), feats[s : s + per])
+                              for s in range(0, n_paths, per)])
+        assert got.dtype == np.float64
+        assert np.array_equal(got.reshape(-1, 4), chain)
+        assert not np.array_equal(got, forward(mlp, feats))  # float64 layers differ
+
+    @pytest.mark.parametrize("case", ["integer", "mixed", "float64"])
+    def test_other_policies_run_float64_layers(self, case):
+        """Integer arrays, float32 mixed with float64, and float64 arrays all
+        run float64 layers: bit-equal to the float64 chain of the same
+        values."""
+        rng = np.random.default_rng(10)
+        mlp = init_mlp([5, 8, 3], rng)
+        if case == "integer":
+            mlp = Mlp(weights=[np.round(10 * w).astype(int) for w in mlp.weights],
+                      biases=[np.round(10 * b).astype(int) for b in mlp.biases])
+        elif case == "mixed":
+            mlp = Mlp(weights=[w.astype(np.float32) for w in mlp.weights], biases=mlp.biases)
+        up = Mlp(weights=[np.asarray(w, dtype=float) for w in mlp.weights],
+                 biases=[np.asarray(b, dtype=float) for b in mlp.biases])
+        feats = rng.normal(size=(40, 3, 5))
+        assert np.array_equal(forward(mlp, feats), self.unblocked_chain(up, feats))
+
+    def test_gains_costs_write_into_rows_and_leave_abs(self):
+        """``_gains_costs`` writes the gains and exact-|a| costs into the
+        given rows bit for bit as the allocating ``np.einsum`` pair, and
+        leaves |a| in ``actions``."""
+        rng = np.random.default_rng(11)
+        actions = rng.normal(size=(50, 7, 4))
+        dh, rates = rng.normal(size=(50, 7, 4)), rng.uniform(size=(50, 7, 4))
+        want_gains = np.einsum("pti,pti->p", actions, dh)
+        want_costs = np.einsum("pti,pti->p", np.abs(actions), rates)
+        want_abs = np.abs(actions)
+        evaluation = np.full((3, 50), np.nan)
+        _gains_costs(actions, dh, rates, *evaluation[:2])
+        assert np.array_equal(evaluation[0], want_gains)
+        assert np.array_equal(evaluation[1], want_costs)
+        assert np.array_equal(actions, want_abs)
+        assert np.isnan(evaluation[2]).all()
+
     def test_batch_matches_per_sample(self):
         rng = np.random.default_rng(4)
         mlp = init_mlp([5, 8, 2], rng)
@@ -158,7 +221,7 @@ class TestFusedObjective:
         return [obj.data] + [p.grad for p in params] + [y_t.grad]
 
     @staticmethod
-    def problem(rng, family, costs, extras):
+    def problem(rng, family, costs, extras, hidden=(16, 16)):
         P, T, F, I = 240, 4, 6, 3
         w = rng.uniform(0.2, 3.0, size=P)
         prob = _Problem(
@@ -170,7 +233,7 @@ class TestFusedObjective:
             inv_scale=rng.uniform(0.5, 2.0, size=P) if extras else np.ones(P),
             utility=Utility(family, 1.3),
         )
-        mlp = init_mlp([F, 16, 16, I], rng)
+        mlp = init_mlp([F, *hidden, I], rng)
         # action 0 is exactly 0 on every row, so |a| sits at its kink
         mlp.weights[-1][:, 0] = 0.0
         mlp.biases[-1][0] = 0.0
@@ -194,11 +257,15 @@ class TestFusedObjective:
 
     @pytest.mark.parametrize("family", ["exponential", "adjusted_mean_vol"])
     @pytest.mark.parametrize("costs", [False, True])
-    @pytest.mark.parametrize("eps", [SMOOTH_EPS])  # the smoothing _objective fixes
+    # the smoothing _objective fixes, on no to three hidden layers: the
+    # backward reads layer l's ReLU mask off hidden layer l - 1's output
+    @pytest.mark.parametrize("eps, hidden", [
+        (SMOOTH_EPS, (16, 16)), (SMOOTH_EPS, ()), (SMOOTH_EPS, (16,)), (SMOOTH_EPS, (16, 16, 16))],
+        ids=["1e-08", "1e-08-h0", "1e-08-h1", "1e-08-h3"])
     @pytest.mark.parametrize("extras", [False, True], ids=["plain", "payoff_scale"])
-    def test_matches_per_op_graph(self, family, costs, eps, extras):
+    def test_matches_per_op_graph(self, family, costs, eps, hidden, extras):
         rng = np.random.default_rng(21)
-        prob, mlp = self.problem(rng, family, costs, extras)
+        prob, mlp = self.problem(rng, family, costs, extras, hidden)
         idx = rng.choice(240, size=96, replace=False)
         fused = self.fused(prob, mlp, 0.37, idx)
         ref = self.per_op(prob, mlp, 0.37, idx, eps)
@@ -222,14 +289,14 @@ class TestFusedObjective:
     @pytest.mark.parametrize("costs", [False, True])
     @pytest.mark.parametrize("extras", [False, True], ids=["plain", "payoff_scale"])
     def test_float32_score_matches_float64(self, family, costs, extras):
-        """``_score32``, in ragged blocks of 96 paths, gives the float64
-        full-sample objective to within SCORE_ATOL."""
+        """``_score`` of float32 copies of the policy, in ragged blocks of 96
+        paths, gives the float64 full-sample objective to within SCORE_ATOL."""
         rng = np.random.default_rng(21)
         prob, mlp = self.problem(rng, family, costs, extras)
         params = [a for pair in zip(mlp.weights, mlp.biases) for a in pair] + [np.array(0.37)]
         ws = _Workspace(96 * 4, [6, 16, 16, 3], np.float32)
         gains, costs_ = np.empty(240), np.empty(240)
-        got = _score32(prob, params, ws, 96, gains, costs_)
+        _, got = _score(prob, float32_mlp(params), 0.37, ws, 96, gains, costs_)
         assert abs(got - float64_score(prob, params)) <= SCORE_ATOL
 
     def test_float32_workspace_ignores_old_contents(self):
@@ -371,7 +438,7 @@ def test_costs_match_marginal_cost():
     spec = CostSpec(gamma_prop=0.002, mode="marginal")
     mlp = init_mlp([2 + 9, 8, 4], np.random.default_rng(0))
     res = evaluate_policy(bundle, rets, spec, Utility("exponential", 1.0), mlp, 0.0)
-    ref = marginal_cost(spec, res["actions"], rets.mids).sum(-1)
+    ref = marginal_cost(spec, forward(mlp, feature_matrix(bundle)), rets.mids).sum(-1)
     assert np.all(ref > 0)
     assert np.max(np.abs(res["costs"] - ref)) <= 1e-12
 
@@ -383,9 +450,7 @@ class TestTrain:
         cfg = TrainConfig(epochs=200, lr=0.02, seed=1, hidden=(8,))
         sol = train(bundle, rets, CostSpec(mode="none"), u, cfg)
         assert abs(sol.objective_value) < 5e-3
-        res = evaluate_policy(bundle, rets, CostSpec(mode="none"), u,
-                              sol.policy, sol.y_star)
-        assert np.max(np.abs(res["actions"])) < 0.15
+        assert np.max(np.abs(forward(sol.policy, feature_matrix(bundle)))) < 0.15
 
     def test_one_period_matches_scalar_oracle(self):
         outcomes = np.array([2.0, -1.0])
@@ -393,9 +458,7 @@ class TestTrain:
         u = Utility("exponential", 1.0)
         cfg = TrainConfig(epochs=600, lr=0.05, lr_decay=0.995, seed=3, hidden=(8,))
         sol = train(bundle, rets, CostSpec(mode="none"), u, cfg)
-        res = evaluate_policy(bundle, rets, CostSpec(mode="none"), u,
-                              sol.policy, sol.y_star)
-        a_trained = float(res["actions"][0, 0, 0])
+        a_trained = float(forward(sol.policy, feature_matrix(bundle))[0, 0, 0])
 
         def neg_objective(a):
             g = a * outcomes
@@ -635,53 +698,65 @@ class TestTrain:
 
     @staticmethod
     def epoch_ends(monkeypatch):
-        """Spy on ``_objective``, ``_score32`` and ``forward``: (problem,
-        parameters, ``_score32``) at the end of each epoch, and (epoch, name)
-        for every call, ``_objective``'s named by its workspace dtype.  A
-        full-batch epoch's end is read from the next ``_objective`` call,
-        which runs at its parameters, and ``_score32`` is run there on a
-        fresh workspace; the others' from ``train``'s ``_score32`` calls."""
+        """Spy on ``_objective``, ``_score``, ``forward`` and ``_keep``:
+        (problem, parameters, float32 score) at the end of each epoch, as
+        ``train`` keeps it, with the score recomputed by ``_score`` on
+        float32 copies of the parameters, a fresh workspace and the run's
+        batch; and (epochs kept so far, name) for every call of ``train``,
+        ``_objective``'s named by its workspace dtype and ``_score``'s and
+        ``forward``'s by their policy's dtype."""
         import driftless.trainer as trainer
 
-        real_objective, real_score, real_forward = (trainer._objective, trainer._score32,
-                                                    trainer.forward)
-        ends, calls = [], []
+        real = {name: getattr(trainer, name) for name in ("_objective", "_score", "forward",
+                                                          "_keep")}
+        ends, calls, run = [], [], {"muted": False}
 
         def spy_objective(prob, params, y, idx, ws):
-            P, T = prob.feats.shape[:2]
-            if len(idx) == P and calls:
-                end = [p.copy() for p in params] + [np.array(y)]
-                fresh = _Workspace(P * T, ws.widths, np.float32)
-                ends.append((prob, end, real_score(prob, end, fresh, P, np.empty(P),
-                                                   np.empty(P))))
+            run.setdefault("batch", len(idx))
+            run["prob"] = prob
             calls.append((len(ends), ws.dtype.name))
-            return real_objective(prob, params, y, idx, ws)
+            return real["_objective"](prob, params, y, idx, ws)
 
-        def spy_score(prob, params, *args):
-            calls.append((len(ends), "score"))
-            ends.append((prob, [p.copy() for p in params], real_score(prob, params, *args)))
-            return ends[-1][2]
+        def spy_score(prob, mlp, *args):
+            calls.append((len(ends), f"_score {mlp.weights[0].dtype}"))
+            return real["_score"](prob, mlp, *args)
 
-        def spy_forward(*args):
-            calls.append((len(ends), "forward"))
-            return real_forward(*args)
+        def spy_forward(mlp, *args):
+            if not run["muted"]:
+                calls.append((len(ends), f"forward {mlp.weights[0].dtype}"))
+            return real["forward"](mlp, *args)
 
-        monkeypatch.setattr(trainer, "_objective", spy_objective)
-        monkeypatch.setattr(trainer, "_score32", spy_score)
-        monkeypatch.setattr(trainer, "forward", spy_forward)
+        def spy_keep(trace, snaps, score, params):
+            prob, end = run["prob"], [p.copy() for p in params]
+            P = prob.feats.shape[0]
+            run["muted"] = True
+            try:
+                _, fresh = real["_score"](prob, float32_mlp(end), float(end[-1]), None,
+                                          run["batch"], np.empty(P), np.empty(P))
+            finally:
+                run["muted"] = False
+            ends.append((prob, end, fresh))
+            return real["_keep"](trace, snaps, score, params)
+
+        for name, spy in (("_objective", spy_objective), ("_score", spy_score),
+                          ("forward", spy_forward), ("_keep", spy_keep)):
+            monkeypatch.setattr(trainer, name, spy)
         return ends, calls
 
     @staticmethod
     def expected_calls(epochs, batches, rescored):
-        """Each epoch's float32 passes; with minibatches, each epoch's
-        float32 score after them, and in full batch (one pass per epoch) one
-        float32 score after the last epoch; then one ``forward`` per
+        """Each epoch's float32 passes.  With minibatches, each epoch's
+        float32 ``_score`` after them, one ``forward`` per minibatch; in
+        full batch (one pass per epoch) one more pass after the last epoch,
+        each pass but the first scoring the epoch before it, and no
+        ``_score``.  Then one float64 ``_score`` and ``forward`` per
         rescored epoch."""
         if batches == 1:
-            passes = [(e, "float32") for e in range(epochs)] + [(epochs - 1, "score")]
+            passes = [(0, "float32")] + [(e, "float32") for e in range(epochs)]
         else:
-            passes = sum([[(e, "float32")] * batches + [(e, "score")] for e in range(epochs)], [])
-        return passes + [(epochs, "forward")] * len(rescored)
+            passes = sum([[(e, "float32")] * batches + [(e, "_score float32")]
+                          + [(e, "forward float32")] * batches for e in range(epochs)], [])
+        return passes + [(epochs, "_score float64"), (epochs, "forward float64")] * len(rescored)
 
     @staticmethod
     def fresh_scores(ends):
@@ -708,14 +783,14 @@ class TestTrain:
     def test_trace_is_float32_within_tolerance_and_float64_at_the_winner(
             self, monkeypatch, n_paths, n_steps, batch, hidden):
         """Each epoch runs its gradient passes in float32 and is scored once
-        in float32, and ``forward`` runs only after the last epoch, once per
-        epoch rescored in float64: those within MARGIN of the best float32
+        in float32, and float64 ``_score`` runs only after the last epoch,
+        once per epoch rescored: those within MARGIN of the best float32
         score.  Against a fresh float64 evaluation at every epoch's end
         parameters, on minibatches and in full batch on one block's rows
         (30 x 3) and on two ``_BLOCK_ROWS`` blocks (2000 x 10, the CLI's
         network): ``argmax(trace)`` is the fresh argmax, every rescored entry
-        is the fresh value bit for bit, every other entry is ``_score32`` at
-        that epoch's end parameters bit for bit, the policy is the winner's
+        is the fresh value bit for bit, every other entry is the float32
+        ``_score`` at that epoch's end parameters bit for bit, the policy is the winner's
         parameters, and every entry is within SCORE_ATOL."""
         ends, calls = self.epoch_ends(monkeypatch)
         bundle, rets = self.desk_sample(n_paths, n_steps)
@@ -792,8 +867,8 @@ class TestTrain:
     def test_non_finite_later_epoch_raises(self, epochs):
         """A full-batch run whose second epoch ends non-finite (a finite
         step, then one at lr 1e200) raises TrainingError naming epoch 1 and
-        the finite epoch 0 score, whether ``_score32`` scores epoch 1 (the
-        last) or the next epoch's gradient pass does."""
+        the finite epoch 0 score, whether the extra pass after the last
+        epoch scores epoch 1 or the next epoch's gradient pass does."""
         bundle, rets = self.desk_sample(30)
         u, spec = Utility("exponential", 1.0), CostSpec(gamma_prop=0.002, mode="marginal")
         cfg = TrainConfig(epochs=epochs, lr=0.01, lr_decay=1e202, seed=2, hidden=(8,))
